@@ -127,11 +127,33 @@ void CroccoAmr::defineLevelData(int lev, const BoxArray& ba,
     G_[lev].setVal(0.0);
     coords_[lev].define(ba, dm, 3, NGHOST + 3, comm());
     metrics_[lev].define(ba, dm, mesh::MetricComps, NGHOST, comm());
-    {
-        perf::TinyProfiler::Scope scope(prof_, "InitGridMetrics");
-        coordStore_->getCoords(coords_[lev], lev);
-        mesh::computeMetrics(coords_[lev], metrics_[lev], geom(lev));
+    fillGeometry(lev, coords_[lev], metrics_[lev],
+                 std::vector<int>(static_cast<std::size_t>(ba.size()), -1));
+}
+
+void CroccoAmr::fillGeometry(int lev, MultiFab& coords, MultiFab& metrics,
+                             const std::vector<int>& keep) {
+    perf::TinyProfiler::Scope scope(prof_, "InitGridMetrics");
+    std::vector<int> compute;
+    for (int f = 0; f < coords.numFabs(); ++f) {
+        const int g = keep[static_cast<std::size_t>(f)];
+        if (g < 0) {
+            compute.push_back(f);
+            continue;
+        }
+        coords.fab(f) = coords_[lev].fab(g);
+        metrics.fab(f) = metrics_[lev].fab(g);
     }
+    // Per fab exactly what CoordStore::getCoords(MultiFab&) followed by
+    // mesh::computeMetrics does (the serial reference the tests compare
+    // against); CoordStore reads are thread-safe in both modes.
+    const auto dxi = geom(lev).cellSizeArray();
+    gpu::ParallelForIndex(static_cast<int>(compute.size()), [&](int t) {
+        const int f = compute[static_cast<std::size_t>(t)];
+        coordStore_->getCoords(coords.fab(f), lev);
+        mesh::computeMetricsFab(coords.const_array(f), metrics.array(f),
+                                metrics.grownBox(f), dxi);
+    });
 }
 
 void CroccoAmr::makeNewLevelFromScratch(int lev, Real /*time*/, const BoxArray& ba,
@@ -159,21 +181,57 @@ void CroccoAmr::makeNewLevelFromCoarse(int lev, Real time, const BoxArray& ba,
 
 void CroccoAmr::remakeLevel(int lev, Real time, const BoxArray& ba,
                             const DistributionMapping& dm) {
+    // A regrid rebuilds only what it changed. A new box that an outgoing
+    // fab of the same owner already had keeps that fab's geometry; a box
+    // that moved rank is recomputed by its new owner, because copying it
+    // across ranks would be traffic SimComm never charges.
+    const BoxArray& oldBa = boxArray(lev);
+    const DistributionMapping& oldDm = dmap(lev);
+    std::vector<int> keep(static_cast<std::size_t>(ba.size()), -1);
+    std::vector<int> uncovered;
+    for (int f = 0; f < ba.size(); ++f) {
+        std::int64_t covered = 0; // old boxes are disjoint: overlaps add up
+        for (const auto& [g, overlap] : oldBa.intersections(ba[f])) {
+            covered += overlap.numPts();
+            if (oldBa[g] == ba[f] && oldDm[g] == dm[f])
+                keep[static_cast<std::size_t>(f)] = g;
+        }
+        if (covered < ba[f].numPts()) uncovered.push_back(f);
+    }
+
     MultiFab newU(ba, dm, NCONS, NGHOST, comm());
     MultiFab newG(ba, dm, NCONS, 0, comm());
     newG.setVal(0.0);
     MultiFab newCoords(ba, dm, 3, NGHOST + 3, comm());
     MultiFab newMetrics(ba, dm, mesh::MetricComps, NGHOST, comm());
-    {
-        perf::TinyProfiler::Scope scope(prof_, "InitGridMetrics");
-        coordStore_->getCoords(newCoords, lev);
-        mesh::computeMetrics(newCoords, newMetrics, geom(lev));
+    fillGeometry(lev, newCoords, newMetrics, keep);
+
+    // Only fabs reaching past the old level need coarse data: gather and
+    // interpolate for those alone. Every other fab takes all of its valid
+    // cells from the parallelCopy of the old level below, and its ghost
+    // cells stay unfilled until the next FillPatch — nothing reads U
+    // ghosts before then (check builds trap any such read).
+    if (!uncovered.empty()) {
+        std::vector<Box> boxes;
+        std::vector<int> owners;
+        for (int f : uncovered) {
+            boxes.push_back(ba[f]);
+            owners.push_back(dm[f]);
+        }
+        const BoxArray uba(std::move(boxes));
+        const DistributionMapping udm(std::move(owners), dm.numRanks());
+        MultiFab interpU(uba, udm, NCONS, NGHOST, comm());
+        MultiFab interpCoords(uba, udm, 3, NGHOST + 3, comm());
+        for (int s = 0; s < uba.size(); ++s)
+            interpCoords.fab(s) = newCoords.fab(uncovered[static_cast<std::size_t>(s)]);
+        amr::InterpFromCoarseLevel(interpU, U_[lev - 1], geom(lev),
+                                   geom(lev - 1), refRatio(), interpolater(),
+                                   physBC_, physBC_, time, &interpCoords,
+                                   &coords_[lev - 1]);
+        for (int s = 0; s < uba.size(); ++s)
+            newU.fab(uncovered[static_cast<std::size_t>(s)]) =
+                std::move(interpU.fab(s));
     }
-    // Newly uncovered regions come from coarse interpolation; regions the
-    // old level already resolved keep their fine data.
-    amr::InterpFromCoarseLevel(newU, U_[lev - 1], geom(lev), geom(lev - 1),
-                               refRatio(), interpolater(), physBC_, physBC_, time,
-                               &newCoords, &coords_[lev - 1]);
     newU.parallelCopy(U_[lev], 0, 0, NCONS, 0, 0, "Regrid");
     U_[lev] = std::move(newU);
     G_[lev] = std::move(newG);

@@ -255,6 +255,14 @@ protected:
 private:
     void defineLevelData(int lev, const amr::BoxArray& ba,
                          const amr::DistributionMapping& dm);
+    /// The per-fab geometry fill of every level build. Fab f with
+    /// keep[f] >= 0 copies fab keep[f] of the level's outgoing coords_/
+    /// metrics_, which has the same box and owner: both are a pure
+    /// function of level and cell index, so the copy is bitwise the
+    /// recomputation. Every other fab reads its coordinates from the
+    /// CoordStore and computes its metrics, all in one pool launch.
+    void fillGeometry(int lev, amr::MultiFab& coords, amr::MultiFab& metrics,
+                      const std::vector<int>& keep);
     void rk3Advance();
     void computeRhs(int lev, const amr::MultiFab& Sborder, amr::MultiFab& dU);
     /// Fused-pipeline RHS (Config::fused): per-stage primitive cache, two-

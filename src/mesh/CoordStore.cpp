@@ -4,12 +4,23 @@
 
 #include <cassert>
 #include <fstream>
+#include <stdexcept>
 
 namespace crocco::mesh {
 
 using amr::Box;
 using amr::FArrayBox;
 using amr::IntVect;
+
+namespace {
+
+[[noreturn]] void throwFileError(const char* what, int lev,
+                                 const std::string& path) {
+    throw std::runtime_error("CoordStore: " + std::string(what) + " level " +
+                             std::to_string(lev) + " coordinate file " + path);
+}
+
+} // namespace
 
 CoordStore::CoordStore(std::shared_ptr<const Mapping> mapping,
                        const amr::Geometry& geom0, const amr::IntVect& refRatio,
@@ -53,7 +64,9 @@ void CoordStore::buildLevel(int lev) {
     } else {
         // First-implementation path: the grid generator dumps the level to a
         // binary file; patches read it back at regrid time.
-        std::ofstream os(levelFile(lev), std::ios::binary);
+        const std::string path = levelFile(lev);
+        std::ofstream os(path, std::ios::binary);
+        if (!os) throwFileError("cannot create", lev, path);
         auto ca = grid.const_array();
         for (int m = 0; m < 3; ++m) {
             amr::forEachCell(grown, [&](int i, int j, int k) {
@@ -61,6 +74,8 @@ void CoordStore::buildLevel(int lev) {
                 os.write(reinterpret_cast<const char*>(&v), sizeof(Real));
             });
         }
+        os.flush();
+        if (!os) throwFileError("failed writing", lev, path);
     }
 }
 
@@ -74,9 +89,11 @@ void CoordStore::getCoords(amr::FArrayBox& fab, int lev) const {
         return;
     }
     // Serial binary read, one i-row seek at a time — deliberately the
-    // paper's slow first implementation.
-    std::ifstream is(levelFile(lev), std::ios::binary);
-    assert(is.good());
+    // paper's slow first implementation. A missing or truncated file
+    // throws rather than leaving coordinates unfilled.
+    const std::string path = levelFile(lev);
+    std::ifstream is(path, std::ios::binary);
+    if (!is) throwFileError("cannot open", lev, path);
     auto a = fab.array();
     const std::int64_t pts = grown.numPts();
     std::vector<Real> row(target.length(0));
@@ -88,6 +105,7 @@ void CoordStore::getCoords(amr::FArrayBox& fab, int lev) const {
                 is.seekg(off * static_cast<std::int64_t>(sizeof(Real)));
                 is.read(reinterpret_cast<char*>(row.data()),
                         static_cast<std::streamsize>(row.size() * sizeof(Real)));
+                if (!is) throwFileError("short seek or read in", lev, path);
                 for (int i = 0; i < target.length(0); ++i)
                     a(target.smallEnd(0) + i, j, k, m) = row[static_cast<std::size_t>(i)];
             }

@@ -44,6 +44,10 @@ public:
     void getCoords(amr::MultiFab& coords, int lev) const;
 
     /// Same, for a single fab (used by tests and the file-mode hot path).
+    /// Safe to call concurrently for distinct fabs. In File mode a level
+    /// file that cannot be opened, sought or read in full throws
+    /// std::runtime_error naming the file and the level (as does a failed
+    /// write when the constructor generates the files).
     void getCoords(amr::FArrayBox& fab, int lev) const;
 
     /// Physical coordinates of cell center `cell` at level `lev`, honoring

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <stdexcept>
 
 namespace crocco::mesh {
 namespace {
@@ -61,6 +65,42 @@ TEST(CoordStore, MemoryAndFileModesAgree) {
     }
     std::remove("/tmp/coords_lev0.bin");
     std::remove("/tmp/coords_lev1.bin");
+}
+
+TEST(CoordStore, FileModeFailsLoudlyOnBadLevelFiles) {
+    // A truncated or missing coords_lev<n>.bin must throw, naming the file
+    // and the level, instead of leaving a patch's coordinates unfilled.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("crocco_coordstore_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    auto mapping = std::make_shared<UniformMapping>(
+        std::array<Real, 3>{0, 0, 0}, std::array<Real, 3>{1, 1, 1});
+    const Geometry g = makeGeom(8, false);
+    CoordStore file(mapping, g, IntVect(2), 1, 2, CoordStore::Mode::File,
+                    dir.string());
+    const std::string lev1 = (dir / "coords_lev1.bin").string();
+    fs::resize_file(lev1, fs::file_size(lev1) / 2);
+
+    amr::FArrayBox fine(g.domain().refine(2).grow(2), 3);
+    try {
+        file.getCoords(fine, 1);
+        ADD_FAILURE() << "truncated level file read without an error";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(lev1), std::string::npos) << what;
+        EXPECT_NE(what.find("level 1"), std::string::npos) << what;
+    }
+    // The intact level still reads.
+    amr::FArrayBox coarse(g.domain().grow(2), 3);
+    EXPECT_NO_THROW(file.getCoords(coarse, 0));
+    fs::remove(lev1);
+    EXPECT_THROW(file.getCoords(fine, 1), std::runtime_error);
+    // Generating the files into a directory that does not exist fails too.
+    EXPECT_THROW(CoordStore(mapping, g, IntVect(2), 1, 2,
+                            CoordStore::Mode::File, (dir / "absent").string()),
+                 std::runtime_error);
+    fs::remove_all(dir);
 }
 
 TEST(CoordStore, FillsMultiFabValidAndGhost) {

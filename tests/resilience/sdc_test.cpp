@@ -3,6 +3,7 @@
 // cycle, the allocation canaries, and the recovery-ladder policy table.
 #include "resilience/FabGuard.hpp"
 
+#include "check/Check.hpp"
 #include "gpu/Arena.hpp"
 #include "parallel/CommFaults.hpp"
 #include "resilience/FaultInjector.hpp"
@@ -256,6 +257,26 @@ TEST(FabGuard, BitwiseEqualSeesASingleBitFlip) {
 
 // ----------------------------------------------------- allocation canary
 
+/// The off-by-one overrun an unchecked kernel loop produces: a write one
+/// cell past the box in i, at (hi[0] + 1, j, k, n). On the last row of the
+/// last component that is, in Fortran order, exactly the element after the
+/// payload — the guard slot. Check builds
+/// stop the write in the bounds-checked accessor before it lands (asserted
+/// here), so the overrun itself goes through the view's raw pointer at the
+/// offset the unchecked accessor computes.
+void overrunPastBox(const amr::Array4<amr::Real>& a, int j, int k, int n) {
+    const int i = a.hi[0] + 1;
+#ifdef CROCCO_CHECK
+    {
+        check::ScopedFailureCapture cap;
+        a(i, j, k, n) = 0.0;
+        EXPECT_EQ(cap.count(check::Kind::Bounds), 1u);
+    }
+#endif
+    a.p[(i - a.lo[0]) + a.jstride * (j - a.lo[1]) + a.kstride * (k - a.lo[2]) +
+        a.nstride * n] = 0.0;
+}
+
 TEST(ArenaCanary, FreshFabHasAnIntactCanary) {
     const Box b(IntVect::zero(), IntVect{3, 3, 3});
     amr::FArrayBox fab(b, 2, 1.0);
@@ -267,10 +288,7 @@ TEST(ArenaCanary, FreshFabHasAnIntactCanary) {
 TEST(ArenaCanary, OutOfBoxOverrunTripsTheCanary) {
     const Box b(IntVect::zero(), IntVect{3, 3, 3});
     amr::FArrayBox fab(b, 2, 1.0);
-    // One element past the payload is exactly the guard slot (Fortran
-    // order: the overrun every off-by-one kernel loop produces).
-    auto a = fab.array();
-    a(b.bigEnd()[0] + 1, b.bigEnd()[1], b.bigEnd()[2], 1) = 0.0;
+    overrunPastBox(fab.array(), b.bigEnd()[1], b.bigEnd()[2], 1);
     EXPECT_FALSE(fab.canaryIntact());
 }
 
@@ -281,8 +299,7 @@ TEST(ArenaCanary, ScratchPoolDiscardsTrippedBuffersAndCountsThem) {
     const Box b(IntVect::zero(), IntVect{7, 0, 0});
     {
         auto lease = pool.acquire(b, 1);
-        auto a = lease.fab().array();
-        a(b.bigEnd()[0] + 1, 0, 0, 0) = 0.0; // overrun
+        overrunPastBox(lease.fab().array(), 0, 0, 0);
     }
     EXPECT_EQ(pool.canaryTrips(), 1u);
     {

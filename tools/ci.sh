@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full CI sweep: the crocco-analyze lane (static analysis + deck-key
-# registry drift), the Release tier-1 suite, the CROCCO_CHECK
-# instrumentation suite, and the sanitizer suite — each in its own build
-# tree so configurations never contaminate each other.
+# registry drift), the Release tier-1 suite, the benchmark self-test, the
+# CROCCO_CHECK instrumentation suite, and the sanitizer suite — each in its
+# own build tree so configurations never contaminate each other.
 #
 #   tools/ci.sh            # run everything
 #   SKIP_SANITIZE=1 tools/ci.sh   # skip the (slow) sanitizer lane
@@ -26,6 +26,13 @@ echo "== tier-1 (Release) =="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "$JOBS" >/dev/null
 (cd build-ci && ctest --output-on-failure)
+
+echo "== benchmark self-test (dmrbench/selftest.py, tiny sizes) =="
+# Every BENCHMARK.json workload at a tiny size: each metric printed with its
+# unit, every output check holding (shock position, plateau, flips
+# repaired, restart bitwise, traced run bitwise equal to untraced), and a
+# deliberately corrupted result counted as a failed operation.
+python3 dmrbench/selftest.py
 
 echo "== fault-injection soak (ctest -L resilience) =="
 # The seeded comm-fault campaign: every fault kind injected and recovered,
