@@ -41,6 +41,20 @@ enum class Reconstruction {
 /// passing the reversed window for the opposite-sign characteristic family.
 Real wenoReconstruct(const Real f[6], WenoScheme scheme);
 
+/// Two doubles in one 16-byte vector (GCC/Clang vector extension): one
+/// SSE2 register, so `/` and `*` on it are single divpd/mulpd instructions
+/// on any x86-64 target.
+using RealPair = Real __attribute__((vector_size(2 * sizeof(Real))));
+
+/// Two reconstructions at once, one per lane: lane n of the result is
+/// wenoReconstruct of the window {f[0][n], ..., f[5][n]}, bit for bit (NaN
+/// results are NaN, possibly with another sign or payload). Each lane
+/// evaluates the scalar reference's expressions in the same order; the
+/// smoothness max and min are the strict-`<` selects std::max/std::min
+/// make over an initializer list, and the SYMBO downwind limiter is a
+/// select. wenoReconstruct stays the reference (tests/core/weno_test).
+RealPair wenoReconstructPair(const RealPair f[6], WenoScheme scheme);
+
 /// The WENOx/WENOy/WENOz kernel of Algorithm 2: accumulate the convective
 /// flux divergence of direction `dir` into dU over `validBox`.
 ///

@@ -12,7 +12,8 @@
 // compose with the overlapped advance (all four {overlap, fused} combos
 // agree), and the launch-count/modeled-bytes profiler columns must show the
 // fusion: strictly fewer counted launches and modeled DRAM bytes per WENO
-// region.
+// region. The LES and Navier-Stokes cases repeat the four-path comparison
+// with the viscous operator on, at 1 and 4 threads.
 #include "core/CroccoAmr.hpp"
 
 #include "core/FusedRhs.hpp"
@@ -121,6 +122,64 @@ TEST(FusedRhs, ComposesWithOverlap) {
         EXPECT_TRUE(both->profiler().has("PrimCache"));
     }
     gpu::setNumThreads(1);
+}
+
+/// Viscous closures of the DMR for the path-equivalence cases below.
+enum class Closure {
+    Les,          ///< Smagorinsky cs = 0.1 on inviscid air (dmrbench's closure)
+    NavierStokes, ///< molecular viscosity by Sutherland's law (muRef > 0)
+};
+
+/// 32x8x8 two-level DMR with a viscous closure, regridded every second
+/// step, on one {fused, overlap} path at a fixed thread count.
+std::unique_ptr<CroccoAmr> runViscousDmr(Closure closure, bool fusedPipe,
+                                         bool overlap, int nthreads) {
+    Dmr::Options o;
+    o.nx = 32;
+    o.ny = 8;
+    o.nz = 8;
+    o.maxLevel = 1;
+    Dmr dmr(o);
+    auto cfg = dmr.solverConfig(CodeVersion::V20);
+    cfg.regridFreq = 2;
+    cfg.gpuNumThreads = nthreads;
+    if (closure == Closure::Les)
+        cfg.sgs.cs = 0.1;
+    else
+        cfg.gas.muRef = 2e-3;
+    cfg.fused = fusedPipe;
+    cfg.overlap = overlap;
+    auto s = std::make_unique<CroccoAmr>(dmr.geometry(), cfg, dmr.mapping());
+    s->init(dmr.initialCondition(), dmr.boundaryConditions());
+    s->evolve(6);
+    return s;
+}
+
+/// viscousFlux, viscousFluxFused and the overlap's width-4 viscous halo
+/// strips must advance the same trajectory bit for bit, at 1 and 4 threads.
+void expectViscousPathsAgree(Closure closure) {
+    for (int nthreads : {1, 4}) {
+        SCOPED_TRACE("nthreads=" + std::to_string(nthreads));
+        auto base = runViscousDmr(closure, false, false, nthreads);
+        EXPECT_GT(base->profiler().calls("Viscous"), 0);
+        EXPECT_GT(base->stepCount(), 0);
+        for (int combo = 1; combo < 4; ++combo) {
+            const bool fusedPipe = combo & 1, overlap = combo & 2;
+            SCOPED_TRACE("fused=" + std::to_string(fusedPipe) +
+                         " overlap=" + std::to_string(overlap));
+            expectBitwiseEqual(*base,
+                               *runViscousDmr(closure, fusedPipe, overlap, nthreads));
+        }
+    }
+    gpu::setNumThreads(1);
+}
+
+TEST(FusedRhs, LesDmrAllPathsBitwiseIdentical) {
+    expectViscousPathsAgree(Closure::Les);
+}
+
+TEST(FusedRhs, NavierStokesDmrAllPathsBitwiseIdentical) {
+    expectViscousPathsAgree(Closure::NavierStokes);
 }
 
 TEST(FusedRhs, ThreadCountDoesNotChangeFusedResults) {
