@@ -1,10 +1,5 @@
 #include "amr/CommCache.hpp"
 
-#include "amr/DistributionMapping.hpp"
-
-#include <map>
-#include <utility>
-
 namespace crocco::amr {
 
 namespace {
@@ -24,58 +19,6 @@ std::uint64_t hashShifts(const std::vector<IntVect>& shifts) {
             h = mix64(h, static_cast<std::uint64_t>(
                              static_cast<std::int64_t>(s[d]) + (1ll << 32)));
     return h;
-}
-
-std::uint64_t fingerprintMappings(const DistributionMapping& srcDm,
-                                  const DistributionMapping& dstDm) {
-    std::uint64_t h = mix64(static_cast<std::uint64_t>(srcDm.numRanks()),
-                            static_cast<std::uint64_t>(dstDm.numRanks()));
-    for (int r : srcDm.owners()) h = mix64(h, static_cast<std::uint64_t>(r));
-    h = mix64(h, 0x5eedc0ffee0ddca7ull); // separator: ({a},{}) != ({},{a})
-    for (int r : dstDm.owners()) h = mix64(h, static_cast<std::uint64_t>(r));
-    return h;
-}
-
-AggregationPlan buildAggregationPlan(const CommPattern& pattern,
-                                     const DistributionMapping& srcDm,
-                                     const DistributionMapping& dstDm) {
-    AggregationPlan plan;
-    plan.dmFingerprint = fingerprintMappings(srcDm, dstDm);
-    // std::map keeps the pairs sorted by (srcRank, dstRank); slots land in
-    // pattern build order because copies are walked in order.
-    std::map<std::pair<int, int>, RankPairBatch> pairs;
-    for (int i = 0; i < static_cast<int>(pattern.copies.size()); ++i) {
-        const CopyDescriptor& c = pattern.copies[i];
-        const int srcRank = srcDm[c.srcFab];
-        const int dstRank = dstDm[c.dstFab];
-        if (srcRank == dstRank) continue; // on-rank: replay copies directly
-        RankPairBatch& b = pairs[{srcRank, dstRank}];
-        b.srcRank = srcRank;
-        b.dstRank = dstRank;
-        b.slots.push_back({i, b.totalPts});
-        b.totalPts += c.npts;
-    }
-    plan.pairs.reserve(pairs.size());
-    for (auto& [pr, batch] : pairs) plan.pairs.push_back(std::move(batch));
-    // Pairwise dst-region disjointness (per dst fab) decides whether the
-    // batched unpack may fan one task per slot. Derived once here; the
-    // slot counts per fab are small, so the quadratic scan is cheap.
-    std::map<int, std::vector<const Box*>> byDstFab;
-    for (const RankPairBatch& b : plan.pairs)
-        for (const AggregateSlot& s : b.slots) {
-            const CopyDescriptor& c = pattern.copies[s.copyIndex];
-            byDstFab[c.dstFab].push_back(&c.region);
-        }
-    for (const auto& [fab, regions] : byDstFab) {
-        for (std::size_t a = 0; plan.disjointDst && a + 1 < regions.size(); ++a)
-            for (std::size_t b = a + 1; b < regions.size(); ++b)
-                if ((*regions[a] & *regions[b]).ok()) {
-                    plan.disjointDst = false;
-                    break;
-                }
-        if (!plan.disjointDst) break;
-    }
-    return plan;
 }
 
 std::size_t CommCache::KeyHash::operator()(const Key& k) const {
@@ -107,7 +50,6 @@ const CommPattern* CommCache::lookup(const Key& k, int srcSize, int dstSize) {
     if (p.srcSize != srcSize || p.dstSize != dstSize) {
         // Id collision (or a BoxArray id reused across incompatible
         // layouts): never replay a suspect pattern.
-        dropPlan(it->first);
         lru_.erase(it->second);
         map_.erase(it);
         ++stats_.misses;
@@ -126,8 +68,6 @@ const CommPattern& CommCache::insert(const Key& k, CommPattern pattern) {
     }
     auto it = map_.find(k);
     if (it != map_.end()) {
-        // A replaced pattern orphans any plan derived from the old copies.
-        dropPlan(k);
         it->second->second = std::move(pattern);
         touch(it->second);
         return lru_.front().second;
@@ -135,7 +75,6 @@ const CommPattern& CommCache::insert(const Key& k, CommPattern pattern) {
     lru_.emplace_front(k, std::move(pattern));
     map_.emplace(k, lru_.begin());
     while (map_.size() > capacity_) {
-        dropPlan(lru_.back().first);
         map_.erase(lru_.back().first);
         lru_.pop_back();
         ++stats_.evictions;
@@ -143,39 +82,9 @@ const CommPattern& CommCache::insert(const Key& k, CommPattern pattern) {
     return lru_.front().second;
 }
 
-const AggregationPlan* CommCache::lookupPlan(const Key& k,
-                                             std::uint64_t dmFingerprint) {
-    if (!enabled_) return nullptr;
-    auto it = plans_.find(k);
-    if (it == plans_.end()) return nullptr;
-    if (it->second.dmFingerprint != dmFingerprint) {
-        // Derived under different owner vectors (regrid-moved fabs or the
-        // post-shrink dense renumbering): a stale plan would pack for ranks
-        // that no longer exist. Drop it; the caller rebuilds.
-        plans_.erase(it);
-        return nullptr;
-    }
-    ++stats_.planHits;
-    return &it->second;
-}
-
-const AggregationPlan& CommCache::insertPlan(const Key& k,
-                                             AggregationPlan plan) {
-    ++stats_.planBuilds;
-    if (!enabled_ || capacity_ == 0) {
-        static thread_local AggregationPlan scratch;
-        scratch = std::move(plan);
-        return scratch;
-    }
-    return plans_[k] = std::move(plan);
-}
-
-void CommCache::dropPlan(const Key& k) { plans_.erase(k); }
-
 void CommCache::setCapacity(std::size_t cap) {
     capacity_ = cap;
     while (map_.size() > capacity_) {
-        dropPlan(lru_.back().first);
         map_.erase(lru_.back().first);
         lru_.pop_back();
         ++stats_.evictions;
@@ -186,7 +95,6 @@ void CommCache::invalidate(std::uint64_t baId) {
     if (baId == 0) return;
     for (auto it = lru_.begin(); it != lru_.end();) {
         if (it->first.srcId == baId || it->first.dstId == baId) {
-            dropPlan(it->first);
             map_.erase(it->first);
             it = lru_.erase(it);
             ++stats_.invalidations;
@@ -200,12 +108,7 @@ void CommCache::noteCommSize(int nranks) {
     if (nranks == commSize_) return;
     if (commSize_ != 0) {
         // Communicator changed size (rank death + shrink): every cached
-        // pattern was recorded under the old rank numbering's hierarchy,
-        // and every aggregation plan holds literal (srcRank, dstRank) pairs
-        // in that numbering — both must go. The plan fingerprint would
-        // catch most stale replays, but a shrink that permutes owners back
-        // onto the same vector (new DMs built over the shrunk size) must
-        // not be able to alias, so the plans are dropped unconditionally.
+        // pattern was recorded under the old rank numbering's hierarchy.
         stats_.invalidations += static_cast<std::int64_t>(map_.size());
         clear();
     }
@@ -215,7 +118,6 @@ void CommCache::noteCommSize(int nranks) {
 void CommCache::clear() {
     lru_.clear();
     map_.clear();
-    plans_.clear();
 }
 
 } // namespace crocco::amr

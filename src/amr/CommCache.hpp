@@ -38,64 +38,6 @@ struct CommPattern {
     bool operator==(const CommPattern&) const = default;
 };
 
-/// One slot of a packed rank-pair message: copy `copyIndex` of the owning
-/// pattern starts at point offset `offsetPts` into the pair's staging
-/// buffer. Values are laid out per slot with components outermost (the
-/// forEachCell order regionCrc also walks), so the value offset of a slot
-/// in an ncomp-wide exchange is `offsetPts * ncomp`.
-struct AggregateSlot {
-    int copyIndex = 0;
-    std::int64_t offsetPts = 0;
-
-    bool operator==(const AggregateSlot&) const = default;
-};
-
-/// Every copy flowing (src rank -> dst rank) in one exchange, packed into a
-/// single contiguous staging buffer and sent as exactly one SimComm message
-/// (AMReX's rank-pair message coalescing). Slots keep the pattern's build
-/// order, so the packed byte stream is deterministic.
-struct RankPairBatch {
-    int srcRank = 0;
-    int dstRank = 0;
-    std::int64_t totalPts = 0; ///< sum of slot npts (staging size per comp)
-    std::vector<AggregateSlot> slots;
-
-    bool operator==(const RankPairBatch&) const = default;
-};
-
-/// Aggregation plan for one cached pattern under one pair of
-/// DistributionMappings: the pattern's off-rank copies grouped per
-/// communicating rank pair, pairs sorted by (srcRank, dstRank). On-rank
-/// copies are not listed — replay applies them directly. The fingerprint
-/// ties the plan to the exact owner vectors it was derived from; a regrid
-/// or post-shrink renumbering changes the fingerprint and forces a rebuild.
-struct AggregationPlan {
-    std::vector<RankPairBatch> pairs;
-    std::uint64_t dmFingerprint = 0;
-    /// Are the packed dst regions pairwise disjoint? True for every
-    /// fillBoundary (a ghost cell has exactly one source); parallelCopy
-    /// reading grown sources can deliver one dst cell from several
-    /// (value-consistent) slots, which forces the batched unpack to run
-    /// those slots in one task instead of one task per slot.
-    bool disjointDst = true;
-
-    bool operator==(const AggregationPlan&) const = default;
-};
-
-class DistributionMapping;
-
-/// Order-sensitive hash of the (src, dst) owner vectors + rank count —
-/// the validity token of an AggregationPlan.
-std::uint64_t fingerprintMappings(const DistributionMapping& srcDm,
-                                  const DistributionMapping& dstDm);
-
-/// Derive the rank-pair aggregation plan of `pattern` under the given
-/// mappings. Deterministic: pairs sorted by (srcRank, dstRank), slots in
-/// pattern build order, offsets accumulated in that order.
-AggregationPlan buildAggregationPlan(const CommPattern& pattern,
-                                     const DistributionMapping& srcDm,
-                                     const DistributionMapping& dstDm);
-
 /// Process-wide LRU cache of communication patterns, mirroring AMReX's
 /// CommMetaData caching (Zhang et al., 2020): FillBoundary / ParallelCopy
 /// re-run the BoxArray hash intersection only on the first call for a given
@@ -131,8 +73,6 @@ public:
         std::int64_t misses = 0;
         std::int64_t invalidations = 0; ///< entries removed by invalidate()
         std::int64_t evictions = 0;     ///< entries dropped by the LRU bound
-        std::int64_t planHits = 0;      ///< aggregation plans replayed
-        std::int64_t planBuilds = 0;    ///< aggregation plans (re)derived
     };
 
     static CommCache& instance();
@@ -147,13 +87,6 @@ public:
     void setEnabled(bool e) { enabled_ = e; }
     bool enabled() const { return enabled_; }
 
-    /// Aggregated rank-pair exchange (comm.aggregate): when on, MultiFab
-    /// packs every off-rank copy of an exchange into one staging buffer per
-    /// communicating rank pair and sends one SimComm message per pair.
-    /// Default off — the seed's one-message-per-copy stream.
-    void setAggregate(bool a) { aggregate_ = a; }
-    bool aggregate() const { return aggregate_; }
-
     /// Optional profiler charged with CommCacheBuild / CommCacheHit regions
     /// by MultiFab; non-owning, nullptr detaches.
     void attachProfiler(perf::TinyProfiler* p) { prof_ = p; }
@@ -167,21 +100,6 @@ public:
     /// Store (or replace) a pattern; returns the stored copy. No-op when
     /// disabled (returns a reference to a thread-local scratch instead).
     const CommPattern& insert(const Key& k, CommPattern pattern);
-
-    /// Cached aggregation plan for `k`, or nullptr when absent, when the
-    /// cache is disabled, or when the stored plan was derived under
-    /// different DistributionMappings (stale plans are erased — satellite
-    /// of the rank-death renumbering fix: a fingerprint mismatch after
-    /// shrink can never replay old rank ids). The pointer is valid until
-    /// the next insertPlan/invalidate/clear/noteCommSize call.
-    const AggregationPlan* lookupPlan(const Key& k, std::uint64_t dmFingerprint);
-
-    /// Store (or replace) the plan for `k`. No-op when disabled (returns a
-    /// thread-local scratch copy, like insert).
-    const AggregationPlan& insertPlan(const Key& k, AggregationPlan plan);
-
-    /// Aggregation plans currently cached (tests assert invalidation).
-    std::size_t planCount() const { return plans_.size(); }
 
     /// Drop every entry whose key mentions `baId` as source or destination.
     void invalidate(std::uint64_t baId);
@@ -210,15 +128,12 @@ private:
     using Entry = std::pair<Key, CommPattern>;
 
     void touch(std::list<Entry>::iterator it);
-    void dropPlan(const Key& k);
 
     std::list<Entry> lru_; // front = most recently used
     std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
-    std::unordered_map<Key, AggregationPlan, KeyHash> plans_;
     std::size_t capacity_ = 64;
     int commSize_ = 0;
     bool enabled_ = true;
-    bool aggregate_ = false;
     perf::TinyProfiler* prof_ = nullptr;
     Stats stats_;
 };

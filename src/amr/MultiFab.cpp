@@ -5,7 +5,6 @@
 
 #include "amr/CommCache.hpp"
 #include "check/Check.hpp"
-#include "gpu/Arena.hpp"
 #include "gpu/Gpu.hpp"
 #include "gpu/Stream.hpp"
 #include "resilience/Crc32.hpp"
@@ -41,12 +40,11 @@ struct MaybeScope {
 /// CRC32 of one fab rectangle (the payload of a single copy descriptor):
 /// cells in forEachCell (Fortran) order, components outermost, chained per
 /// Real. Sender and receiver checksum the same region shape in the same
-/// order, so equal data ⟺ equal checksum. `crc` seeds the chain so an
-/// aggregated message can checksum its slots back to back — the seeded
-/// chain over the slot regions equals the flat CRC over the packed buffer.
+/// order, so equal data ⟺ equal checksum.
 std::uint32_t regionCrc(const FArrayBox& f, const Box& region, int comp,
-                        int ncomp, std::uint32_t crc = 0) {
+                        int ncomp) {
     auto a = f.const_array();
+    std::uint32_t crc = 0;
     for (int n = comp; n < comp + ncomp; ++n) {
         forEachCell(region, [&](int i, int j, int k) {
             const Real v = a(i, j, k, n);
@@ -56,10 +54,16 @@ std::uint32_t regionCrc(const FArrayBox& f, const Box& region, int comp,
     return crc;
 }
 
-/// Flip `bit` of the `target`-th value (forEachCell order, components
-/// outermost — the packing order) inside a fab rectangle.
-void scrambleRegionValue(FArrayBox& f, const Box& region, int comp, int ncomp,
-                         std::int64_t target, unsigned bit) {
+/// Flip one bit of one Real inside a fab rectangle — the payload damage a
+/// Corrupt fault does in flight. `word` deterministically selects the cell,
+/// component (forEachCell order, components outermost), and bit.
+void scrambleRegionBit(FArrayBox& f, const Box& region, int comp, int ncomp,
+                       std::uint64_t word) {
+    const std::int64_t nvals = region.numPts() * ncomp;
+    if (nvals <= 0) return;
+    const auto target =
+        static_cast<std::int64_t>(word % static_cast<std::uint64_t>(nvals));
+    const auto bit = static_cast<unsigned>((word >> 32) % (sizeof(Real) * 8));
     auto a = f.array();
     std::int64_t idx = 0;
     bool done = false;
@@ -77,184 +81,12 @@ void scrambleRegionValue(FArrayBox& f, const Box& region, int comp, int ncomp,
     }
 }
 
-/// Flip one bit of one Real inside a fab rectangle — the payload damage a
-/// Corrupt fault does in flight. `word` deterministically selects the cell,
-/// component, and bit.
-void scrambleRegionBit(FArrayBox& f, const Box& region, int comp, int ncomp,
-                       std::uint64_t word) {
-    const std::int64_t nvals = region.numPts() * ncomp;
-    if (nvals <= 0) return;
-    scrambleRegionValue(
-        f, region, comp, ncomp,
-        static_cast<std::int64_t>(word % static_cast<std::uint64_t>(nvals)),
-        static_cast<unsigned>((word >> 32) % (sizeof(Real) * 8)));
-}
-
-/// Flattened (pair, slot) work item of the batched pack/unpack launches.
-struct FlatSlot {
-    int pair = 0;
-    int slot = 0;
-};
-
-std::vector<FlatSlot> flattenSlots(const AggregationPlan& plan) {
-    std::vector<FlatSlot> flat;
-    for (int p = 0; p < static_cast<int>(plan.pairs.size()); ++p)
-        for (int s = 0; s < static_cast<int>(plan.pairs[p].slots.size()); ++s)
-            flat.push_back({p, s});
-    return flat;
-}
-
-/// Lease one staging buffer per rank pair and pack every slot with one
-/// batched launch. Slot values land at offsetPts * numComp, components
-/// outermost in forEachCell order — exactly the sequence regionCrc walks,
-/// so the flat CRC over a pair's buffer equals the chained region CRCs the
-/// receiver recomputes over the delivered ghosts.
-std::vector<gpu::ScratchPool::Lease>
-packAggregated(const CommPattern& pattern, const AggregationPlan& plan,
-               const MultiFab& src, int srcComp, int numComp) {
-    std::vector<gpu::ScratchPool::Lease> staging;
-    staging.reserve(plan.pairs.size());
-    for (const RankPairBatch& b : plan.pairs)
-        staging.push_back(
-            gpu::ScratchPool::instance().acquireLinear(b.totalPts * numComp));
-    const std::vector<FlatSlot> flat = flattenSlots(plan);
-    gpu::BatchedParallelForIndex(static_cast<int>(flat.size()), 1, [&](int t) {
-        const RankPairBatch& b = plan.pairs[flat[t].pair];
-        const AggregateSlot& sl = b.slots[flat[t].slot];
-        const CopyDescriptor& d = pattern.copies[sl.copyIndex];
-        auto sa = staging[flat[t].pair].fab().array();
-        auto a = src.fab(d.srcFab).const_array();
-        std::int64_t off = sl.offsetPts * numComp;
-        for (int n = srcComp; n < srcComp + numComp; ++n)
-            forEachCell(d.region.shift(d.shift), [&](int i, int j, int k) {
-                sa(static_cast<int>(off++), 0, 0, 0) = a(i, j, k, n);
-            });
-    });
-    return staging;
-}
-
-/// Copy one packed slot out of its staging buffer into the destination
-/// region — the receive side of the aggregated exchange.
-void unpackSlot(const CommPattern& pattern, const AggregateSlot& sl,
-                const FArrayBox& stagingFab, MultiFab& dst, int destComp,
-                int numComp) {
-    const CopyDescriptor& d = pattern.copies[sl.copyIndex];
-    auto sa = stagingFab.const_array();
-    auto da = dst.fab(d.dstFab).array();
-    std::int64_t off = sl.offsetPts * numComp;
-    for (int n = destComp; n < destComp + numComp; ++n)
-        forEachCell(d.region, [&](int i, int j, int k) {
-            da(i, j, k, n) = sa(static_cast<int>(off++), 0, 0, 0);
-        });
-}
-
-/// Deliver every packed slot with one batched launch. With pairwise-
-/// disjoint dst regions each slot is its own task (exact per-task
-/// footprints keep the race detector clean); overlapping-but-consistent
-/// deliveries (parallelCopy reading grown sources) serialize into a single
-/// task of the same launch.
-void unpackAggregated(const CommPattern& pattern, const AggregationPlan& plan,
-                      std::vector<gpu::ScratchPool::Lease>& staging,
-                      MultiFab& dst, int destComp, int numComp) {
-    const std::vector<FlatSlot> flat = flattenSlots(plan);
-    if (flat.empty()) return;
-    auto one = [&](int t) {
-        const RankPairBatch& b = plan.pairs[flat[t].pair];
-        unpackSlot(pattern, b.slots[flat[t].slot], staging[flat[t].pair].fab(),
-                   dst, destComp, numComp);
-    };
-    if (plan.disjointDst) {
-        gpu::BatchedParallelForIndex(static_cast<int>(flat.size()), 1, one);
-    } else {
-        gpu::BatchedParallelForIndex(1, 1, [&](int) {
-            for (int t = 0; t < static_cast<int>(flat.size()); ++t) one(t);
-        });
-    }
-}
-
-/// Serial re-delivery of one pair (initial delivery in verified mode, and
-/// what a retransmit replays from the still-leased staging buffer).
-void deliverPair(const CommPattern& pattern, const RankPairBatch& b,
-                 const FArrayBox& stagingFab, MultiFab& dst, int destComp,
-                 int numComp) {
-    for (const AggregateSlot& sl : b.slots)
-        unpackSlot(pattern, sl, stagingFab, dst, destComp, numComp);
-}
-
-/// CRC32 of a packed pair buffer — the wire checksum of the aggregated
-/// message.
-std::uint32_t stagingCrc(const FArrayBox& stagingFab, std::int64_t nvals) {
-    std::uint32_t crc = 0;
-    auto sa = stagingFab.const_array();
-    for (std::int64_t v = 0; v < nvals; ++v) {
-        const Real x = sa(static_cast<int>(v), 0, 0, 0);
-        crc = resilience::crc32(&x, sizeof(Real), crc);
-    }
-    return crc;
-}
-
-/// Receiver-side checksum of one delivered pair: the slot regions chained
-/// in pack order (equals stagingCrc of an intact delivery).
-std::uint32_t pairDeliveredCrc(const CommPattern& pattern,
-                               const RankPairBatch& b, const MultiFab& dst,
-                               int destComp, int numComp) {
-    std::uint32_t crc = 0;
-    for (const AggregateSlot& sl : b.slots) {
-        const CopyDescriptor& d = pattern.copies[sl.copyIndex];
-        crc = regionCrc(dst.fab(d.dstFab), d.region, destComp, numComp, crc);
-    }
-    return crc;
-}
-
-/// Corrupt-fault damage at aggregate granularity: `word` picks one value
-/// (and bit) across the pair's packed payload; the strike lands in the one
-/// slot covering that offset — corrupt one slot, NACK + retransmit one
-/// buffer.
-void scramblePair(const CommPattern& pattern, const RankPairBatch& b,
-                  MultiFab& dst, int destComp, int numComp,
-                  std::uint64_t word) {
-    const std::int64_t nvals = b.totalPts * numComp;
-    if (nvals <= 0) return;
-    const std::int64_t target =
-        static_cast<std::int64_t>(word % static_cast<std::uint64_t>(nvals));
-    const unsigned bit =
-        static_cast<unsigned>((word >> 32) % (sizeof(Real) * 8));
-    for (const AggregateSlot& sl : b.slots) {
-        const CopyDescriptor& d = pattern.copies[sl.copyIndex];
-        const std::int64_t start = sl.offsetPts * numComp;
-        if (target < start || target >= start + d.npts * numComp) continue;
-        scrambleRegionValue(dst.fab(d.dstFab), d.region, destComp, numComp,
-                            target - start, bit);
-        return;
-    }
-}
-
 /// Per-region message accounting (TinyProfiler Msgs / MsgBytes columns);
 /// no-op without an attached profiler.
 void chargeMessages(const std::string& tag, std::int64_t nmsgs, double bytes) {
     if (nmsgs <= 0) return;
     if (perf::TinyProfiler* prof = CommCache::instance().profiler())
         prof->addMessages(tag, nmsgs, bytes);
-}
-
-/// Resolve the aggregation plan of an exchange: nullptr when aggregation
-/// is off (or single-rank); the cached plan — fingerprint-validated
-/// against the live mappings — when the pattern is cacheable; a fresh
-/// derivation into `local` otherwise.
-const AggregationPlan*
-resolvePlan(CommCache& cache, const CommCache::Key& key, bool cacheable,
-            const CommPattern& pattern, const DistributionMapping& srcDm,
-            const DistributionMapping& dstDm, parallel::SimComm* comm,
-            AggregationPlan& local) {
-    if (!cache.aggregate() || !comm || comm->size() <= 1) return nullptr;
-    const std::uint64_t fp = fingerprintMappings(srcDm, dstDm);
-    if (cacheable) {
-        if (const AggregationPlan* p = cache.lookupPlan(key, fp)) return p;
-        return &cache.insertPlan(key,
-                                 buildAggregationPlan(pattern, srcDm, dstDm));
-    }
-    local = buildAggregationPlan(pattern, srcDm, dstDm);
-    return &local;
 }
 
 } // namespace
@@ -272,15 +104,6 @@ struct MultiFab::AsyncFillState {
     /// flight); 0 for on-rank copies. End verifies the delivered ghosts
     /// against these.
     std::vector<std::uint32_t> srcCrcs;
-    /// Aggregated exchange (comm.aggregate): the rank-pair plan (by value —
-    /// a plan-cache eviction between Begin and End must not dangle), the
-    /// leased staging buffers (one per pair, alive until End so a verified
-    /// retransmit can re-deliver), and the per-pair payload CRCs posted at
-    /// Begin (hardened mode; empty strings of zeros otherwise).
-    AggregationPlan plan;
-    std::vector<gpu::ScratchPool::Lease> staging;
-    std::vector<std::uint32_t> pairCrcs;
-    bool aggregated = false;
     bool verified = false;
 };
 
@@ -364,13 +187,7 @@ void MultiFab::setVal(Real v, int comp, int ncomp) {
 
 void MultiFab::replay(const CommPattern& pattern, const MultiFab& src,
                       int srcComp, int destComp, int numComp,
-                      const std::string& tag, bool p2p,
-                      const AggregationPlan* plan) {
-    if (plan && !plan->pairs.empty()) {
-        replayAggregated(pattern, *plan, src, srcComp, destComp, numComp, tag,
-                         p2p);
-        return;
-    }
+                      const std::string& tag, bool p2p) {
     // Copies target disjoint dst regions and read only src cells fillBoundary
     // never writes (valid cells of siblings / a const source MultiFab), so
     // descriptor order is free — but SimComm recording must match the build
@@ -434,70 +251,6 @@ void MultiFab::replay(const CommPattern& pattern, const MultiFab& src,
     chargeMessages(tag, nmsgs, msgBytes);
 }
 
-void MultiFab::replayAggregated(const CommPattern& pattern,
-                                const AggregationPlan& plan,
-                                const MultiFab& src, int srcComp, int destComp,
-                                int numComp, const std::string& tag, bool p2p) {
-    // On-rank copies never hit the wire: apply them directly, in build
-    // order, exactly like the unaggregated replay.
-    for (const CopyDescriptor& d : pattern.copies) {
-        if (src.distributionMap()[d.srcFab] != dm_[d.dstFab]) continue;
-        fabs_[d.dstFab].copyFrom(src.fab(d.srcFab), d.region, srcComp,
-                                 destComp, numComp, d.shift);
-    }
-    auto staging = packAggregated(pattern, plan, src, srcComp, numComp);
-    const parallel::MessageKind kind = p2p
-                                           ? parallel::MessageKind::PointToPoint
-                                           : parallel::MessageKind::ParallelCopy;
-    double totalBytes = 0.0;
-    if (comm_ && comm_->exchangeVerification()) {
-        // Hardened path at aggregate granularity: one CRC stamp, one
-        // retransmit budget, one NACK per packed pair message. Delivery —
-        // and every retransmit — re-unpacks the pair from its staging
-        // buffer, so corrupting one slot costs one buffer resend.
-        for (std::size_t p = 0; p < plan.pairs.size(); ++p) {
-            const RankPairBatch& b = plan.pairs[p];
-            const std::int64_t bytes =
-                b.totalPts * numComp * static_cast<std::int64_t>(sizeof(Real));
-            totalBytes += static_cast<double>(bytes);
-            parallel::SimComm::Transfer t;
-            t.src = b.srcRank;
-            t.dst = b.dstRank;
-            t.bytes = bytes;
-            t.kind = kind;
-            t.tag = tag;
-            t.deliver = [&, p] {
-                deliverPair(pattern, plan.pairs[p], staging[p].fab(), *this,
-                            destComp, numComp);
-            };
-            t.payloadCrc = [&, p] {
-                return stagingCrc(staging[p].fab(),
-                                  plan.pairs[p].totalPts * numComp);
-            };
-            t.deliveredCrc = [&, p] {
-                return pairDeliveredCrc(pattern, plan.pairs[p], *this,
-                                        destComp, numComp);
-            };
-            t.scramble = [&, p](std::uint64_t w) {
-                scramblePair(pattern, plan.pairs[p], *this, destComp, numComp,
-                             w);
-            };
-            comm_->sendVerified(t);
-        }
-    } else {
-        for (const RankPairBatch& b : plan.pairs) {
-            const std::int64_t bytes =
-                b.totalPts * numComp * static_cast<std::int64_t>(sizeof(Real));
-            totalBytes += static_cast<double>(bytes);
-            if (comm_)
-                comm_->recordMessage(b.srcRank, b.dstRank, bytes, kind, tag);
-        }
-        unpackAggregated(pattern, plan, staging, *this, destComp, numComp);
-    }
-    chargeMessages(tag, static_cast<std::int64_t>(plan.pairs.size()),
-                   totalBytes);
-}
-
 namespace {
 
 /// Check-build replay guard: a sampled cache hit re-derives the pattern and
@@ -558,11 +311,7 @@ void MultiFab::fillBoundary(const Geometry& geom) {
                 verifyReplay(*pat, buildFillBoundaryPattern(shifts),
                              "FillBoundary");
             MaybeScope scope("CommCacheHit");
-            AggregationPlan local;
-            const AggregationPlan* plan =
-                resolvePlan(cache, key, cacheable, *pat, dm_, dm_, comm_, local);
-            replay(*pat, *this, 0, 0, ncomp_, "FillBoundary", /*p2p=*/true,
-                   plan);
+            replay(*pat, *this, 0, 0, ncomp_, "FillBoundary", /*p2p=*/true);
             return;
         }
     }
@@ -573,10 +322,7 @@ void MultiFab::fillBoundary(const Geometry& geom) {
     }
     const CommPattern& stored =
         cacheable ? cache.insert(key, std::move(pattern)) : pattern;
-    AggregationPlan local;
-    const AggregationPlan* plan =
-        resolvePlan(cache, key, cacheable, stored, dm_, dm_, comm_, local);
-    replay(stored, *this, 0, 0, ncomp_, "FillBoundary", /*p2p=*/true, plan);
+    replay(stored, *this, 0, 0, ncomp_, "FillBoundary", /*p2p=*/true);
 }
 
 void MultiFab::fillBoundaryBegin(const Geometry& geom) {
@@ -607,60 +353,6 @@ void MultiFab::fillBoundaryBegin(const Geometry& geom) {
         MaybeScope scope("CommCacheBuild");
         st->pattern = buildFillBoundaryPattern(shifts);
         if (cacheable) cache.insert(key, CommPattern(st->pattern));
-    }
-    {
-        AggregationPlan localPlan;
-        const AggregationPlan* plan = resolvePlan(
-            cache, key, cacheable, st->pattern, dm_, dm_, comm_, localPlan);
-        if (plan && !plan->pairs.empty()) {
-            // Aggregated post: on-rank copies defer on the stream in build
-            // order; the packed payloads leave now (the source valid cells
-            // are immutable while the exchange is in flight — the overlap
-            // contract — so packing at Begin is the wire departure), one
-            // isend per rank pair; the batched unpack rides the stream
-            // behind the on-rank copies, so End's drain — or the overlap
-            // path's task-0 drain behind its gpu::Event — delivers the
-            // ghosts before any halo read, on the same happens-before edge
-            // the per-descriptor path uses.
-            st->aggregated = true;
-            st->plan = *plan;
-            for (const CopyDescriptor& d : st->pattern.copies) {
-                if (dm_[d.srcFab] != dm_[d.dstFab]) continue;
-                st->stream.enqueue([this, d] {
-                    fabs_[d.dstFab].copyFrom(fabs_[d.srcFab], d.region, 0, 0,
-                                             ncomp_, d.shift);
-                });
-            }
-            st->staging = packAggregated(st->pattern, st->plan, *this, 0,
-                                         ncomp_);
-            double totalBytes = 0.0;
-            for (std::size_t p = 0; p < st->plan.pairs.size(); ++p) {
-                const RankPairBatch& b = st->plan.pairs[p];
-                const std::int64_t bytes =
-                    b.totalPts * ncomp_ * static_cast<std::int64_t>(sizeof(Real));
-                totalBytes += static_cast<double>(bytes);
-                std::uint32_t crc = 0;
-                if (st->verified)
-                    crc = stagingCrc(st->staging[p].fab(), b.totalPts * ncomp_);
-                st->pairCrcs.push_back(crc);
-                st->requests.push_back(comm_->isend(
-                    b.srcRank, b.dstRank, bytes,
-                    parallel::MessageKind::PointToPoint, "FillBoundary", crc));
-                if (st->verified)
-                    st->requests.push_back(
-                        comm_->irecv(b.srcRank, b.dstRank, "FillBoundary"));
-            }
-            chargeMessages("FillBoundary",
-                           static_cast<std::int64_t>(st->plan.pairs.size()),
-                           totalBytes);
-            AsyncFillState* s = st.get();
-            st->stream.enqueue([this, s] {
-                unpackAggregated(s->pattern, s->plan, s->staging, *this, 0,
-                                 ncomp_);
-            });
-            asyncFill_ = std::move(st);
-            return;
-        }
     }
     // Post the exchange: the data copies are deferred on the stream (End
     // drains them in enqueue == build order) and the off-rank messages are
@@ -719,35 +411,7 @@ void MultiFab::fillBoundaryEnd(const std::source_location& loc) {
     }
     asyncFill_->stream.synchronize();
     if (comm_) comm_->waitall(asyncFill_->requests);
-    if (comm_ && asyncFill_->verified && asyncFill_->aggregated) {
-        // Aggregated post-hoc verification: one CRC check / NACK /
-        // retransmit per packed rank-pair message, re-delivered from the
-        // still-leased staging buffer.
-        AsyncFillState& s = *asyncFill_;
-        for (std::size_t p = 0; p < s.plan.pairs.size(); ++p) {
-            const RankPairBatch& b = s.plan.pairs[p];
-            const std::uint32_t want = s.pairCrcs[p];
-            parallel::SimComm::Transfer t;
-            t.src = b.srcRank;
-            t.dst = b.dstRank;
-            t.bytes = b.totalPts * ncomp_ * static_cast<std::int64_t>(sizeof(Real));
-            t.kind = parallel::MessageKind::PointToPoint;
-            t.tag = "FillBoundary";
-            t.deliver = [this, &s, p] {
-                deliverPair(s.pattern, s.plan.pairs[p], s.staging[p].fab(),
-                            *this, 0, ncomp_);
-            };
-            t.payloadCrc = [want] { return want; };
-            t.deliveredCrc = [this, &s, p] {
-                return pairDeliveredCrc(s.pattern, s.plan.pairs[p], *this, 0,
-                                        ncomp_);
-            };
-            t.scramble = [this, &s, p](std::uint64_t w) {
-                scramblePair(s.pattern, s.plan.pairs[p], *this, 0, ncomp_, w);
-            };
-            comm_->verifyDelivered(t);
-        }
-    } else if (comm_ && asyncFill_->verified) {
+    if (comm_ && asyncFill_->verified) {
         // Post-hoc verification of the drained exchange: every off-rank
         // payload is CRC-checked against the checksum posted at Begin;
         // corruption/duplication faults strike here (the async analogue of
@@ -810,12 +474,7 @@ void MultiFab::parallelCopy(const MultiFab& src, int srcComp, int destComp,
                     buildParallelCopyPattern(src, dstNGrow, srcNGrow, shifts),
                     "ParallelCopy");
             MaybeScope scope("CommCacheHit");
-            AggregationPlan local;
-            const AggregationPlan* plan =
-                resolvePlan(cache, key, cacheable, *pat, src.distributionMap(),
-                            dm_, comm_, local);
-            replay(*pat, src, srcComp, destComp, numComp, tag, /*p2p=*/false,
-                   plan);
+            replay(*pat, src, srcComp, destComp, numComp, tag, /*p2p=*/false);
             return;
         }
     }
@@ -826,10 +485,7 @@ void MultiFab::parallelCopy(const MultiFab& src, int srcComp, int destComp,
     }
     const CommPattern& stored =
         cacheable ? cache.insert(key, std::move(pattern)) : pattern;
-    AggregationPlan local;
-    const AggregationPlan* plan = resolvePlan(
-        cache, key, cacheable, stored, src.distributionMap(), dm_, comm_, local);
-    replay(stored, src, srcComp, destComp, numComp, tag, /*p2p=*/false, plan);
+    replay(stored, src, srcComp, destComp, numComp, tag, /*p2p=*/false);
 }
 
 CommPattern MultiFab::buildParallelCopyPattern(

@@ -13,7 +13,6 @@
 namespace crocco::amr {
 
 struct CommPattern;
-struct AggregationPlan;
 
 /// A distributed multi-component field: one FArrayBox per box of a
 /// BoxArray, each allocated over its box grown by nGrow ghost cells.
@@ -148,24 +147,9 @@ public:
 private:
     /// Execute a cached/built communication pattern: perform the data copies
     /// and record the SimComm messages (point-to-point for fillBoundary,
-    /// ParallelCopy messages otherwise) in build order. With a non-null
-    /// aggregation `plan` carrying off-rank pairs the exchange routes
-    /// through replayAggregated instead.
+    /// ParallelCopy messages otherwise) in build order.
     void replay(const CommPattern& pattern, const MultiFab& src, int srcComp,
-                int destComp, int numComp, const std::string& tag, bool p2p,
-                const AggregationPlan* plan = nullptr);
-
-    /// Aggregated exchange (comm.aggregate): on-rank copies apply directly,
-    /// every off-rank copy is packed into one ScratchPool staging buffer
-    /// per (src rank, dst rank) pair with a single batched launch, exactly
-    /// one SimComm message goes out per pair, and delivery unpacks with a
-    /// single batched launch (verified mode delivers per pair inside the
-    /// CRC/retransmit machinery instead). Field results are bitwise
-    /// identical to the unaggregated replay; only the message log changes.
-    void replayAggregated(const CommPattern& pattern,
-                          const AggregationPlan& plan, const MultiFab& src,
-                          int srcComp, int destComp, int numComp,
-                          const std::string& tag, bool p2p);
+                int destComp, int numComp, const std::string& tag, bool p2p);
 
     /// Derive the copy-descriptor lists the CommCache stores. Factored out
     /// of fillBoundary/parallelCopy so the check build's replay guard can

@@ -92,7 +92,6 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
     cache.setEnabled(cfg.commCache);
     cache.setCapacity(static_cast<std::size_t>(std::max(cfg.commCacheCapacity, 0)));
     cache.attachProfiler(&prof_);
-    cache.setAggregate(cfg.commAggregate);
     if (auto* c = this->comm()) {
         // Hardened-exchange policy from the deck (comm.* keys). Zero-valued
         // knobs keep SimComm's defaults so decks without the keys are
@@ -348,72 +347,6 @@ void CroccoAmr::computeRhs(int lev, const MultiFab& Sborder, MultiFab& dU) {
     }
 }
 
-void CroccoAmr::computeRhsFused(int lev, const MultiFab& Sborder,
-                                MultiFab& dU) {
-    // The fused pipeline (Config::fused). Per stage and level:
-    //   1. one batched PrimCache launch decodes primitives + temperature +
-    //      Jacobian into a pooled per-fab cache (EOS/determinant evaluated
-    //      once instead of once per sweep);
-    //   2. three batched two-kernel WENO sweeps (flux+divergence fused; the
-    //      dir-0 sweep assigns, absorbing dU.setVal(0));
-    //   3. a batched two-kernel viscous pass reading the same cache.
-    // Each phase is ONE counted launch for the whole level (the per-fab
-    // sub-kernels run inside a BatchedPhaseScope), matching how a real GPU
-    // port would aggregate per-fab grids into a single batched launch.
-    // Bitwise contract: every cached value equals the unfused inline
-    // computation bit-for-bit, and every dU accumulation keeps the unfused
-    // per-cell expression and ordering (pinned by tests/core/fused_rhs_test).
-    const auto dxi = geom(lev).cellSizeArray();
-    const int gw = rhsGhostWidth();
-    const int nf = dU.numFabs();
-    const double pts = levelValidPts(dU);
-
-    std::vector<gpu::ScratchPool::Lease> leases;
-    leases.reserve(static_cast<std::size_t>(nf));
-    std::vector<Array4<Real>> caches(static_cast<std::size_t>(nf));
-    for (int f = 0; f < nf; ++f) {
-        leases.push_back(gpu::ScratchPool::instance().acquire(
-            dU.validBox(f).grow(gw), fused::NCACHE));
-        caches[static_cast<std::size_t>(f)] = leases.back().fab().array();
-    }
-
-    {
-        perf::TinyProfiler::Scope scope(prof_, "PrimCache");
-        prof_.addBytes("PrimCache",
-                       fusedPrimCacheProfile().dramBytesPerPoint * pts);
-        gpu::BatchedParallelForIndex(nf, 1, [&](int f) {
-            fused::computePrimCache(Sborder.const_array(f),
-                                    metrics_[lev].const_array(f),
-                                    dU.validBox(f).grow(gw),
-                                    caches[static_cast<std::size_t>(f)],
-                                    cfg_.gas);
-        });
-    }
-    static const char* wenoNames[3] = {"WENOx", "WENOy", "WENOz"};
-    for (int dir = 0; dir < 3; ++dir) {
-        perf::TinyProfiler::Scope scope(prof_, wenoNames[dir]);
-        prof_.addBytes(wenoNames[dir],
-                       fusedWenoKernelProfile().dramBytesPerPoint * pts);
-        gpu::BatchedParallelForIndex(nf, 2, [&](int f) {
-            wenoFluxFused(dir, Sborder.const_array(f),
-                          caches[static_cast<std::size_t>(f)],
-                          metrics_[lev].const_array(f), dU.validBox(f),
-                          dU.array(f), dxi[static_cast<std::size_t>(dir)],
-                          cfg_.gas, cfg_.scheme, cfg_.recon, dir == 0);
-        });
-    }
-    if (cfg_.gas.viscous() || cfg_.sgs.active()) {
-        perf::TinyProfiler::Scope scope(prof_, "Viscous");
-        prof_.addBytes("Viscous",
-                       fusedViscousKernelProfile().dramBytesPerPoint * pts);
-        gpu::BatchedParallelForIndex(nf, 2, [&](int f) {
-            viscousFluxFused(caches[static_cast<std::size_t>(f)],
-                             metrics_[lev].const_array(f), dU.validBox(f),
-                             dU.array(f), dxi, cfg_.gas, cfg_.sgs);
-        });
-    }
-}
-
 void CroccoAmr::computeRhsInterior(int lev, const MultiFab& Sborder,
                                    MultiFab& dU) {
     // Same launch structure as computeRhs, restricted to each fab's
@@ -425,70 +358,6 @@ void CroccoAmr::computeRhsInterior(int lev, const MultiFab& Sborder,
     const int gw = rhsGhostWidth();
     gpu::ScopedLaunchTag tag("interior");
     static const char* wenoNames[3] = {"WENOx", "WENOy", "WENOz"};
-
-    if (cfg_.fused) {
-        // Fused interior: the stage cache covers ib.grow(gw), which is a
-        // subset of the valid region — no in-flight ghost cell is read
-        // (check builds verify: Sborder's ghosts are still poisoned here).
-        // The dir-0 sweep assigns (firstTerm), absorbing dU.setVal(0) for
-        // the interior cells; the halo pass does the same for its strips.
-        const int nf = dU.numFabs();
-        std::vector<gpu::ScratchPool::Lease> leases;
-        leases.reserve(static_cast<std::size_t>(nf));
-        std::vector<Array4<Real>> caches(static_cast<std::size_t>(nf));
-        std::vector<char> ok(static_cast<std::size_t>(nf), 0);
-        double ipts = 0.0;
-        for (int f = 0; f < nf; ++f) {
-            const Box ib = dU.validBox(f).grow(-gw);
-            if (!ib.ok()) continue; // patch too small; halo covers it all
-            ok[static_cast<std::size_t>(f)] = 1;
-            ipts += static_cast<double>(ib.numPts());
-            leases.push_back(
-                gpu::ScratchPool::instance().acquire(ib.grow(gw), fused::NCACHE));
-            caches[static_cast<std::size_t>(f)] = leases.back().fab().array();
-        }
-        {
-            perf::TinyProfiler::Scope scope(prof_, "PrimCache");
-            prof_.addBytes("PrimCache",
-                           fusedPrimCacheProfile().dramBytesPerPoint * ipts);
-            gpu::BatchedParallelForIndex(nf, 1, [&](int f) {
-                if (!ok[static_cast<std::size_t>(f)]) return;
-                const Box ib = dU.validBox(f).grow(-gw);
-                fused::computePrimCache(Sborder.const_array(f),
-                                        metrics_[lev].const_array(f),
-                                        ib.grow(gw),
-                                        caches[static_cast<std::size_t>(f)],
-                                        cfg_.gas);
-            });
-        }
-        for (int dir = 0; dir < 3; ++dir) {
-            perf::TinyProfiler::Scope scope(prof_, wenoNames[dir]);
-            prof_.addBytes(wenoNames[dir],
-                           fusedWenoKernelProfile().dramBytesPerPoint * ipts);
-            gpu::BatchedParallelForIndex(nf, 2, [&](int f) {
-                if (!ok[static_cast<std::size_t>(f)]) return;
-                const Box ib = dU.validBox(f).grow(-gw);
-                wenoFluxFused(dir, Sborder.const_array(f),
-                              caches[static_cast<std::size_t>(f)],
-                              metrics_[lev].const_array(f), ib, dU.array(f),
-                              dxi[static_cast<std::size_t>(dir)], cfg_.gas,
-                              cfg_.scheme, cfg_.recon, dir == 0);
-            });
-        }
-        if (cfg_.gas.viscous() || cfg_.sgs.active()) {
-            perf::TinyProfiler::Scope scope(prof_, "Viscous");
-            prof_.addBytes("Viscous",
-                           fusedViscousKernelProfile().dramBytesPerPoint * ipts);
-            gpu::BatchedParallelForIndex(nf, 2, [&](int f) {
-                if (!ok[static_cast<std::size_t>(f)]) return;
-                const Box ib = dU.validBox(f).grow(-gw);
-                viscousFluxFused(caches[static_cast<std::size_t>(f)],
-                                 metrics_[lev].const_array(f), ib, dU.array(f),
-                                 dxi, cfg_.gas, cfg_.sgs);
-            });
-        }
-        return;
-    }
 
     double ipts = 0.0;
     for (int f = 0; f < dU.numFabs(); ++f) {
@@ -542,23 +411,9 @@ void CroccoAmr::computeRhsHaloAndEnd(int lev, MultiFab& Sborder, MultiFab& dU) {
                                         (ib.ok() ? ib.numPts() : 0));
         }
         const double bpp =
-            cfg_.fused
-                ? fusedPrimCacheProfile().dramBytesPerPoint +
-                      3.0 * fusedWenoKernelProfile().dramBytesPerPoint +
-                      (viscous ? fusedViscousKernelProfile().dramBytesPerPoint
-                               : 0.0)
-                : 3.0 * wenoKernelProfile().dramBytesPerPoint +
-                      (viscous ? viscousKernelProfile().dramBytesPerPoint
-                               : 0.0);
+            3.0 * wenoKernelProfile().dramBytesPerPoint +
+            (viscous ? viscousKernelProfile().dramBytesPerPoint : 0.0);
         prof_.addBytes("AdvanceHalo", bpp * hpts);
-    }
-    if (cfg_.fused) {
-        // The fused halo pass batches every per-strip sub-kernel into the
-        // one fused launch below: charge the pipeline's flat per-phase
-        // kernel count (PrimCache + 3 x fused WENO + fused viscous) and
-        // suppress the nested counts inside each task.
-        gpu::LaunchStats::addBatched(
-            static_cast<std::uint64_t>(1 + 3 * 2 + (viscous ? 2 : 0)));
     }
     gpu::Event endEvent;
     gpu::ParallelForIndex(dU.numFabs() + 1, [&](int t) {
@@ -581,27 +436,6 @@ void CroccoAmr::computeRhsHaloAndEnd(int lev, MultiFab& Sborder, MultiFab& dU) {
         // Per strip the update order is dir0, dir1, dir2, viscous — each
         // valid cell lies in exactly one strip, so its per-cell sequence
         // (and therefore the result) is bitwise-identical to computeRhs.
-        if (cfg_.fused) {
-            // Fused per-strip pipeline: cache over strip.grow(gw) (ghosts
-            // are filled once the event fires), then the fused sweeps with
-            // the dir-0 assignment absorbing dU's zero-fill for the strip.
-            gpu::BatchedPhaseScope batch;
-            for (const Box& strip : strips) {
-                auto lease = gpu::ScratchPool::instance().acquire(
-                    strip.grow(gw), fused::NCACHE);
-                auto cache = lease.fab().array();
-                fused::computePrimCache(s, m, strip.grow(gw), cache, cfg_.gas);
-                for (int dir = 0; dir < 3; ++dir) {
-                    wenoFluxFused(dir, s, cache, m, strip, du,
-                                  dxi[static_cast<std::size_t>(dir)], cfg_.gas,
-                                  cfg_.scheme, cfg_.recon, dir == 0);
-                }
-                if (viscous)
-                    viscousFluxFused(cache, m, strip, du, dxi, cfg_.gas,
-                                     cfg_.sgs);
-            }
-            return;
-        }
         for (const Box& strip : strips) {
             for (int dir = 0; dir < 3; ++dir) {
                 wenoFlux(dir, s, m, strip, du,
@@ -627,28 +461,20 @@ void CroccoAmr::rk3Advance() {
                 // RHS over the ghost-independent interiors while it is in
                 // flight, then drain it fused with the halo-strip pass.
                 // Bitwise-identical to the serial branch below (pinned by
-                // tests/core/overlap_test). With core.fused the interior
-                // and halo passes run the fused pipeline per region and the
-                // dir-0 assignment replaces the setVal sweep.
+                // tests/core/overlap_test).
                 // The matching fillPatchEnd runs inside
                 // computeRhsHaloAndEnd's task-0 drain (SignalGuard on
                 // endEvent orders it before the halo kernels) — the split
                 // IS the overlap.
                 // crocco-analyze:allow(A2): End is in computeRhsHaloAndEnd
                 fillPatchBegin(lev, Sborder);
-                if (!cfg_.fused) dU.setVal(0.0);
+                dU.setVal(0.0);
                 computeRhsInterior(lev, Sborder, dU);
                 computeRhsHaloAndEnd(lev, Sborder, dU);
             } else {
                 fillPatch(lev, Sborder); // includes BC_Fill
-                if (cfg_.fused) {
-                    // The fused dir-0 sweep assigns into dU (bitwise the
-                    // setVal(0) + `-=` of the unfused path) — no zero-fill.
-                    computeRhsFused(lev, Sborder, dU);
-                } else {
-                    dU.setVal(0.0);
-                    computeRhs(lev, Sborder, dU);
-                }
+                dU.setVal(0.0);
+                computeRhs(lev, Sborder, dU);
             }
             // SDC hooks between RHS production and consumption: an armed
             // kernel flip lands in dU here, and the sampled dual execution
@@ -660,15 +486,13 @@ void CroccoAmr::rk3Advance() {
                 dualExecuteCheck(lev, stage, Sborder, dU);
             {
                 perf::TinyProfiler::Scope scope(prof_, "Update");
-                const auto& up = cfg_.fused ? fusedUpdateKernelProfile()
-                                            : updateKernelProfile();
-                prof_.addBytes("Update",
-                               up.dramBytesPerPoint * levelValidPts(dU));
+                prof_.addBytes("Update", updateKernelProfile().dramBytesPerPoint *
+                                             levelValidPts(dU));
                 // G <- A*G + dt*RHS;  U <- U + B*G.
                 rk3StageUpdate(G_[lev], U_[lev], dU,
                                Rk3::A[static_cast<std::size_t>(stage)],
                                Rk3::B[static_cast<std::size_t>(stage)], dt_,
-                               cfg_.fused);
+                               false);
             }
             // The valid region just advanced a stage: whatever ghost data
             // U still carries (e.g. from a regrid interpolation) is now
@@ -690,9 +514,9 @@ void CroccoAmr::dualExecuteCheck(int lev, int stage, const MultiFab& Sborder,
     const int f = resilience::FabGuard::sampledFab(step_, stage, lev, nf);
     perf::TinyProfiler::Scope scope(prof_, "SdcDualExec");
     // Re-derive the sampled fab's RHS with the plain serial kernels — a
-    // structurally independent path from the fused/overlapped pipelines,
-    // pinned bitwise-identical to them by the core tests, so any
-    // discrepancy here is corruption, not roundoff.
+    // structurally independent path from the overlapped pipeline, pinned
+    // bitwise-identical to it by the core tests, so any discrepancy here is
+    // corruption, not roundoff.
     auto lease = gpu::ScratchPool::instance().acquire(dU.validBox(f), NCONS);
     amr::FArrayBox& ref = lease.fab();
     ref.setVal(0.0);

@@ -80,15 +80,6 @@ public:
         /// receives the same per-cell update sequence with the same
         /// operands); default off so existing decks are unchanged.
         bool overlap = false;
-        /// Fused RHS pipeline (`core.fused`): decode primitives/metrics
-        /// once per stage into a shared cache, collapse each WENO sweep's
-        /// flux+divergence into one pencil pass (no face-flux fab), fuse
-        /// the RK3 mult+saxpy+saxpy triple into one kernel, and batch the
-        /// per-fab sub-kernels of each phase into a single counted launch.
-        /// Bitwise-identical to the unfused path (pinned by
-        /// tests/core/fused_rhs_test); default off so existing decks are
-        /// unchanged. Composes with `core.overlap`.
-        bool fused = false;
         /// Health-check + rollback/retry policy applied by step().
         resilience::GuardConfig guard;
         /// Silent-data-corruption guard (resilience.sdc_* keys): CRC32
@@ -109,12 +100,6 @@ public:
         /// Retransmit budget per message before the exchange raises a
         /// located error (`comm.max_retransmits`); 0 keeps the default.
         int commMaxRetransmits = 0;
-        /// Aggregate all exchange traffic between each rank pair into one
-        /// packed message (`comm.aggregate`). Bitwise-identical field data;
-        /// the SimComm log intentionally shrinks to one message per
-        /// communicating pair. Default off so the seed's message-log
-        /// contract is unchanged.
-        bool commAggregate = false;
         /// Print a per-step exchange summary (messages, bytes, retransmits)
         /// from the CommLog after every step (`comm.log_summary`).
         bool commLogSummary = false;
@@ -265,12 +250,6 @@ private:
                       const std::vector<int>& keep);
     void rk3Advance();
     void computeRhs(int lev, const amr::MultiFab& Sborder, amr::MultiFab& dU);
-    /// Fused-pipeline RHS (Config::fused): per-stage primitive cache, two-
-    /// kernel WENO sweeps with the dir-0 sweep absorbing dU's zero-fill,
-    /// two-kernel viscous pass, all batched per phase. Bitwise-identical
-    /// accumulation into dU.
-    void computeRhsFused(int lev, const amr::MultiFab& Sborder,
-                         amr::MultiFab& dU);
     /// Split FillPatch used by the overlapped advance (Config::overlap):
     /// Begin posts the same-level ghost exchange without draining it, End
     /// drains it and finishes the fill (coarse interp + BCs for lev > 0).

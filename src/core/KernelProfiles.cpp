@@ -50,54 +50,6 @@ const gpu::KernelProfile& updateKernelProfile() {
     return p;
 }
 
-const gpu::KernelProfile& fusedPrimCacheProfile() {
-    static const gpu::KernelProfile p{
-        .name = "PrimCache",
-        .flopsPerPoint = 120.0,
-        .dramBytesPerPoint = 180.0,
-        .l2BytesPerPoint = 260.0,
-        .l1BytesPerPoint = 400.0,
-        .registersPerThread = 72.0,
-    };
-    return p;
-}
-
-const gpu::KernelProfile& fusedWenoKernelProfile() {
-    static const gpu::KernelProfile p{
-        .name = "FusedWENO",
-        .flopsPerPoint = 1250.0,
-        .dramBytesPerPoint = 2700.0,
-        .l2BytesPerPoint = 7800.0,
-        .l1BytesPerPoint = 46000.0,
-        .registersPerThread = 240.0,
-    };
-    return p;
-}
-
-const gpu::KernelProfile& fusedViscousKernelProfile() {
-    static const gpu::KernelProfile p{
-        .name = "FusedViscous",
-        .flopsPerPoint = 560.0,
-        .dramBytesPerPoint = 2100.0,
-        .l2BytesPerPoint = 5200.0,
-        .l1BytesPerPoint = 28000.0,
-        .registersPerThread = 230.0,
-    };
-    return p;
-}
-
-const gpu::KernelProfile& fusedUpdateKernelProfile() {
-    static const gpu::KernelProfile p{
-        .name = "FusedUpdate",
-        .flopsPerPoint = 30.0,
-        .dramBytesPerPoint = 200.0,
-        .l2BytesPerPoint = 220.0,
-        .l1BytesPerPoint = 260.0,
-        .registersPerThread = 40.0,
-    };
-    return p;
-}
-
 const gpu::KernelProfile& interpKernelProfile() {
     static const gpu::KernelProfile p{
         .name = "Interp",

@@ -36,22 +36,4 @@ const gpu::KernelProfile& updateKernelProfile();
 /// physical-coordinate weights per ghost cell.
 const gpu::KernelProfile& interpKernelProfile();
 
-/// Fused-pipeline (`core.fused`) profiles. Counting notes:
-///  * PrimCache: one EOS decode + one 3x3 determinant per point, written
-///    once (8 doubles out, 5 state + 9 metric doubles in) — ~1.8e2 B/pt.
-///  * Fused WENO (one direction): stage A reads the cache instead of
-///    re-deriving primitives (flops drop ~50/pt); stages B+C merge, so the
-///    face-flux fab's write+read round trip (2 x 5 doubles x ~15 B/pt
-///    effective) and the divergence pass's re-read disappear: ~2.7e3 B/pt
-///    vs the unfused 3.9e3. Registers rise slightly (running flux carried
-///    across the pencil).
-///  * Fused viscous: the prim-decode pass is gone; theta + divergence keep
-///    their traffic: ~2.1e3 B/pt vs 2.6e3.
-///  * Fused update: G and U are each read+written once instead of twice
-///    (mult+saxpy+saxpy): ~2.0e2 B/pt vs 2.4e2.
-const gpu::KernelProfile& fusedPrimCacheProfile();
-const gpu::KernelProfile& fusedWenoKernelProfile();
-const gpu::KernelProfile& fusedViscousKernelProfile();
-const gpu::KernelProfile& fusedUpdateKernelProfile();
-
 } // namespace crocco::core

@@ -1,41 +1,23 @@
 #include "core/Rk3.hpp"
 
 #include "amr/MultiFab.hpp"
-#include "gpu/Gpu.hpp"
+
+#include <stdexcept>
 
 namespace crocco::core {
 
 void rk3StageUpdate(amr::MultiFab& G, amr::MultiFab& U,
                     const amr::MultiFab& dU, amr::Real A, amr::Real B,
                     amr::Real dt, bool fusedKernel) {
-    if (!fusedKernel) {
-        // The seed's exact three-sweep sequence (allowlisted for lint R7):
-        // three launches per fab, G and U each read+written from DRAM twice.
-        const int ncomp = G.nComp();
-        G.mult(A, 0, ncomp, 0);
-        amr::MultiFab::saxpy(G, dt, dU, 0, 0, ncomp);
-        amr::MultiFab::saxpy(U, B, G, 0, 0, ncomp);
-        return;
-    }
-
-    // Fused stage update (`core.fused`): one batched kernel, every G and U
-    // cell touched exactly once. Per cell/component the operation sequence
-    // is textually the mult/saxpy/saxpy chain (gv *= A; gv += dt*du;
-    // u += B*gv), so the result is bitwise identical to the unfused path.
-    const int nf = G.numFabs();
+    if (fusedKernel)
+        throw std::invalid_argument(
+            "rk3StageUpdate: the fused stage update is retired; pass false");
+    // The seed's exact three-sweep sequence (allowlisted for lint R7):
+    // three launches per fab, G and U each read+written from DRAM twice.
     const int ncomp = G.nComp();
-    gpu::BatchedParallelForIndex(nf, 1, [&](int f) {
-        auto g = G.array(f);
-        auto u = U.array(f);
-        auto du = dU.const_array(f);
-        gpu::ParallelFor(G.validBox(f), ncomp, [&](int i, int j, int k, int n) {
-            amr::Real gv = g(i, j, k, n);
-            gv *= A;
-            gv += dt * du(i, j, k, n);
-            g(i, j, k, n) = gv;
-            u(i, j, k, n) += B * gv;
-        });
-    });
+    G.mult(A, 0, ncomp, 0);
+    amr::MultiFab::saxpy(G, dt, dU, 0, 0, ncomp);
+    amr::MultiFab::saxpy(U, B, G, 0, 0, ncomp);
 }
 
 } // namespace crocco::core

@@ -30,14 +30,11 @@ struct Rk3 {
 ///   G <- A * G + dt * dU;  U <- U + B * G
 ///
 /// This is the single sanctioned home of the stage-update triple (lint rule
-/// R7 forbids open-coded mult+saxpy+saxpy RK3 sequences elsewhere).
+/// R7 forbids open-coded mult+saxpy+saxpy RK3 sequences elsewhere): one
+/// MultiFab::mult and two saxpy sweeps, three launches per fab.
 ///
-/// `fusedKernel == false` runs the seed's exact MultiFab::mult + 2x saxpy
-/// sequence — three full-fab sweeps, three launches per fab.
-/// `fusedKernel == true` (`core.fused`) runs one batched fused kernel that
-/// performs the same per-cell operations in the same per-cell order
-/// (gv = A*g; gv += dt*du; g = gv; u += B*gv), so the result is bitwise
-/// identical while touching G and U once each.
+/// `fusedKernel` must be false; true throws std::invalid_argument. The
+/// parameter stays because existing callers (dmrbench's layer probe) pass it.
 void rk3StageUpdate(amr::MultiFab& G, amr::MultiFab& U,
                     const amr::MultiFab& dU, amr::Real A, amr::Real B,
                     amr::Real dt, bool fusedKernel);

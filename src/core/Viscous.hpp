@@ -23,16 +23,4 @@ void viscousFlux(const Array4<const Real>& S, const Array4<const Real>& metrics,
                  const std::array<Real, 3>& dxi, const GasModel& gas,
                  KernelVariant variant, const SgsModel& sgs = {});
 
-/// Fused-pipeline variant (`core.fused`): two kernels instead of three. The
-/// primitive-decode pass is dropped entirely — velocity, temperature,
-/// density, and the Jacobian are read from the shared stage cache
-/// (core/FusedRhs.hpp layout, covering at least validBox.grow(4)), whose
-/// entries are bit-identical to the unfused pass's inline decode. The theta
-/// and divergence kernels keep the exact arithmetic (including summation
-/// order) of viscousFlux, so the accumulated dU is bitwise identical.
-void viscousFluxFused(const Array4<const Real>& cache,
-                      const Array4<const Real>& metrics, const Box& validBox,
-                      const Array4<Real>& dU, const std::array<Real, 3>& dxi,
-                      const GasModel& gas, const SgsModel& sgs = {});
-
 } // namespace crocco::core

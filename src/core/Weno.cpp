@@ -431,103 +431,7 @@ void wenoFluxFortranStyle(int dir, const Array4<const Real>& S,
     });
 }
 
-/// Stage A of the fused sweep: the cellFlux payload rebuilt from the shared
-/// primitive/metric cache. The metric row products, uhat, the flux vector
-/// and the spectral radius are the exact expressions of cellFlux() with the
-/// toPrim/jacobian results substituted by their cached (bit-identical)
-/// values — only the redundant EOS decode and 3x3 determinant disappear.
-inline CellFlux cellFluxCached(const Array4<const Real>& S,
-                               const Array4<const Real>& cache,
-                               const Array4<const Real>& metrics, int i, int j,
-                               int k, int dir) {
-    const Real rho = cache(i, j, k, fused::QC_RHO);
-    const Real u = cache(i, j, k, fused::QC_U);
-    const Real v = cache(i, j, k, fused::QC_V);
-    const Real w = cache(i, j, k, fused::QC_W);
-    const Real p = cache(i, j, k, fused::QC_P);
-    const Real a = cache(i, j, k, fused::QC_A);
-    const Real J = cache(i, j, k, fused::QC_J);
-    const Real jm0 = J * metrics(i, j, k, metric1(dir, 0));
-    const Real jm1 = J * metrics(i, j, k, metric1(dir, 1));
-    const Real jm2 = J * metrics(i, j, k, metric1(dir, 2));
-    const Real uhat = jm0 * u + jm1 * v + jm2 * w;
-    CellFlux c;
-    c.fhat[URHO] = rho * uhat;
-    c.fhat[UMX] = rho * u * uhat + jm0 * p;
-    c.fhat[UMY] = rho * v * uhat + jm1 * p;
-    c.fhat[UMZ] = rho * w * uhat + jm2 * p;
-    c.fhat[UEDEN] = (S(i, j, k, UEDEN) + p) * uhat;
-    c.s = std::abs(uhat) + a * std::sqrt(jm0 * jm0 + jm1 * jm1 + jm2 * jm2);
-    c.jm[0] = jm0;
-    c.jm[1] = jm1;
-    c.jm[2] = jm2;
-    return c;
-}
-
 } // namespace
-
-void wenoFluxFused(int dir, const Array4<const Real>& S,
-                   const Array4<const Real>& cache,
-                   const Array4<const Real>& metrics, const Box& validBox,
-                   const Array4<Real>& dU, Real dxi, const GasModel& gas,
-                   WenoScheme scheme, Reconstruction recon, bool firstTerm) {
-    assert(dir >= 0 && dir < 3);
-
-    // Kernel 1 (stage A): cached contravariant flux + spectral radius into
-    // pooled scratch, exactly the portable kernel 1 minus the EOS/Jacobian
-    // re-derivation.
-    const bool row = recon == Reconstruction::CharacteristicWise;
-    const Box cellBox = validBox.grow(dir, 3);
-    auto scratchLease = gpu::ScratchPool::instance().acquire(cellBox, kCellFluxComps);
-    auto sc = scratchLease.fab().array();
-    gpu::ParallelFor(cellBox, [&](int i, int j, int k) {
-        storeCellFlux(sc, i, j, k, cellFluxCached(S, cache, metrics, i, j, k, dir),
-                      row);
-    });
-
-    // Kernel 2 (fused stages B+C): one task per pencil along `dir`. Each
-    // pencil computes its faces in order, carries the previous face's flux
-    // in registers, and writes the divergence straight into dU — no
-    // face-flux fab, one interfaceFlux evaluation per face. Pencils own
-    // disjoint dU cells, so the pass is race-free and deterministic for
-    // every thread count.
-    const IntVect e = IntVect::basis(dir);
-    const int lo = validBox.smallEnd(dir), hi = validBox.bigEnd(dir);
-    amr::IntVect planeHi = validBox.bigEnd();
-    planeHi[dir] = validBox.smallEnd(dir);
-    const Box plane(validBox.smallEnd(), planeHi);
-    auto scc = scratchLease.fab().const_array();
-    dispatchScheme(scheme, recon, [&](auto kind) {
-        using K = decltype(kind);
-        gpu::ParallelFor(plane, [&](int i0, int j0, int k0) {
-            IntVect p{i0, j0, k0};
-            CellFlux cells[6];
-            Real cons[6][NCONS];
-            Real fprev[NCONS], fcur[NCONS];
-            // The window of the face stored at cell index lo-1 along `dir`
-            // (interface lo-1/2), gathered like the portable kernel 2.
-            p[dir] = lo - 1;
-            gatherWindow<K::recon>(scc, S, p, e, cells, cons);
-            interfaceFlux<K::scheme, K::recon>(cells, cons, gas, fprev);
-            for (int c0 = lo; c0 <= hi; ++c0) {
-                p[dir] = c0;
-                gatherWindow<K::recon>(scc, S, p, e, cells, cons);
-                interfaceFlux<K::scheme, K::recon>(cells, cons, gas, fcur);
-                const Real scale =
-                    1.0 / (dxi * cache(p[0], p[1], p[2], fused::QC_J));
-                for (int m = 0; m < NCONS; ++m) {
-                    // `0.0 - x` is bitwise the unfused path's `0 -= x` after
-                    // dU.setVal(0); the compound form matches its `dU -= x`.
-                    if (firstTerm)
-                        dU(p[0], p[1], p[2], m) = 0.0 - scale * (fcur[m] - fprev[m]);
-                    else
-                        dU(p[0], p[1], p[2], m) -= scale * (fcur[m] - fprev[m]);
-                }
-                for (int m = 0; m < NCONS; ++m) fprev[m] = fcur[m];
-            }
-        });
-    });
-}
 
 void wenoFlux(int dir, const Array4<const Real>& S,
               const Array4<const Real>& metrics, const Box& validBox,

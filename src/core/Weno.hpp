@@ -1,7 +1,6 @@
 #pragma once
 
 #include "amr/Box.hpp"
-#include "core/FusedRhs.hpp"
 #include "core/State.hpp"
 
 namespace crocco::core {
@@ -69,30 +68,5 @@ void wenoFlux(int dir, const Array4<const Real>& S,
               const Array4<Real>& dU, Real dxi, const GasModel& gas,
               WenoScheme scheme, KernelVariant variant,
               Reconstruction recon = Reconstruction::ComponentWise);
-
-/// Fused-pipeline variant of the Portable WENO sweep (`core.fused`): two
-/// kernels instead of three.
-///  * Stage A reads the shared primitive/metric `cache` (core/FusedRhs.hpp
-///    layout, covering at least validBox.grow(dir, 3)) instead of
-///    re-decoding toPrim and the Jacobian per cell.
-///  * Stages B+C are collapsed into one pencil-indexed pass: each task owns
-///    one line along `dir`, keeps the running previous-face flux in
-///    registers, and accumulates the divergence directly into dU — the
-///    face-flux fab's (modeled) DRAM round trip disappears and every
-///    interface flux is evaluated exactly once, with the exact
-///    interfaceFlux arithmetic of the unfused path.
-///
-/// With `firstTerm` the dir sweep *assigns* `0.0 - scale * dF` instead of
-/// compound-subtracting, absorbing the unfused path's dU.setVal(0) —
-/// bitwise the same value, one fewer full-fab sweep.
-///
-/// Bitwise-identical to wenoFlux(..., KernelVariant::Portable) by
-/// construction: identical per-cell expressions over identical operands in
-/// identical per-cell order (pinned by tests/core/fused_rhs_test).
-void wenoFluxFused(int dir, const Array4<const Real>& S,
-                   const Array4<const Real>& cache,
-                   const Array4<const Real>& metrics, const Box& validBox,
-                   const Array4<Real>& dU, Real dxi, const GasModel& gas,
-                   WenoScheme scheme, Reconstruction recon, bool firstTerm);
 
 } // namespace crocco::core

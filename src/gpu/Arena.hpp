@@ -130,16 +130,6 @@ public:
     /// Lease dies.
     Lease acquire(const amr::Box& box, int ncomp);
 
-    /// A flat 1-D staging buffer of `nvals` values (a single-component fab
-    /// over an i-extruded box) — the shape of an aggregated rank-pair
-    /// message. Leased from the same free list, so repeated exchanges of a
-    /// steady hierarchy reuse one buffer per rank pair.
-    Lease acquireLinear(std::int64_t nvals) {
-        return acquire(amr::Box(amr::IntVect{0, 0, 0},
-                                amr::IntVect{static_cast<int>(nvals) - 1, 0, 0}),
-                       1);
-    }
-
     std::uint64_t hits() const;
     std::uint64_t misses() const;
     /// Leases returned with a tripped allocation canary. The corrupted

@@ -4,7 +4,6 @@
 #include "gpu/LaunchStats.hpp"
 #include "gpu/ThreadPool.hpp"
 
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -92,24 +91,6 @@ inline void ParallelFor(const Box& box, int ncomp, F&& f) {
 template <typename F>
 inline void ParallelForIndex(int n, F&& f) {
     ThreadPool::instance().run(n, f);
-}
-
-/// Batched fab-level launch: the per-fab sub-kernels of one pipeline phase
-/// are aggregated into `kernelsPerTask` device launches with per-fab work
-/// descriptors (the fused RHS pipeline's launch amortization — AMReX's
-/// fused launches / Parthenon's hierarchical par_for). The phase charges
-/// `kernelsPerTask` launches once, flat in the fab count; the gpu::
-/// ParallelFor calls made inside f run under a BatchedPhaseScope and are
-/// not counted again. Execution semantics are identical to
-/// ParallelForIndex (same pool, same deterministic stripe schedule).
-template <typename F>
-inline void BatchedParallelForIndex(int n, int kernelsPerTask, F&& f) {
-    if (n <= 0) return;
-    LaunchStats::addBatched(static_cast<std::uint64_t>(kernelsPerTask));
-    ThreadPool::instance().run(n, [&](int t) {
-        BatchedPhaseScope batch;
-        f(t);
-    });
 }
 
 /// Whole-box launch: the functor receives the box and iterates itself

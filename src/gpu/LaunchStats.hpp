@@ -1,7 +1,5 @@
 #pragma once
 
-#include "gpu/ThreadPool.hpp"
-
 #include <atomic>
 #include <cstdint>
 
@@ -16,11 +14,6 @@ namespace crocco::gpu {
 ///    kernel launch (the k-slab tiling is an execution detail of one
 ///    launch, not extra launches), and each per-fab MultiFab arithmetic
 ///    sweep (setVal / mult / saxpy) models one launch per fab.
-///  * A *batched* phase (gpu::BatchedParallelForIndex) aggregates the
-///    per-fab sub-kernels of one pipeline phase into a fixed number of
-///    launches with per-fab work descriptors: the phase charges
-///    `kernelsPerTask` launches once, and the nested per-fab launches are
-///    suppressed while the batch is active (ThreadPool::inBatchedPhase()).
 ///
 /// perf::TinyProfiler::Scope snapshots count() on entry/exit, giving every
 /// profiled region a launch column; the counter itself is a relaxed atomic
@@ -31,14 +24,8 @@ public:
         return counter().load(std::memory_order_relaxed);
     }
 
-    /// One (or n) modeled launches, suppressed inside a batched phase.
+    /// One (or n) modeled launches.
     static void add(std::uint64_t n = 1) {
-        if (ThreadPool::inBatchedPhase()) return;
-        counter().fetch_add(n, std::memory_order_relaxed);
-    }
-
-    /// Launches of a batched phase itself — never suppressed.
-    static void addBatched(std::uint64_t n) {
         counter().fetch_add(n, std::memory_order_relaxed);
     }
 

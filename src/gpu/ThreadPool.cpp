@@ -18,7 +18,6 @@ namespace crocco::gpu {
 
 namespace {
 thread_local bool tlInTask = false;
-thread_local bool tlInBatch = false;
 thread_local const char* tlLaunchTag = nullptr;
 } // namespace
 
@@ -31,10 +30,6 @@ ScopedLaunchTag::~ScopedLaunchTag() { tlLaunchTag = prev_; }
 const char* ScopedLaunchTag::current() {
     return tlLaunchTag ? tlLaunchTag : "";
 }
-
-BatchedPhaseScope::BatchedPhaseScope() : prev_(tlInBatch) { tlInBatch = true; }
-
-BatchedPhaseScope::~BatchedPhaseScope() { tlInBatch = prev_; }
 
 struct ThreadPool::Impl {
     std::mutex m;
@@ -141,8 +136,6 @@ int ThreadPool::defaultNumThreads() {
 }
 
 bool ThreadPool::inParallelRegion() { return tlInTask; }
-
-bool ThreadPool::inBatchedPhase() { return tlInBatch; }
 
 void ThreadPool::setNumThreads(int n) {
     if (n < 1) n = 1;

@@ -31,22 +31,6 @@ private:
     const char* prev_;
 };
 
-/// RAII marker for one task of a *batched* launch (the fused RHS pipeline's
-/// launch aggregation): while alive on a thread, gpu::LaunchStats::add()
-/// suppresses counting, because the per-fab sub-kernels executed inside the
-/// batch are work descriptors of one aggregated device launch, not launches
-/// of their own. See gpu::BatchedParallelForIndex.
-class BatchedPhaseScope {
-public:
-    BatchedPhaseScope();
-    ~BatchedPhaseScope();
-    BatchedPhaseScope(const BatchedPhaseScope&) = delete;
-    BatchedPhaseScope& operator=(const BatchedPhaseScope&) = delete;
-
-private:
-    bool prev_;
-};
-
 /// Deterministic host thread pool behind the tiled gpu::ParallelFor /
 /// reduction launches (the host-backend analog of Parthenon-style tiled
 /// kernel execution).
@@ -83,11 +67,6 @@ public:
     /// True while the calling thread is executing a pool task (used to
     /// serialize nested launches).
     static bool inParallelRegion();
-
-    /// True while the calling thread is inside a BatchedPhaseScope (used by
-    /// gpu::LaunchStats to fold a batched phase's per-fab sub-kernels into
-    /// the batch's launch count).
-    static bool inBatchedPhase();
 
     /// Run f(t) for every t in [0, ntasks). f must write disjoint data for
     /// distinct t (the per-cell kernel contract). Runs serially in task

@@ -149,9 +149,19 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     query("amr.grid_eff", cfg.amrInfo.gridEff);
     query("amr.regrid_int", cfg.regridFreq);
     int ratio = 0;
-    if (query("amr.ref_ratio", ratio)) cfg.amrInfo.refRatio = amr::IntVect(ratio);
+    if (query("amr.ref_ratio", ratio)) {
+        if (ratio < 1) throw std::runtime_error("amr.ref_ratio: must be >= 1");
+        cfg.amrInfo.refRatio = amr::IntVect(ratio);
+    }
+    if (cfg.amrInfo.maxLevel < 0)
+        throw std::runtime_error("amr.max_level: must be >= 0");
+    if (cfg.amrInfo.blockingFactor < 1)
+        throw std::runtime_error("amr.blocking_factor: must be >= 1");
+    if (cfg.amrInfo.maxGridSize < 1)
+        throw std::runtime_error("amr.max_grid_size: must be >= 1");
 
     query("crocco.cfl", cfg.cfl);
+    if (!(cfg.cfl > 0.0)) throw std::runtime_error("crocco.cfl: must be > 0");
     std::string s;
     if (query("crocco.weno_scheme", s)) {
         if (s == "js5") cfg.scheme = core::WenoScheme::JS5;
@@ -211,7 +221,6 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     if (cfg.commCacheCapacity < 0)
         throw std::runtime_error("amr.comm_cache_size: must be >= 0");
     query("core.overlap", cfg.overlap);
-    query("core.fused", cfg.fused);
 
     query("resilience.health_checks", cfg.guard.enabled);
     query("resilience.max_retries", cfg.guard.maxRetries);
@@ -232,7 +241,6 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     query("comm.timeout", cfg.commTimeout);
     query("comm.verify", cfg.commVerify);
     query("comm.max_retransmits", cfg.commMaxRetransmits);
-    query("comm.aggregate", cfg.commAggregate);
     query("comm.log_summary", cfg.commLogSummary);
     if (cfg.commTimeout < 0.0)
         throw std::runtime_error("comm.timeout: must be >= 0 (0 = default)");

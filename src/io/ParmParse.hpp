@@ -46,9 +46,10 @@ public:
     std::vector<std::string> unusedKeys() const;
 
     /// Build a solver Config from the canonical CRoCCo deck keys:
-    ///   amr.max_level, amr.blocking_factor, amr.max_grid_size,
-    ///   amr.ref_ratio, amr.n_error_buf, amr.grid_eff, amr.regrid_int,
-    ///   crocco.cfl, crocco.weno_scheme (js5|symbo),
+    ///   amr.max_level (>= 0), amr.blocking_factor (>= 1),
+    ///   amr.max_grid_size (>= 1), amr.ref_ratio (>= 1), amr.n_error_buf,
+    ///   amr.grid_eff, amr.regrid_int, crocco.cfl (> 0),
+    ///   crocco.weno_scheme (js5|symbo),
     ///   crocco.reconstruction (component|characteristic),
     ///   crocco.kernel_variant (portable|fortran),
     ///   crocco.interp (curvilinear|trilinear|weno|conservative),
@@ -58,9 +59,6 @@ public:
     ///   variable overrides the deck), amr.comm_cache (on|off),
     ///   amr.comm_cache_size (LRU pattern bound, >= 0),
     ///   core.overlap (communication/computation overlap, on|off),
-    ///   core.fused (fused RHS pipeline: shared primitive cache,
-    ///   single-pass WENO flux+divergence, fused RK3 update, batched
-    ///   launches; bitwise-identical to the unfused path, default off),
     ///   resilience.health_checks, resilience.max_retries (>= 0),
     ///   resilience.dt_backoff (in (0,1)), resilience.max_faults_reported.
     /// Unset keys keep the passed-in defaults.

@@ -33,8 +33,8 @@ struct NetworkModel {
     double contention(int nodes) const;
 
     /// Latency (α) term of a point-to-point phase: the per-message fixed
-    /// cost paid nmsgs times. This is the term rank-pair aggregation
-    /// attacks — fewer, larger messages shrink α while β is unchanged.
+    /// cost paid nmsgs times. With one message per intersecting box pair,
+    /// this is the term that grows with the box count.
     double alphaTime(int nmsgs, bool gpuRun) const;
 
     /// Bandwidth (β) term of a point-to-point phase: `bytes` through the

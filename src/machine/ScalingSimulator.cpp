@@ -7,8 +7,6 @@
 #include <cassert>
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <utility>
 #include <vector>
 
 namespace crocco::machine {
@@ -67,67 +65,40 @@ Geometry makeGeom(const Box& domain) {
     return Geometry(domain, {0, 0, 0}, {1, 1, 1}, per);
 }
 
-/// One raw box-to-box transfer before any aggregation.
-struct RawMsg {
-    int src;
-    int dst;
-    std::int64_t bytes;
-};
-
-/// Fold raw transfers into a PhaseLoad. With `aggregate` set, all traffic
-/// between each (src, dst) rank pair collapses into one packed message —
-/// exactly what MultiFab's aggregation plan sends on the wire.
-PhaseLoad foldMessages(const std::vector<RawMsg>& msgs, int nranks,
-                       bool aggregate) {
+/// Off-rank message pattern of a FillBoundary on one level: one message
+/// per intersecting box pair.
+PhaseLoad fillBoundaryLoad(const LevelMeta& L, int ng, int ncomp, int nranks) {
     PhaseLoad load(nranks);
-    if (!aggregate) {
-        for (const RawMsg& m : msgs) load.addMessage(m.src, m.dst, m.bytes);
-        return load;
-    }
-    std::map<std::pair<int, int>, std::int64_t> pairs;
-    for (const RawMsg& m : msgs) {
-        if (m.src != m.dst) pairs[{m.src, m.dst}] += m.bytes;
-    }
-    for (const auto& [pair, bytes] : pairs)
-        load.addMessage(pair.first, pair.second, bytes);
-    return load;
-}
-
-/// Off-rank message pattern of a FillBoundary on one level.
-PhaseLoad fillBoundaryLoad(const LevelMeta& L, int ng, int ncomp, int nranks,
-                           bool aggregate) {
-    std::vector<RawMsg> msgs;
     const auto shifts = L.geom.periodicShifts();
     for (int i = 0; i < L.ba.size(); ++i) {
         for (const Box& g : amr::boxDiff(L.ba[i].grow(ng), L.ba[i])) {
             for (const IntVect& s : shifts) {
                 for (const auto& [j, isect] : L.ba.intersections(g.shift(s))) {
                     if (i == j && s == IntVect::zero()) continue;
-                    msgs.push_back({L.dm[j], L.dm[i],
+                    load.addMessage(L.dm[j], L.dm[i],
                                     isect.numPts() * ncomp *
-                                        static_cast<std::int64_t>(sizeof(double))});
+                                        static_cast<std::int64_t>(sizeof(double)));
                 }
             }
         }
     }
-    return foldMessages(msgs, nranks, aggregate);
+    return load;
 }
 
 /// Off-rank message pattern of a ParallelCopy gathering `src` data under
 /// dst boxes grown by dstGrow.
 PhaseLoad copyLoad(const BoxArray& dstBA, const DistributionMapping& dstDM,
                    int dstGrow, const BoxArray& srcBA,
-                   const DistributionMapping& srcDM, int ncomp, int nranks,
-                   bool aggregate) {
-    std::vector<RawMsg> msgs;
+                   const DistributionMapping& srcDM, int ncomp, int nranks) {
+    PhaseLoad load(nranks);
     for (int i = 0; i < dstBA.size(); ++i) {
         for (const auto& [j, isect] : srcBA.intersections(dstBA[i].grow(dstGrow))) {
-            msgs.push_back({srcDM[j], dstDM[i],
+            load.addMessage(srcDM[j], dstDM[i],
                             isect.numPts() * ncomp *
-                                static_cast<std::int64_t>(sizeof(double))});
+                                static_cast<std::int64_t>(sizeof(double)));
         }
     }
-    return foldMessages(msgs, nranks, aggregate);
+    return load;
 }
 
 } // namespace
@@ -220,18 +191,7 @@ RegionTimes ScalingSimulator::iterationTime(const ScalingCase& c) const {
     constexpr int nStages = 3;
 
     RegionTimes rt;
-    // Charge one p2p phase (times nStages-like multiplicity) against a
-    // region and record its busiest-rank message/byte counts plus the α-β
-    // split of the modeled time.
-    const auto chargePhase = [&](const PhaseLoad& load, double mult,
-                                 RegionTimes::CommDecomp& d) {
-        const int rpn = m.ranksPerNode(gpuRun);
-        d.messages += static_cast<std::int64_t>(mult) * load.maxMessages();
-        d.bytes += static_cast<std::int64_t>(mult) * load.maxBytes();
-        d.alpha += mult * net.alphaTime(load.maxMessages(), gpuRun);
-        d.beta += mult * net.betaTime(load.maxBytes(), c.nodes, gpuRun, rpn);
-        return mult * load.time(net, c.nodes, gpuRun, rpn);
-    };
+    const int rpn = m.ranksPerNode(gpuRun);
     for (int lev = 0; lev <= h.finestLevel(); ++lev) {
         const LevelMeta& L = h.levels[static_cast<std::size_t>(lev)];
         const auto pts = L.dm.pointsPerRank(L.ba);
@@ -252,31 +212,9 @@ RegionTimes ScalingSimulator::iterationTime(const ScalingCase& c) const {
             return worst;
         };
 
-        // Fused-pipeline kernel time: the phase's per-fab sub-kernels batch
-        // into one launch, so the launch overhead is a flat function of the
-        // kernel count per phase instead of the rank's fab count.
-        auto kernelTimeFused = [&](const gpu::KernelProfile& k,
-                                   int kernelsInPhase) {
-            double worst = 0.0;
-            for (int r = 0; r < ranks; ++r) {
-                const auto p = pts[static_cast<std::size_t>(r)];
-                if (p == 0) continue;
-                double t = m.rankKernelTime(k, p, gpuRun, cpp);
-                if (gpuRun && kernelsInPhase > 1)
-                    t += (kernelsInPhase - 1) * m.v100.launchOverhead;
-                worst = std::max(worst, t);
-            }
-            return worst;
-        };
-
         const double levelAdvance =
-            params_.fusedPipeline
-                ? nStages *
-                      (kernelTimeFused(core::fusedPrimCacheProfile(), 1) +
-                       3.0 * kernelTimeFused(core::fusedWenoKernelProfile(), 2) +
-                       kernelTimeFused(core::fusedViscousKernelProfile(), 2))
-                : nStages * (3.0 * kernelTime(core::wenoKernelProfile()) +
-                             kernelTime(core::viscousKernelProfile()));
+            nStages * (3.0 * kernelTime(core::wenoKernelProfile()) +
+                       kernelTime(core::viscousKernelProfile()));
         // Interior/halo split of the advance, mirroring the overlapped
         // solver: cells within the stencil-dependency width of a patch
         // face need fresh ghosts and go to the halo pass. The model uses
@@ -294,10 +232,7 @@ RegionTimes ScalingSimulator::iterationTime(const ScalingCase& c) const {
                 : 0.0;
         rt.advanceInterior += levelAdvance * interiorFrac;
         rt.advanceHalo += levelAdvance * (1.0 - interiorFrac);
-        rt.update +=
-            params_.fusedPipeline
-                ? nStages * kernelTimeFused(core::fusedUpdateKernelProfile(), 1)
-                : nStages * kernelTime(core::updateKernelProfile());
+        rt.update += nStages * kernelTime(core::updateKernelProfile());
         rt.computeDt += kernelTime(core::computeDtProfile());
 
         // FillPatch's on-rank work: ghost-shell data staging (local copies)
@@ -328,22 +263,18 @@ RegionTimes ScalingSimulator::iterationTime(const ScalingCase& c) const {
             rt.interpCompute += nStages * tInterp;
         }
 
-        const PhaseLoad fbLoad = fillBoundaryLoad(
-            L, core::NGHOST, core::NCONS, ranks, params_.aggregateComm);
-        rt.fillBoundary += chargePhase(fbLoad, nStages, rt.fbDecomp);
+        const PhaseLoad fbLoad =
+            fillBoundaryLoad(L, core::NGHOST, core::NCONS, ranks);
+        rt.fillBoundary += nStages * fbLoad.time(net, c.nodes, gpuRun, rpn);
         if (gpuRun) {
             // Posting the exchange asynchronously is not free: the busiest
             // rank dispatches one copy-engine descriptor per message and
             // streams the pack/unpack staging through device memory. This
             // cost cannot hide behind the interior pass (it happens before
             // the interior kernels launch), so it is charged separately.
-            // The aggregated path dispatches far fewer descriptors (one per
-            // rank pair) but pays two extra DRAM passes to pack the slots
-            // into the staging buffer and unpack them on receive.
-            const double packFactor = params_.aggregateComm ? 4.0 : 2.0;
             rt.commPosted +=
                 nStages * (fbLoad.maxMessages() * m.v100.copyEngineDispatch +
-                           packFactor * static_cast<double>(fbLoad.maxBytes()) /
+                           2.0 * static_cast<double>(fbLoad.maxBytes()) /
                                m.v100.bwDram);
         }
 
@@ -351,25 +282,21 @@ RegionTimes ScalingSimulator::iterationTime(const ScalingCase& c) const {
             const LevelMeta& P = h.levels[static_cast<std::size_t>(lev - 1)];
             const int ngc = core::NGHOST / 2 + 1;
             const BoxArray cba = L.ba.coarsen(h.refRatio);
-            const PhaseLoad pcLoad = copyLoad(cba, L.dm, ngc, P.ba, P.dm,
-                                              core::NCONS, ranks,
-                                              params_.aggregateComm);
-            rt.parallelCopy +=
-                chargePhase(pcLoad, nStages, rt.pcDecomp) +
-                nStages * net.parallelCopyMetaTime(ranks, gpuRun);
+            const PhaseLoad pcLoad =
+                copyLoad(cba, L.dm, ngc, P.ba, P.dm, core::NCONS, ranks);
+            rt.parallelCopy += nStages * pcLoad.time(net, c.nodes, gpuRun, rpn) +
+                               nStages * net.parallelCopyMetaTime(ranks, gpuRun);
             if (curvilinearInterp) {
-                const PhaseLoad coordLoad = copyLoad(cba, L.dm, ngc, P.ba,
-                                                     P.dm, 3, ranks,
-                                                     params_.aggregateComm);
+                const PhaseLoad coordLoad =
+                    copyLoad(cba, L.dm, ngc, P.ba, P.dm, 3, ranks);
                 rt.parallelCopyInterp +=
-                    chargePhase(coordLoad, nStages, rt.pcInterpDecomp) +
+                    nStages * coordLoad.time(net, c.nodes, gpuRun, rpn) +
                     nStages * net.parallelCopyMetaTime(ranks, gpuRun);
             }
             // AverageDown, once per iteration (RK stage 3 only).
             rt.averageDown +=
-                copyLoad(P.ba, P.dm, 0, cba, L.dm, core::NCONS, ranks,
-                         params_.aggregateComm)
-                    .time(net, c.nodes, gpuRun, m.ranksPerNode(gpuRun)) +
+                copyLoad(P.ba, P.dm, 0, cba, L.dm, core::NCONS, ranks)
+                    .time(net, c.nodes, gpuRun, rpn) +
                 kernelTime(core::updateKernelProfile());
         }
     }

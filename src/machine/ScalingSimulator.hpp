@@ -35,19 +35,6 @@ struct HierarchyMeta {
 /// an interior pass over ghost-independent shrunk boxes that can run while
 /// the ghost exchange is in flight, and a halo-strip pass that cannot.
 struct RegionTimes {
-    /// α-β decomposition of one communication region: the busiest rank's
-    /// message count and byte volume (summed over RK stages and levels)
-    /// and the latency (α) vs bandwidth (β) shares of the modeled time.
-    /// Rank-pair aggregation (Params::aggregateComm) shrinks messages and
-    /// alpha while bytes and beta stay put — this is the observable the
-    /// optimization targets.
-    struct CommDecomp {
-        std::int64_t messages = 0;
-        std::int64_t bytes = 0;
-        double alpha = 0;
-        double beta = 0;
-    };
-
     double fillBoundary = 0;      ///< p2p ghost exchange inside FillPatch
     double parallelCopy = 0;      ///< FillPatch's coarse-data gather
     double parallelCopyInterp = 0;///< the curvilinear interpolator's extra
@@ -68,9 +55,6 @@ struct RegionTimes {
     double retransmit = 0;        ///< modeled CRC/NACK retransmit traffic on
                                   ///< the verified exchange path (0 unless
                                   ///< Params::modelCommFaults)
-    CommDecomp fbDecomp;          ///< fillBoundary message/α-β breakdown
-    CommDecomp pcDecomp;          ///< parallelCopy breakdown
-    CommDecomp pcInterpDecomp;    ///< parallelCopyInterp breakdown
 
     /// Full WENO/viscous sweep (both passes).
     double advance() const { return advanceInterior + advanceHalo; }
@@ -188,21 +172,6 @@ public:
         /// Per-message fault probability on the wire (drop + corrupt rates
         /// of the injection campaign being modeled).
         double commFaultRate = 0.0;
-        /// Model the fused RHS pipeline (`core.fused`): per-stage kernel
-        /// costs switch to the fused KernelProfiles (shared primitive
-        /// cache, two-kernel WENO sweeps, fused update), and per-fab launch
-        /// overhead is replaced by a flat per-phase charge — each phase's
-        /// fab sub-kernels batch into one launch, so overhead scales with
-        /// kernels-per-phase, not fab count. Off = the seed's model,
-        /// byte-identical results.
-        bool fusedPipeline = false;
-        /// Model rank-pair aggregated exchanges (`comm.aggregate`): all
-        /// box-to-box copies between one (src, dst) rank pair collapse into
-        /// a single packed message, so the α (latency) term scales with
-        /// communicating neighbor pairs instead of intersecting box pairs.
-        /// β is unchanged (same bytes), and the posting cost pays two extra
-        /// device staging passes for the pack/unpack kernels.
-        bool aggregateComm = false;
     };
 
     ScalingSimulator();

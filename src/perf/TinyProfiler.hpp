@@ -14,16 +14,16 @@ namespace crocco::perf {
 /// *modeled* time into regions via addTime(), so measured and simulated
 /// profiles share one reporting path.
 ///
-/// Two further modeled columns make the fused-pipeline wins observable per
-/// region (and assertable in tests):
+/// Two further modeled columns make kernel launch and traffic costs
+/// observable per region (and assertable in tests):
 ///  * launches — modeled device kernel launches, captured automatically by
 ///    Scope as the gpu::LaunchStats delta across the region;
 ///  * modeledBytes — modeled DRAM traffic, charged explicitly by the solver
 ///    via addBytes() from the KernelProfiles byte counts.
 ///
 /// The exchange layer additionally charges per-region message traffic
-/// (Msgs / MsgBytes columns) via addMessages(), so the rank-pair
-/// aggregation's message-count reduction is visible per exchange tag.
+/// (Msgs / MsgBytes columns) via addMessages(), so the message count and
+/// volume of each exchange tag are visible per region.
 class TinyProfiler {
 public:
     struct Entry {

@@ -198,6 +198,26 @@ TEST(CheckValidity, InvalidateGhostsTurnsValidGhostsStale) {
     EXPECT_EQ(cap.count(), 0u);
 }
 
+TEST(CheckValidity, ScratchPoolRepoisonsRecycledLeases) {
+    // Kernel scratch is leased from the ScratchPool and recycled across
+    // launches and RK3 stages. A consumer reading a cell the current lease
+    // has not yet written must abort in check builds — i.e. the pool
+    // re-poisons recycled storage on every acquire, so a stale value from
+    // the previous holder can never be read silently.
+    const Box box(IntVect(0, 0, 0), IntVect(7, 7, 7));
+    {
+        auto lease = gpu::ScratchPool::instance().acquire(box, 8);
+        auto a = lease.fab().array();
+        a(3, 3, 3, 4) = 1.0; // the previous holder writes...
+        EXPECT_EQ(lease.fab().const_array()(3, 3, 3, 4), 1.0);
+    } // ...and its lease returns to the free list
+    auto lease = gpu::ScratchPool::instance().acquire(box, 8);
+    check::ScopedFailureCapture cap;
+    (void)lease.fab().const_array()(3, 3, 3, 4);
+    EXPECT_EQ(cap.count(check::Kind::Uninit), 1u)
+        << "recycled scratch storage must be re-poisoned on acquire";
+}
+
 #else // !CROCCO_CHECK
 
 TEST(CheckCore, DisabledBuildSkipsInstrumentedSuites) {

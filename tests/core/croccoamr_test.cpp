@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <string>
 
 namespace crocco::core {
 namespace {
@@ -330,6 +331,41 @@ TEST(CroccoAmr, CommLogCapturesPaperCommunicationStructure) {
     solver21.step();
     for (const auto& m : comm21.log().messages())
         EXPECT_NE(m.tag, "ParallelCopy_interp");
+}
+
+TEST(CroccoAmr, LogSummaryDigestsEachStep) {
+    // comm.log_summary on 4 SimComm ranks: the line printed after each step
+    // digests that step's traffic only.
+    Dmr::Options o;
+    o.nx = 32;
+    o.ny = 8;
+    o.nz = 8;
+    o.maxLevel = 1;
+    Dmr dmr(o);
+    parallel::SimComm comm(4);
+    auto cfg = dmr.solverConfig(CodeVersion::V20);
+    cfg.nranks = 4;
+    cfg.regridFreq = 3;
+    cfg.amrInfo.maxGridSize = 8; // several boxes per rank: real exchanges
+    cfg.commLogSummary = true;
+    CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping(), &comm);
+    solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+    EXPECT_TRUE(solver.lastCommSummary().empty());
+    solver.evolve(3);
+
+    // emitCommSummary ran on the last step (0-based index 2) and digested
+    // only that step's traffic.
+    const std::string& line = solver.lastCommSummary();
+    ASSERT_FALSE(line.empty());
+    EXPECT_NE(line.find("step 2 "), std::string::npos) << line;
+    EXPECT_NE(line.find("comm: msgs="), std::string::npos) << line;
+    EXPECT_NE(line.find("rtx=0"), std::string::npos) << line;
+    // The digest is a per-step slice, not the cumulative log: three steps of
+    // traffic add up to strictly more than the last step's digest alone.
+    const auto total = comm.log().summarize();
+    EXPECT_EQ(line.find("msgs=" + std::to_string(total.messages) + " "),
+              std::string::npos)
+        << "step digest matched the cumulative count; line: " << line;
 }
 
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 namespace crocco::io {
 namespace {
@@ -152,6 +154,41 @@ comm.max_retransmits = 6
     ParmParse badRtx;
     badRtx.parseText("comm.max_retransmits = -2\n");
     EXPECT_THROW(badRtx.makeConfig(), std::runtime_error);
+}
+
+/// makeConfig on a one-line deck must throw a runtime_error naming `key`
+/// (each of these values used to crash or stall the solver instead).
+void expectRejected(const std::string& line, const std::string& key) {
+    ParmParse pp;
+    pp.parseText(line + "\n");
+    try {
+        pp.makeConfig();
+        FAIL() << "accepted '" << line << "'";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ParmParse, MakeConfigRejectsNegativeMaxLevel) {
+    expectRejected("amr.max_level = -1", "amr.max_level");
+}
+
+TEST(ParmParse, MakeConfigRejectsZeroBlockingFactor) {
+    expectRejected("amr.blocking_factor = 0", "amr.blocking_factor");
+}
+
+TEST(ParmParse, MakeConfigRejectsZeroMaxGridSize) {
+    expectRejected("amr.max_grid_size = 0", "amr.max_grid_size");
+}
+
+TEST(ParmParse, MakeConfigRejectsZeroRefRatio) {
+    expectRejected("amr.ref_ratio = 0", "amr.ref_ratio");
+}
+
+TEST(ParmParse, MakeConfigRejectsNonPositiveCfl) {
+    expectRejected("crocco.cfl = 0", "crocco.cfl");
+    expectRejected("crocco.cfl = -0.5", "crocco.cfl");
 }
 
 } // namespace

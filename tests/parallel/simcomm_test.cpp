@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace crocco::parallel {
 namespace {
@@ -134,6 +135,42 @@ TEST(SimComm, UnmatchedReceiveDiagnosesTheHang) {
     ok.waitall({s});
     const auto r2 = ok.irecv(0, 1, "FB");
     EXPECT_NO_THROW(ok.waitall({r2}));
+}
+
+TEST(CommLog, SummaryCountsKindsBytesAndFaultTraffic) {
+    CommLog log;
+    log.record({0, 1, 100, MessageKind::PointToPoint, "FB", 7});
+    log.record({1, 2, 50, MessageKind::ParallelCopy, "PC", 0});
+    log.record({0, 1, 100, MessageKind::PointToPoint, "FB/rtx1", 7});
+    log.record({1, 0, 8, MessageKind::PointToPoint, "FB/nack", 7});
+    log.record({0, 1, 100, MessageKind::PointToPoint, "FB/dup", 7});
+    log.record({0, 2, 30, MessageKind::Reduction, "ComputeDt", 0});
+
+    const auto s = log.summarize();
+    EXPECT_EQ(s.messages, 6u);
+    EXPECT_EQ(s.bytes, 388);
+    EXPECT_EQ(s.p2p, 4u);
+    EXPECT_EQ(s.parallelCopy, 1u);
+    EXPECT_EQ(s.reductions, 1u);
+    EXPECT_EQ(s.retransmits, 1u);
+    EXPECT_EQ(s.nacks, 1u);
+    EXPECT_EQ(s.duplicates, 1u);
+
+    // fromIndex slices a step's traffic out of the cumulative log.
+    const auto tail = log.summarize(5);
+    EXPECT_EQ(tail.messages, 1u);
+    EXPECT_EQ(tail.reductions, 1u);
+    EXPECT_EQ(tail.bytes, 30);
+
+    const std::string line = CommLog::formatSummary(s);
+    EXPECT_NE(line.find("msgs=6"), std::string::npos) << line;
+    EXPECT_NE(line.find("bytes=388"), std::string::npos) << line;
+    EXPECT_NE(line.find("p2p=4"), std::string::npos) << line;
+    EXPECT_NE(line.find("pc=1"), std::string::npos) << line;
+    EXPECT_NE(line.find("red=1"), std::string::npos) << line;
+    EXPECT_NE(line.find("rtx=1"), std::string::npos) << line;
+    EXPECT_NE(line.find("nack=1"), std::string::npos) << line;
+    EXPECT_NE(line.find("dup=1"), std::string::npos) << line;
 }
 
 TEST(CommLog, DisableSuppressesRecording) {

@@ -92,9 +92,6 @@ const std::vector<RuleInfo>& ruleCatalog() {
          "docs/correctness.md#a3"},
         {"A4", "module layering DAG + guarded check/ includes",
          "docs/correctness.md#a4"},
-        {"A5", "no raw per-pair isend/irecv loops outside the aggregation "
-               "planner",
-         "docs/correctness.md#a5"},
         {"A6", "checkpoint/mirror traffic consults the FabGuard stamp/verify "
                "API in the same function",
          "docs/correctness.md#a6"},
@@ -119,7 +116,6 @@ std::vector<Finding> runChecks(const Project& project,
     if (want("A2")) checkA2(project, findings);
     if (want("A3")) checkA3(project, findings);
     if (want("A4")) checkA4(project, findings);
-    if (want("A5")) checkA5(project, findings);
     if (want("A6")) checkA6(project, findings);
 
     // Resolve inline suppressions (only meaningful for findings located in

@@ -44,7 +44,6 @@ void checkA1(const Project&, std::vector<Finding>&); ///< kernel dataflow
 void checkA2(const Project&, std::vector<Finding>&); ///< exchange protocol
 void checkA3(const Project&, std::vector<Finding>&); ///< deck-key registry
 void checkA4(const Project&, std::vector<Finding>&); ///< module layering
-void checkA5(const Project&, std::vector<Finding>&); ///< per-pair post loops
 void checkA6(const Project&, std::vector<Finding>&); ///< guarded recovery sources
 
 } // namespace crocco::analyze

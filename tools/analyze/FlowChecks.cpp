@@ -369,8 +369,7 @@ void scanTaskKernel(const SourceFile& sf, const Lambda& lam,
 
 void checkA1(const Project& project, std::vector<Finding>& out) {
     static const char* kCellLaunches[] = {"ParallelFor"};
-    static const char* kTaskLaunches[] = {"ParallelForIndex",
-                                          "BatchedParallelForIndex"};
+    static const char* kTaskLaunches[] = {"ParallelForIndex"};
     for (const SourceFile& sf : project.files) {
         if (!inSrc(sf.lexed.path)) continue;
         const auto& toks = sf.lexed.tokens;

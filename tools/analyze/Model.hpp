@@ -13,7 +13,7 @@ namespace crocco::analyze {
 /// One rule violation. `file` is root-relative with '/' separators, so
 /// findings (and the SARIF artifact) are stable across checkouts.
 struct Finding {
-    std::string rule;    ///< "R1".."R7", "A1".."A5"
+    std::string rule;    ///< "R1".."R7", "A1".."A6" (A5 retired)
     std::string file;
     int line = 0;
     std::string message;

@@ -204,8 +204,8 @@ void checkR6(const Project& project, std::vector<Finding>& out) {
 }
 
 // R7 — open-coded RK3 stage-update triples. The mult + saxpy + saxpy chain
-// against the Rk3 coefficients lives in core::rk3StageUpdate only; that is
-// where the fused kernel and the seed sequence are kept bitwise-aligned.
+// against the Rk3 coefficients lives in core::rk3StageUpdate only, so the
+// stage update has exactly one home.
 void checkR7(const Project& project, std::vector<Finding>& out) {
     auto firstArgIsRk3 = [](const std::vector<Token>& toks, std::size_t lp) {
         return lp + 2 < toks.size() && isIdent(toks[lp + 1], "Rk3") &&
@@ -232,65 +232,7 @@ void checkR7(const Project& project, std::vector<Finding>& out) {
                 add(out, "R7", sf.lexed.path, toks[i].line,
                     "raw " + toks[i].text +
                         "() against Rk3 coefficients — the RK3 stage triple "
-                        "lives in core::rk3StageUpdate (fused-kernel / seed "
-                        "bitwise alignment)");
-        }
-    }
-}
-
-// A5 — per-pair isend/irecv *loops* outside the aggregation planner. R6
-// already reviews every raw post site; A5 adds the perf contract: a
-// nonblocking post inside a for/while/do body is the one-message-per-box
-// pattern rank-pair aggregation exists to remove, so new exchange loops
-// must go through MultiFab's aggregation plan (src/amr/MultiFab.cpp and
-// SimComm itself own the planner/transport and are exempt).
-void checkA5(const Project& project, std::vector<Finding>& out) {
-    for (const SourceFile& sf : project.files) {
-        if (!inSrc(sf.lexed.path)) continue;
-        if (startsWith(sf.lexed.path, "src/parallel/SimComm.")) continue;
-        if (sf.lexed.path == "src/amr/MultiFab.cpp") continue;
-        const auto& toks = sf.lexed.tokens;
-
-        // Token ranges [begin, end) of every loop body. A brace body spans
-        // its compound statement; a braceless body spans up to the next ';'.
-        std::vector<std::pair<std::size_t, std::size_t>> bodies;
-        for (std::size_t i = 0; i < toks.size(); ++i) {
-            if (toks[i].kind != TokKind::Identifier) continue;
-            std::size_t bodyBegin = toks.size();
-            if ((toks[i].text == "for" || toks[i].text == "while") &&
-                i + 1 < toks.size() && isPunct(toks[i + 1], "(")) {
-                const std::size_t rp = matchForward(toks, i + 1);
-                if (rp < toks.size()) bodyBegin = rp + 1;
-            } else if (toks[i].text == "do") {
-                bodyBegin = i + 1;
-            }
-            if (bodyBegin >= toks.size()) continue;
-            std::size_t bodyEnd;
-            if (isPunct(toks[bodyBegin], "{")) {
-                bodyEnd = matchForward(toks, bodyBegin);
-            } else {
-                bodyEnd = bodyBegin;
-                while (bodyEnd < toks.size() && !isPunct(toks[bodyEnd], ";"))
-                    ++bodyEnd;
-            }
-            bodies.emplace_back(bodyBegin, bodyEnd);
-        }
-
-        for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-            if (toks[i].kind != TokKind::Identifier ||
-                (toks[i].text != "isend" && toks[i].text != "irecv") ||
-                !isPunct(toks[i + 1], "("))
-                continue;
-            bool inLoop = false;
-            for (const auto& [b, e] : bodies)
-                if (i >= b && i < e) inLoop = true;
-            if (inLoop)
-                add(out, "A5", sf.lexed.path, toks[i].line,
-                    toks[i].text +
-                        "() inside a loop — a per-pair post loop sends one "
-                        "message per box pair; route the exchange through "
-                        "MultiFab's aggregation plan (comm.aggregate) "
-                        "instead");
+                        "lives in core::rk3StageUpdate");
         }
     }
 }

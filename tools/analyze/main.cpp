@@ -1,7 +1,7 @@
 // crocco-analyze — the project's own static analyzer. Token-aware
 // re-implementation of the seven grep lint rules (R1–R7) plus five
 // whole-program passes (A1 kernel dataflow, A2 exchange protocol, A3
-// deck-key registry, A4 module layering, A5 per-pair exchange loops). See
+// deck-key registry, A4 module layering, A6 guarded recovery sources). See
 // docs/correctness.md for the rule catalogue and the inline suppression
 // syntax.
 //

@@ -49,12 +49,10 @@ for seed in 7 1234 90210; do
     (cd build-ci && CROCCO_SDC_SEED=$seed ctest -R sdc_soak --output-on-failure)
 done
 
-echo "== perf benches (BENCH_PR2 + BENCH_PR4 + BENCH_PR6 + BENCH_PR7 + BENCH_PR9 + BENCH_PR10) =="
+echo "== perf benches (BENCH_PR2 + BENCH_PR4 + BENCH_PR6 + BENCH_PR10) =="
 bench/run_bench.sh build-ci BENCH_PR2.json
 bench/run_bench_pr4.sh build-ci BENCH_PR4.json
 bench/run_bench_pr6.sh build-ci BENCH_PR6.json
-bench/run_bench_pr7.sh build-ci BENCH_PR7.json
-bench/run_bench_pr9.sh build-ci BENCH_PR9.json
 bench/run_bench_pr10.sh build-ci BENCH_PR10.json
 
 echo "== CroccoCheck (Release + CROCCO_CHECK) =="
