@@ -697,9 +697,10 @@ void CroccoAmr::evolve(int nsteps, const EvolveOptions& opts) {
     if (cfg_.sdc.guard && !sdcGuard_.stamped())
         sdcGuard_.stamp(U_, finestLevel());
     int recoveries = 0;
-    // Post-restore housekeeping shared by every rung: the restored state is
-    // known-good by construction (CRC-verified checkpoint or mirror), so it
-    // becomes the new guard baseline.
+    // Post-restore housekeeping of the in-memory rungs: the restored state
+    // is known-good by construction (CRC-verified mirror), so it becomes the
+    // new guard baseline. The disk rungs need none: readCheckpoint re-stamps
+    // the guard stamped above.
     auto restamp = [&] {
         if (cfg_.sdc.guard) sdcGuard_.stamp(U_, finestLevel());
     };
@@ -716,7 +717,6 @@ void CroccoAmr::evolve(int nsteps, const EvolveOptions& opts) {
             readCheckpoint(d, init_, physBC_);
         });
         ladder_.log().record(step_, fault, resilience::Rung::DiskRestart, true);
-        restamp();
         return true;
     };
     while (step_ < target) {
@@ -746,7 +746,6 @@ void CroccoAmr::evolve(int nsteps, const EvolveOptions& opts) {
             opts.restart->restoreLatest([&](const std::string& d) {
                 readCheckpoint(d, init_, physBC_);
             });
-            restamp();
             continue;
         } catch (const resilience::SdcFault& sf) {
             // The local rungs are spent (fab repair impossible or step
@@ -1122,6 +1121,13 @@ void CroccoAmr::readCheckpoint(const std::string& dir, InitFunct ic,
             });
         }
     }
+    // Phase 1 verified a v2 payload's CRCs or accepted a v1 payload, which
+    // carries none; either way a guard holding a baseline takes the
+    // restored state as its new one: stamps of the pre-read state would
+    // otherwise match a frozen layout and "repair" the restore away at the
+    // next verify. A guard with no baseline yet (a freshly constructed
+    // solver) stays unstamped, as after init(), and copies no state here.
+    if (sdcGuard_.stamped()) sdcGuard_.stamp(U_, finestLevel());
 }
 
 int CroccoAmr::estimateRegridFreq() const {

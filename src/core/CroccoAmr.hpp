@@ -223,7 +223,8 @@ public:
     /// Reads both format v2 (CRC-verified) and legacy v1. All level files
     /// are read and verified *before* any solver state is mutated; a
     /// truncated or corrupt file throws resilience::CheckpointCorruption
-    /// naming the offending level file.
+    /// naming the offending level file. A stamped SDC guard is re-stamped:
+    /// the restored state becomes its baseline.
     void readCheckpoint(const std::string& dir, InitFunct ic,
                         amr::PhysBCFunct bc);
 

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <sstream>
 
 namespace crocco::mesh {
 namespace {
@@ -17,6 +20,89 @@ using amr::FArrayBox;
 using amr::Geometry;
 using amr::IntVect;
 using amr::MultiFab;
+
+/// The two-pass metric kernel as it was before the per-call constants were
+/// hoisted and the shared central differences evaluated once per cell,
+/// kept verbatim as the bit-for-bit reference for mesh::computeMetricsFab.
+namespace reference {
+
+/// 4th-order central first derivative along dimension d of component m.
+inline Real d1(const Array4<const Real>& f, int i, int j, int k, int m, int d,
+               Real invdx) {
+    const IntVect e = IntVect::basis(d);
+    return (-f(i + 2 * e[0], j + 2 * e[1], k + 2 * e[2], m) +
+            8.0 * f(i + e[0], j + e[1], k + e[2], m) -
+            8.0 * f(i - e[0], j - e[1], k - e[2], m) +
+            f(i - 2 * e[0], j - 2 * e[1], k - 2 * e[2], m)) *
+           (invdx / 12.0);
+}
+
+/// 2nd-order central first derivative (used for the second metrics).
+inline Real d1c2(const Array4<const Real>& f, int i, int j, int k, int m, int d,
+                 Real invdx) {
+    const IntVect e = IntVect::basis(d);
+    return (f(i + e[0], j + e[1], k + e[2], m) -
+            f(i - e[0], j - e[1], k - e[2], m)) *
+           (0.5 * invdx);
+}
+
+/// Invert a 3x3 matrix T (rows: physical dims, cols: computational dims);
+/// returns det(T).
+inline Real invert3x3(const Real T[3][3], Real M[3][3]) {
+    const Real det = T[0][0] * (T[1][1] * T[2][2] - T[1][2] * T[2][1]) -
+                     T[0][1] * (T[1][0] * T[2][2] - T[1][2] * T[2][0]) +
+                     T[0][2] * (T[1][0] * T[2][1] - T[1][1] * T[2][0]);
+    const Real inv = 1.0 / det;
+    M[0][0] = (T[1][1] * T[2][2] - T[1][2] * T[2][1]) * inv;
+    M[0][1] = (T[0][2] * T[2][1] - T[0][1] * T[2][2]) * inv;
+    M[0][2] = (T[0][1] * T[1][2] - T[0][2] * T[1][1]) * inv;
+    M[1][0] = (T[1][2] * T[2][0] - T[1][0] * T[2][2]) * inv;
+    M[1][1] = (T[0][0] * T[2][2] - T[0][2] * T[2][0]) * inv;
+    M[1][2] = (T[0][2] * T[1][0] - T[0][0] * T[1][2]) * inv;
+    M[2][0] = (T[1][0] * T[2][1] - T[1][1] * T[2][0]) * inv;
+    M[2][1] = (T[0][1] * T[2][0] - T[0][0] * T[2][1]) * inv;
+    M[2][2] = (T[0][0] * T[1][1] - T[0][1] * T[1][0]) * inv;
+    return det;
+}
+
+void computeMetricsFab(const Array4<const Real>& coords, const Array4<Real>& metrics,
+                       const Box& region, const std::array<Real, 3>& dxi) {
+    // Pass 1: first metrics M = (∂x/∂ξ)^-1 on region.grow(1), held in a
+    // scratch fab so pass 2 can difference them.
+    const Box r1 = region.grow(1);
+    FArrayBox firstTmp(r1, 9);
+    auto first = firstTmp.array();
+    amr::forEachCell(r1, [&](int i, int j, int k) {
+        Real T[3][3], M[3][3];
+        for (int m = 0; m < 3; ++m)
+            for (int d = 0; d < 3; ++d)
+                T[m][d] = d1(coords, i, j, k, m, d, 1.0 / dxi[d]);
+        invert3x3(T, M);
+        for (int d = 0; d < 3; ++d)
+            for (int m = 0; m < 3; ++m) first(i, j, k, metric1(d, m)) = M[d][m];
+    });
+
+    auto firstC = firstTmp.const_array();
+    amr::forEachCell(region, [&](int i, int j, int k) {
+        for (int n = 0; n < 9; ++n) metrics(i, j, k, n) = firstC(i, j, k, n);
+        // Second metrics by the chain rule:
+        //   ∂²ξ_d/∂x_j∂x_k = Σ_e (∂ξ_e/∂x_k) ∂(∂ξ_d/∂x_j)/∂ξ_e
+        for (int d = 0; d < 3; ++d) {
+            for (int jj = 0; jj < 3; ++jj) {
+                for (int kk = jj; kk < 3; ++kk) {
+                    Real s = 0.0;
+                    for (int e = 0; e < 3; ++e) {
+                        s += firstC(i, j, k, metric1(e, kk)) *
+                             d1c2(firstC, i, j, k, metric1(d, jj), e, 1.0 / dxi[e]);
+                    }
+                    metrics(i, j, k, metric2(d, jj, kk)) = s;
+                }
+            }
+        }
+    });
+}
+
+} // namespace reference
 
 struct MetricsSetup {
     Geometry geom;
@@ -149,6 +235,83 @@ TEST(GridMetrics, SecondMetricsVanishOnAffineMapsOnly) {
             worstCurved = std::max(worstCurved, std::abs(mc(i, j, k, n)));
     });
     EXPECT_GT(worstCurved, 1.0); // second derivatives are genuinely nonzero
+}
+
+/// One bit-for-bit case: a fab of `shape` on `level` of a two-level
+/// hierarchy over `mapping`, with coordinates on its grown box plus the
+/// stencil's 3 cells, optionally perturbed by seeded noise of up to 0.03
+/// computational cells (so every cell sees distinct, unsmooth values).
+/// Returns the number of (cell, component) values whose bytes differ
+/// between computeMetricsFab and the reference over the whole grown box,
+/// ghosts included (memcmp, so -0.0 and +0.0 differ).
+std::int64_t metricByteMismatches(std::shared_ptr<const Mapping> mapping,
+                                  const IntVect& shape, int level,
+                                  std::uint64_t perturbSeed, std::string& first) {
+    constexpr int ng = 4; // the solver's ghost width (core::NGHOST)
+    const Geometry geom0(Box(IntVect::zero(), shape - IntVect(1)), {0, 0, 0},
+                         {1, 1, 1}, amr::Periodicity::none());
+    const CoordStore store(std::move(mapping), geom0, IntVect(2), 1, ng + 3);
+    // Level 1 places the fab away from the domain corner, so its ghosts
+    // straddle both interior cells and the mapping's extension.
+    const IntVect lo = level == 0 ? IntVect::zero() : IntVect(shape[0] / 2, shape[1] / 2,
+                                                             shape[2] / 2);
+    const Box valid(lo, lo + shape - IntVect(1));
+    const Box grown = valid.grow(ng);
+    FArrayBox coords(grown.grow(3), 3);
+    store.getCoords(coords, level);
+    if (perturbSeed != 0) {
+        std::mt19937_64 rng(perturbSeed);
+        std::uniform_real_distribution<Real> noise(-0.03, 0.03);
+        const auto h = store.levelGeom(level).cellSizeArray();
+        auto c = coords.array();
+        amr::forEachCell(coords.box(), [&](int i, int j, int k) {
+            for (int m = 0; m < 3; ++m) c(i, j, k, m) += noise(rng) * h[m];
+        });
+    }
+    const auto dxi = store.levelGeom(level).cellSizeArray();
+    FArrayBox fast(grown, MetricComps), ref(grown, MetricComps);
+    computeMetricsFab(coords.const_array(), fast.array(), grown, dxi);
+    reference::computeMetricsFab(coords.const_array(), ref.array(), grown, dxi);
+    auto a = fast.const_array();
+    auto b = ref.const_array();
+    std::int64_t bad = 0;
+    for (int n = 0; n < MetricComps; ++n) {
+        amr::forEachCell(grown, [&](int i, int j, int k) {
+            if (std::memcmp(&a(i, j, k, n), &b(i, j, k, n), sizeof(Real)) == 0) return;
+            if (bad++ > 0) return;
+            std::ostringstream os;
+            os << "cell (" << i << "," << j << "," << k << ") comp " << n << ": "
+               << std::hexfloat << a(i, j, k, n) << " vs " << b(i, j, k, n);
+            first = os.str();
+        });
+    }
+    return bad;
+}
+
+TEST(GridMetrics, KernelBitwiseEqualsReference) {
+    const std::array<Real, 3> lo{0, 0, 0}, hi{4, 1, 1};
+    const std::vector<std::pair<const char*, std::shared_ptr<const Mapping>>> mappings{
+        {"InteriorWavy", std::make_shared<InteriorWavyMapping>(lo, hi, 0.02)},
+        {"Wavy", std::make_shared<WavyMapping>(lo, hi, 0.05)},
+        {"Ramp", std::make_shared<RampMapping>(lo, hi, 30.0, 0.25)},
+        {"Stretched", std::make_shared<StretchedMapping>(lo, hi, 1, 2.5)},
+        {"Uniform", std::make_shared<UniformMapping>(lo, hi)},
+    };
+    const std::vector<IntVect> shapes{IntVect(8), IntVect(64, 16, 8), IntVect(5, 3, 7)};
+    std::uint64_t seed = 20231;
+    for (const auto& [name, mapping] : mappings) {
+        for (const IntVect& shape : shapes) {
+            for (int level = 0; level <= 1; ++level) {
+                for (const std::uint64_t perturb : {std::uint64_t{0}, seed++}) {
+                    std::string first;
+                    EXPECT_EQ(metricByteMismatches(mapping, shape, level, perturb, first), 0)
+                        << name << " shape " << shape[0] << "x" << shape[1] << "x"
+                        << shape[2] << " level " << level << " perturb " << perturb
+                        << ": first mismatch at " << first;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

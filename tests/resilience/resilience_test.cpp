@@ -37,6 +37,44 @@ TEST(Crc32, KnownAnswerAndChaining) {
     EXPECT_NE(crc32(buf, 9), crc32(s, 9));
 }
 
+/// Byte-at-a-time CRC-32, the definition the sliced implementation must
+/// reproduce.
+std::uint32_t crc32Bytewise(const unsigned char* p, std::size_t n,
+                            std::uint32_t seed) {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, EqualsBytewiseReferenceForEveryLengthAlignmentAndSeed) {
+    std::vector<unsigned char> buf(300 + 8);
+    std::uint32_t x = 2463534242u; // xorshift32: arbitrary, reproducible bytes
+    for (auto& b : buf) {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        b = static_cast<unsigned char>(x);
+    }
+    for (std::size_t align = 0; align < 8; ++align) {
+        const unsigned char* p = buf.data() + align;
+        for (std::size_t n = 0; n <= 300; ++n) {
+            for (const std::uint32_t seed : {0u, 0xCBF43926u, 0xFFFFFFFFu}) {
+                ASSERT_EQ(crc32(p, n, seed), crc32Bytewise(p, n, seed))
+                    << "length " << n << " alignment " << align << " seed " << seed;
+            }
+            // Chained across a split at n/3, the checksum equals one pass.
+            const std::size_t cut = n / 3;
+            ASSERT_EQ(crc32(p + cut, n - cut, crc32(p, cut)), crc32Bytewise(p, n, 0))
+                << "length " << n << " alignment " << align << " split " << cut;
+        }
+    }
+    const char* check = "123456789";
+    EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+}
+
 // --------------------------------------------------------- StateValidator
 
 MultiFab makeState(double rho, double e) {

@@ -20,6 +20,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -247,6 +248,43 @@ TEST(SdcSoak, CorruptBuddyMirrorFallsThroughToDiskRestart) {
             ++corruptMirrorEvents;
     EXPECT_EQ(corruptMirrorEvents, 1);
     expectBitwiseIdentical(*solver, *reference);
+}
+
+// A restore makes the restored state the guard baseline. Without the
+// re-stamp inside readCheckpoint, the guard still holds the stamps of the
+// state the solver was in before the read; on a frozen hierarchy the
+// layout matches, so the next step-start verify reports every fab as
+// corrupt and "repairs" it from the retained pre-read copy, silently
+// undoing the restore.
+TEST(SdcSoak, ReadCheckpointBecomesTheGuardBaseline) {
+    TmpRoot root("crocco_sdc_restamp_on_read");
+    const std::string dir = root.path + "/step2";
+    auto cfg = soakConfig(1, true);
+    cfg.regridFreq = std::numeric_limits<int>::max(); // frozen after init
+    auto dmr = smallDmr();
+
+    auto solver = makeSolver(cfg, nullptr);
+    solver->evolve(2);
+    std::filesystem::create_directories(root.path);
+    solver->writeCheckpoint(dir);
+    solver->evolve(2);
+    const auto stampsBefore = solver->sdcGuard().stats().stamps;
+    solver->readCheckpoint(dir, dmr.initialCondition(), dmr.boundaryConditions());
+    EXPECT_EQ(solver->sdcGuard().stats().stamps, stampsBefore + 1);
+    solver->step();
+
+    // A fresh solver's guard has no baseline to replace: the read stamps
+    // nothing (no second copy of the state), and step() stamps at its end.
+    core::CroccoAmr fresh(dmr.geometry(), cfg, dmr.mapping(), nullptr);
+    fresh.readCheckpoint(dir, dmr.initialCondition(), dmr.boundaryConditions());
+    EXPECT_FALSE(fresh.sdcGuard().stamped());
+    fresh.step();
+
+    EXPECT_EQ(solver->sdcGuard().stats().crcMismatches, 0);
+    EXPECT_EQ(solver->fabRestoreCount(), 0);
+    EXPECT_TRUE(solver->recoveryLog().events().empty());
+    EXPECT_EQ(fresh.sdcGuard().stats().crcMismatches, 0);
+    expectBitwiseIdentical(*solver, fresh);
 }
 
 // The combined chaos soak: cold SDC + kernel SDC + message drop/corrupt +

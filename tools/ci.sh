@@ -6,15 +6,20 @@
 #
 #   tools/ci.sh            # run everything
 #   SKIP_SANITIZE=1 tools/ci.sh   # skip the (slow) sanitizer lane
+#
+# Every artifact (SARIF log, BENCH_PRn.json) is written under build-ci/, and
+# the last gate checks that the checkout is left as CI found it.
 set -eu
 cd "$(dirname "$0")/.."
 
 JOBS=${JOBS:-$(nproc 2>/dev/null || echo 4)}
+STATUS_BEFORE=$(git status --porcelain)
+mkdir -p build-ci
 
 echo "== analyze (crocco-analyze, SARIF artifact) =="
 # Gate: the analyzer must come back clean (inline-suppressed findings are
 # fine, anything else fails). The SARIF log is the reviewable artifact.
-ANALYZE_FLAGS="--sarif crocco-analyze.sarif" tools/lint.sh
+ANALYZE_FLAGS="--sarif build-ci/crocco-analyze.sarif" tools/lint.sh
 # The committed deck-key registry must match the query sites in the code.
 build-analyze/tools/analyze/crocco-analyze --root . --write-deck-registry >/dev/null
 if ! git diff --exit-code -- docs/deck-keys.md; then
@@ -50,10 +55,12 @@ for seed in 7 1234 90210; do
 done
 
 echo "== perf benches (BENCH_PR2 + BENCH_PR4 + BENCH_PR6 + BENCH_PR10) =="
-bench/run_bench.sh build-ci BENCH_PR2.json
-bench/run_bench_pr4.sh build-ci BENCH_PR4.json
-bench/run_bench_pr6.sh build-ci BENCH_PR6.json
-bench/run_bench_pr10.sh build-ci BENCH_PR10.json
+# This host's numbers go to build-ci/; the committed BENCH_PRn.json files
+# are the recorded reference runs and stay untouched.
+bench/run_bench.sh build-ci build-ci/BENCH_PR2.json
+bench/run_bench_pr4.sh build-ci build-ci/BENCH_PR4.json
+bench/run_bench_pr6.sh build-ci build-ci/BENCH_PR6.json
+bench/run_bench_pr10.sh build-ci build-ci/BENCH_PR10.json
 
 echo "== CroccoCheck (Release + CROCCO_CHECK) =="
 cmake -B build-ci-check -S . -DCMAKE_BUILD_TYPE=Release -DCROCCO_CHECK=ON \
@@ -67,6 +74,16 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
           -DCROCCO_BUILD_BENCH=OFF -DCROCCO_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build build-ci-asan -j "$JOBS" >/dev/null
     (cd build-ci-asan && ctest -L check --output-on-failure)
+fi
+
+echo "== clean checkout (git status unchanged) =="
+STATUS_AFTER=$(git status --porcelain)
+if [ "$STATUS_AFTER" != "$STATUS_BEFORE" ]; then
+    echo "ci: the run changed the checkout; git status before:"
+    echo "$STATUS_BEFORE"
+    echo "ci: and after:"
+    echo "$STATUS_AFTER"
+    exit 1
 fi
 
 echo "== CI OK =="
