@@ -7,7 +7,11 @@
 
 #include "mesh/CoordStore.hpp"
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
+#include <string>
 
 using namespace crocco;
 using namespace crocco::bench;
@@ -21,13 +25,18 @@ int main() {
     const amr::Geometry geom(Box(IntVect::zero(), IntVect{127, 63, 31}),
                              {0, 0, 0}, {1, 1, 1});
 
+    // The coordinate files go to a directory private to this process, so
+    // the bench never shares them with a concurrent run or test.
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("crocco_ablation_coordstore_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
     std::printf("%10s | %14s %14s %8s | %14s\n", "patch", "memory", "file",
                 "slowdown", "stored bytes");
     for (int size : {16, 32, 64}) {
         mesh::CoordStore mem(mapping, geom, IntVect(2), 1, 7,
                              mesh::CoordStore::Mode::Memory);
         mesh::CoordStore file(mapping, geom, IntVect(2), 1, 7,
-                              mesh::CoordStore::Mode::File, "/tmp");
+                              mesh::CoordStore::Mode::File, dir.string());
         const Box patch(IntVect(8), IntVect(8 + size - 1));
         amr::FArrayBox fab(patch.grow(7), 3);
         auto timeIt = [&](const mesh::CoordStore& store) {
@@ -42,9 +51,8 @@ int main() {
         std::printf("%7d^3 | %11.3f ms %11.3f ms %8.1fx | %11.1f MB\n", size,
                     tMem * 1e3, tFile * 1e3, tFile / tMem,
                     static_cast<double>(mem.bytesStored()) / (1 << 20));
-        std::remove("/tmp/coords_lev0.bin");
-        std::remove("/tmp/coords_lev1.bin");
     }
+    std::filesystem::remove_all(dir);
     std::printf("\nPaper: the in-memory getCoords() replaced serial std::iostream\n");
     std::printf("reads per new patch; on GPU the file path would additionally\n");
     std::printf("stage through host memory. The memory cost is the stored grid.\n");

@@ -59,8 +59,10 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
                      parallel::SimComm* comm)
     : amr::AmrCore(geom0, cfg.amrInfo, cfg.nranks, comm), cfg_(cfg),
       mapping_(std::move(mapping)) {
-    // Coordinates carry 3 extra ghost layers beyond the state so the
-    // metrics' 4th-order stencils reach (see mesh::computeMetrics).
+    // Coordinates carry 3 extra ghost layers beyond the state. The metric
+    // stencil needs only 2 (see mesh::computeMetrics), but FillPatch and
+    // InterpFromCoarseLevel gather coarse coordinates with their full halo,
+    // so a narrower one would change the ParallelCopy_interp traffic.
     coordStore_ = std::make_unique<mesh::CoordStore>(
         mapping_, geom0, cfg.amrInfo.refRatio, cfg.amrInfo.maxLevel, NGHOST + 3,
         cfg.coordMode, cfg.coordFileDir);
@@ -1120,6 +1122,13 @@ void CroccoAmr::readCheckpoint(const std::string& dir, InitFunct ic,
                 for (int n = 0; n < NCONS; ++n) a(i, j, k, n) = in.vals[idx++];
             });
         }
+    }
+    // Levels the checkpoint does not have go, as in AmrCore::regrid; the
+    // empty layout also retires their comm patterns.
+    for (int lev = maxLevel(); lev > finest; --lev) {
+        if (boxArray(lev).empty()) continue;
+        clearLevel(lev);
+        setLevel(lev, BoxArray(), DistributionMapping());
     }
     // Phase 1 verified a v2 payload's CRCs or accepted a v1 payload, which
     // carries none; either way a guard holding a baseline takes the

@@ -223,8 +223,9 @@ public:
     /// Reads both format v2 (CRC-verified) and legacy v1. All level files
     /// are read and verified *before* any solver state is mutated; a
     /// truncated or corrupt file throws resilience::CheckpointCorruption
-    /// naming the offending level file. A stamped SDC guard is re-stamped:
-    /// the restored state becomes its baseline.
+    /// naming the offending level file. Levels above the checkpoint's
+    /// finest are dropped. A stamped SDC guard is re-stamped: the restored
+    /// state becomes its baseline.
     void readCheckpoint(const std::string& dir, InitFunct ic,
                         amr::PhysBCFunct bc);
 
@@ -308,7 +309,7 @@ private:
     std::vector<amr::MultiFab> U_;       // conserved state, NGHOST ghosts
     std::vector<amr::MultiFab> G_;       // RK3 low-storage accumulator
     std::vector<amr::MultiFab> coords_;  // 3-comp physical coordinates
-    std::vector<amr::MultiFab> metrics_; // 27-comp grid metrics
+    std::vector<amr::MultiFab> metrics_; // 9-comp grid metrics
 
     std::unique_ptr<amr::Interpolater> interp_;
     Real time_ = 0.0;

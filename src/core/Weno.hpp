@@ -61,7 +61,7 @@ RealPair wenoReconstructPair(const RealPair f[6], WenoScheme scheme);
 ///   WENO from Lax-Friedrichs-split contravariant cell fluxes.
 ///
 /// `S` is the 5-component conserved state with NGHOST filled ghost cells;
-/// `metrics` the 27-component grid metrics (also on the grown box);
+/// `metrics` the 9-component grid metrics (also on the grown box);
 /// `dxi` the computational cell spacing in `dir`.
 void wenoFlux(int dir, const Array4<const Real>& S,
               const Array4<const Real>& metrics, const Box& validBox,

@@ -175,6 +175,9 @@ std::int64_t ScalingSimulator::gpuBytesPerRank(const ScalingCase& c) const {
     for (auto p : per) maxPts = std::max(maxPts, p);
     // Resident doubles per point: U + G + Sborder + dU (4x5), coordinates
     // (3), metrics (27), kernel scratch (~11), with ghost-halo inflation.
+    // The model deliberately keeps the paper's 27 metric components (the
+    // executed solver stores 9): it reproduces the paper's per-V100 memory
+    // ceiling, not this code's layout.
     const double haloFactor = std::pow((128.0 + 2 * core::NGHOST) / 128.0, 3);
     return static_cast<std::int64_t>(maxPts * 61 * sizeof(double) * haloFactor);
 }

@@ -1,13 +1,10 @@
 #include "mesh/GridMetrics.hpp"
 
-#include "amr/FArrayBox.hpp"
-
 #include <cassert>
 #include <cmath>
 
 namespace crocco::mesh {
 
-using amr::FArrayBox;
 using amr::IntVect;
 
 namespace {
@@ -41,20 +38,12 @@ inline Real invert3x3(const Real T[3][3], Real M[3][3]) {
 
 void computeMetricsFab(const Array4<const Real>& coords, const Array4<Real>& metrics,
                        const Box& region, const std::array<Real, 3>& dxi) {
-    // Per-call stencil weights: (1/dξ)/12 for the 4th-order first
-    // derivative, 0.5·(1/dξ) for the 2nd-order one.
-    Real c4[3], c2[3];
-    for (int d = 0; d < 3; ++d) {
-        c4[d] = (1.0 / dxi[d]) / 12.0;
-        c2[d] = 0.5 * (1.0 / dxi[d]);
-    }
+    // Per-call stencil weights (1/dξ)/12 of the 4th-order first derivative.
+    Real c4[3];
+    for (int d = 0; d < 3; ++d) c4[d] = (1.0 / dxi[d]) / 12.0;
 
-    // Pass 1: first metrics M = (∂x/∂ξ)^-1 on region.grow(1), held in a
-    // scratch fab so pass 2 can difference them.
-    const Box r1 = region.grow(1);
-    FArrayBox firstTmp(r1, 9);
-    auto first = firstTmp.array();
-    amr::forEachCell(r1, [&](int i, int j, int k) {
+    // M = (∂x/∂ξ)^-1 per cell: T[m][e] = ∂x_m/∂ξ_e.
+    amr::forEachCell(region, [&](int i, int j, int k) {
         Real T[3][3], M[3][3];
         for (int m = 0; m < 3; ++m) {
             T[m][0] = d1(coords(i - 2, j, k, m), coords(i - 1, j, k, m),
@@ -66,39 +55,13 @@ void computeMetricsFab(const Array4<const Real>& coords, const Array4<Real>& met
         }
         invert3x3(T, M);
         for (int d = 0; d < 3; ++d)
-            for (int m = 0; m < 3; ++m) first(i, j, k, metric1(d, m)) = M[d][m];
-    });
-
-    auto firstC = firstTmp.const_array();
-    amr::forEachCell(region, [&](int i, int j, int k) {
-        // D[n][e] = ∂(first metric n)/∂ξ_e by 2nd-order central differences:
-        // the 27 distinct derivatives the 18 second metrics share.
-        Real M[9], D[9][3];
-        for (int n = 0; n < 9; ++n) {
-            M[n] = firstC(i, j, k, n);
-            D[n][0] = (firstC(i + 1, j, k, n) - firstC(i - 1, j, k, n)) * c2[0];
-            D[n][1] = (firstC(i, j + 1, k, n) - firstC(i, j - 1, k, n)) * c2[1];
-            D[n][2] = (firstC(i, j, k + 1, n) - firstC(i, j, k - 1, n)) * c2[2];
-        }
-        for (int n = 0; n < 9; ++n) metrics(i, j, k, n) = M[n];
-        // Second metrics by the chain rule:
-        //   ∂²ξ_d/∂x_j∂x_k = Σ_e (∂ξ_e/∂x_k) ∂(∂ξ_d/∂x_j)/∂ξ_e
-        for (int d = 0; d < 3; ++d) {
-            for (int jj = 0; jj < 3; ++jj) {
-                for (int kk = jj; kk < 3; ++kk) {
-                    Real s = 0.0;
-                    for (int e = 0; e < 3; ++e)
-                        s += M[metric1(e, kk)] * D[metric1(d, jj)][e];
-                    metrics(i, j, k, metric2(d, jj, kk)) = s;
-                }
-            }
-        }
+            for (int m = 0; m < 3; ++m) metrics(i, j, k, metric1(d, m)) = M[d][m];
     });
 }
 
 void computeMetrics(const amr::MultiFab& coords, amr::MultiFab& metrics,
                     const amr::Geometry& geom) {
-    assert(coords.nGrow() >= metrics.nGrow() + 3);
+    assert(coords.nGrow() >= metrics.nGrow() + 2);
     assert(metrics.nComp() == MetricComps && coords.nComp() == 3);
     assert(coords.boxArray() == metrics.boxArray());
     const std::array<Real, 3> dxi = geom.cellSizeArray();

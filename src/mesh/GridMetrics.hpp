@@ -9,28 +9,19 @@ using amr::Array4;
 using amr::Box;
 using amr::Real;
 
-/// Grid-metric storage layout (§III-C "Data management"): solving on
-/// generalized curvilinear grids needs high-order reconstructions of the
-/// first and second derivatives of the computational coordinates (ξ, η, ζ)
-/// with respect to physical (x, y, z) — 9 first + 18 symmetric second
-/// derivatives = the paper's 27-component metrics MultiFab.
-inline constexpr int MetricComps = 27;
+/// Grid-metric storage layout (§III-C "Data management"): the first
+/// derivatives ∂ξ_d/∂x_j of the computational coordinates (ξ, η, ζ) with
+/// respect to physical (x, y, z). The paper also stores the 18 symmetric
+/// second derivatives (27 components in all); no kernel here reads them,
+/// so each level stores only these 9.
+inline constexpr int MetricComps = 9;
 
 /// Component of ∂ξ_d/∂x_j.
 constexpr int metric1(int d, int j) { return 3 * d + j; }
 
-/// Component of ∂²ξ_d/∂x_j∂x_k (symmetric in j,k).
-constexpr int metric2(int d, int j, int k) {
-    // Voigt order: (0,0) (1,1) (2,2) (1,2) (0,2) (0,1)
-    const int a = j < k ? j : k;
-    const int b = j < k ? k : j;
-    const int sym = (a == b) ? a : (a == 1 ? 3 : (b == 2 ? 4 : 5));
-    return 9 + 6 * d + sym;
-}
-
 /// Jacobian determinant J = det(∂x/∂ξ) recovered from the stored inverse
 /// metrics at one cell (J is not stored; the kernels recompute this cheap
-/// 3x3 determinant, keeping the metrics MultiFab at 27 components).
+/// 3x3 determinant, keeping the metrics MultiFab at 9 components).
 /// Inline: every RHS kernel evaluates it per cell.
 inline Real jacobian(const Array4<const Real>& metrics, int i, int j, int k) {
     // det(M) = 1/J for M = ∂ξ/∂x.
@@ -49,16 +40,15 @@ inline Real jacobian(const Array4<const Real>& metrics, int i, int j, int k) {
     return 1.0 / detM;
 }
 
-/// Compute the 27 metric components over `region` of one fab.
+/// Compute the 9 metric components over `region` of one fab.
 /// `coords` must provide cell-center physical coordinates on
-/// region.grow(3): first metrics use 4th-order central differences
-/// (±2 cells) and second metrics difference the first metrics once more
-/// (±1 cell). `dxi` is the computational cell spacing.
+/// region.grow(2): the metrics invert ∂x/∂ξ from 4th-order central
+/// differences (±2 cells). `dxi` is the computational cell spacing.
 void computeMetricsFab(const Array4<const Real>& coords, const Array4<Real>& metrics,
                        const Box& region, const std::array<Real, 3>& dxi);
 
 /// Level-wide driver: fills `metrics` (valid + ghost) from `coords`.
-/// Requires coords.nGrow() >= metrics.nGrow() + 3.
+/// Requires coords.nGrow() >= metrics.nGrow() + 2.
 void computeMetrics(const amr::MultiFab& coords, amr::MultiFab& metrics,
                     const amr::Geometry& geom);
 

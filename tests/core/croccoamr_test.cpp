@@ -5,13 +5,14 @@
 #include "problems/Canonical.hpp"
 #include "problems/Dmr.hpp"
 
-#include <gtest/gtest.h>
+#include "TempDir.hpp"
 
-#include <unistd.h>
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace crocco::core {
@@ -20,16 +21,6 @@ namespace {
 using amr::IntVect;
 using problems::Dmr;
 using resilience::FabGuard;
-
-/// A coordinate-file directory private to this process: the test binary
-/// also runs as croccoamr_test_mt, and concurrent runs must not rewrite
-/// each other's coords_lev<n>.bin.
-std::string coordFileDir(const std::string& name) {
-    const auto dir = std::filesystem::temp_directory_path() /
-                     (name + "_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
 
 Dmr::Options smallDmr() {
     Dmr::Options o;
@@ -126,11 +117,11 @@ TEST(CroccoAmr, CoordStoreFileModeMatchesMemoryMode) {
     // The regrid coordinate source (§III-C) must not change the physics —
     // only the performance (bench/ablation_coordstore measures that).
     Dmr dmr(smallDmr());
-    const std::string dir = coordFileDir("crocco_coordmode");
+    const testing::TempDir dir("crocco_coordmode");
     auto run = [&](mesh::CoordStore::Mode mode) {
         auto cfg = dmr.solverConfig(CodeVersion::V20);
         cfg.coordMode = mode;
-        cfg.coordFileDir = dir;
+        cfg.coordFileDir = dir.path;
         cfg.regridFreq = 2;
         auto s = std::make_unique<CroccoAmr>(dmr.geometry(), cfg, dmr.mapping());
         s->init(dmr.initialCondition(), dmr.boundaryConditions());
@@ -144,7 +135,6 @@ TEST(CroccoAmr, CoordStoreFileModeMatchesMemoryMode) {
             EXPECT_EQ(amr::MultiFab::l2Diff(mem->state(lev), file->state(lev), n),
                       0.0);
     }
-    std::filesystem::remove_all(dir);
 }
 
 /// How the fabs of the remade levels were rebuilt, over all regrids.
@@ -154,6 +144,22 @@ struct RemakeCounts {
     int moved = 0;       ///< same box, new owner: geometry recomputed
     int interpolated = 0; ///< not fully covered by the old level
 };
+
+/// Classify the fabs of a remade level by how the regrid rebuilt them.
+void countRebuilds(const amr::BoxArray& oldBa, const amr::DistributionMapping& oldDm,
+                   const amr::BoxArray& ba, const amr::DistributionMapping& dm,
+                   RemakeCounts& counts) {
+    for (int f = 0; f < ba.size(); ++f) {
+        for (const auto& [g, overlap] : oldBa.intersections(ba[f])) {
+            if (oldBa[g] != ba[f]) continue;
+            if (oldDm[g] == dm[f])
+                ++counts.kept;
+            else
+                ++counts.moved;
+        }
+        if (!oldBa.contains(ba[f])) ++counts.interpolated;
+    }
+}
 
 /// Regrid rebuilds only what changed, and the result is bitwise what
 /// rebuilding everything gives: after each regrid(0, t), every remade
@@ -232,15 +238,8 @@ RemakeCounts checkRegridsAgainstFullRebuild(mesh::CoordStore::Mode mode,
                                                    solver.state(lev).fab(f),
                                                    ba[f], NCONS))
                     << "state, pass " << pass << " level " << lev << " fab " << f;
-                for (const auto& [g, overlap] : oldBa[l].intersections(ba[f])) {
-                    if (oldBa[l][g] != ba[f]) continue;
-                    if (oldDm[l][g] == dm[f])
-                        ++counts.kept;
-                    else
-                        ++counts.moved;
-                }
-                if (!oldBa[l].contains(ba[f])) ++counts.interpolated;
             }
+            countRebuilds(oldBa[l], oldDm[l], ba, dm, counts);
         }
     }
     return counts;
@@ -258,11 +257,10 @@ TEST(CroccoAmr, RegridRebuildsOnlyWhatChangedBitwise) {
 }
 
 TEST(CroccoAmr, RegridRebuildsOnlyWhatChangedBitwiseFromCoordFiles) {
-    const std::string dir = coordFileDir("crocco_regrid_files");
+    const testing::TempDir dir("crocco_regrid_files");
     const RemakeCounts c =
-        checkRegridsAgainstFullRebuild(mesh::CoordStore::Mode::File, dir);
+        checkRegridsAgainstFullRebuild(mesh::CoordStore::Mode::File, dir.path);
     EXPECT_GT(c.levels, 0);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(CroccoAmr, EstimateRegridFreqScalesWithPatchSize) {
@@ -366,6 +364,128 @@ TEST(CroccoAmr, LogSummaryDigestsEachStep) {
     EXPECT_EQ(line.find("msgs=" + std::to_string(total.messages) + " "),
               std::string::npos)
         << "step digest matched the cumulative count; line: " << line;
+}
+
+/// 64-bit FNV-1a over the bytes of each value: a pinned digest moves when
+/// any bit of any hashed value does.
+class Fnv1a {
+public:
+    void add(Real v) {
+        unsigned char bytes[sizeof v];
+        std::memcpy(bytes, &v, sizeof v);
+        for (unsigned char b : bytes) {
+            h_ ^= b;
+            h_ *= 1099511628211ull;
+        }
+    }
+    std::uint64_t value() const { return h_; }
+
+private:
+    std::uint64_t h_ = 14695981039346656037ull;
+};
+
+/// Every valid cell of U on every level, then the solution time.
+std::uint64_t stateDigest(const CroccoAmr& s) {
+    Fnv1a h;
+    for (int lev = 0; lev <= s.finestLevel(); ++lev) {
+        const auto& U = s.state(lev);
+        for (int f = 0; f < U.numFabs(); ++f) {
+            auto u = U.const_array(f);
+            amr::forEachCell(U.validBox(f), [&](int i, int j, int k) {
+                for (int n = 0; n < NCONS; ++n) h.add(u(i, j, k, n));
+            });
+        }
+    }
+    h.add(s.time());
+    return h.value();
+}
+
+/// The coordinates and the nine first metrics ∂ξ_d/∂x_j over the grown box
+/// of every fab on every level.
+std::uint64_t geometryDigest(const CroccoAmr& s) {
+    Fnv1a h;
+    for (int lev = 0; lev <= s.finestLevel(); ++lev) {
+        const auto& X = s.coords(lev);
+        const auto& M = s.metrics(lev);
+        for (int f = 0; f < X.numFabs(); ++f) {
+            auto x = X.const_array(f);
+            amr::forEachCell(X.grownBox(f), [&](int i, int j, int k) {
+                for (int n = 0; n < 3; ++n) h.add(x(i, j, k, n));
+            });
+            auto m = M.const_array(f);
+            amr::forEachCell(M.grownBox(f), [&](int i, int j, int k) {
+                for (int d = 0; d < 3; ++d)
+                    for (int c = 0; c < 3; ++c) h.add(m(i, j, k, mesh::metric1(d, c)));
+            });
+        }
+    }
+    return h.value();
+}
+
+TEST(CroccoAmr, StateAndGeometryDigestsArePinned) {
+    // The solver's trajectory, pinned bit for bit: a change that claims to
+    // leave every stored value alone must leave both digests alone, at any
+    // thread count (croccoamr_test_mt runs this at four).
+    {
+        // The dmr_regrid shape: three levels of 8-cell boxes on eight
+        // ranks, regridded every step, so kept, moved and interpolated
+        // fabs all occur.
+        Dmr::Options o;
+        o.nx = 32;
+        o.ny = 8;
+        o.nz = 8;
+        o.maxLevel = 2;
+        Dmr dmr(o);
+        auto cfg = dmr.solverConfig(CodeVersion::V20);
+        cfg.amrInfo.maxGridSize = 8;
+        cfg.regridFreq = 1;
+        cfg.nranks = 8;
+        parallel::SimComm comm(8);
+        CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping(), &comm);
+        solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+        RemakeCounts counts;
+        for (int s = 0; s < 5; ++s) {
+            std::vector<amr::BoxArray> oldBa;
+            std::vector<amr::DistributionMapping> oldDm;
+            for (int lev = 0; lev <= solver.finestLevel(); ++lev) {
+                oldBa.push_back(solver.boxArray(lev));
+                oldDm.push_back(solver.dmap(lev));
+            }
+            solver.step();
+            for (int lev = 1; lev < static_cast<int>(oldBa.size()) &&
+                              lev <= solver.finestLevel();
+                 ++lev) {
+                const auto l = static_cast<std::size_t>(lev);
+                if (solver.boxArray(lev) == oldBa[l] && solver.dmap(lev) == oldDm[l])
+                    continue;
+                countRebuilds(oldBa[l], oldDm[l], solver.boxArray(lev),
+                              solver.dmap(lev), counts);
+            }
+        }
+        EXPECT_GT(counts.kept, 0);
+        EXPECT_GT(counts.moved, 0);
+        EXPECT_GT(counts.interpolated, 0);
+        ASSERT_EQ(solver.finestLevel(), 2);
+        EXPECT_EQ(stateDigest(solver), 0xc442686b1f2d23bcull);
+        EXPECT_EQ(geometryDigest(solver), 0x5417edf9d4f39509ull);
+    }
+    {
+        // Two-level Smagorinsky LES: viscousFlux reads the metrics too.
+        Dmr::Options o;
+        o.nx = 32;
+        o.ny = 8;
+        o.nz = 8;
+        o.maxLevel = 1;
+        Dmr dmr(o);
+        auto cfg = dmr.solverConfig(CodeVersion::V20);
+        cfg.sgs.cs = 0.1;
+        CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
+        solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+        solver.evolve(5);
+        ASSERT_EQ(solver.finestLevel(), 1);
+        EXPECT_EQ(stateDigest(solver), 0x049a8867a1745077ull);
+        EXPECT_EQ(geometryDigest(solver), 0xa10723262d4550f5ull);
+    }
 }
 
 } // namespace

@@ -4,11 +4,11 @@
 #include "problems/Canonical.hpp"
 #include "problems/Dmr.hpp"
 
+#include "TempDir.hpp"
+
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
-#include <filesystem>
 
 namespace crocco::core {
 namespace {
@@ -76,7 +76,8 @@ TEST(Checkpoint, RoundTripRestoresStateExactly) {
     CroccoAmr a(dmr.geometry(), cfg, dmr.mapping());
     a.init(dmr.initialCondition(), dmr.boundaryConditions());
     a.evolve(3);
-    const std::string dir = "/tmp/crocco_ckpt_test";
+    const testing::TempDir tmp("crocco_ckpt_test");
+    const std::string dir = tmp.path + "/chk";
     a.writeCheckpoint(dir);
 
     CroccoAmr b(dmr.geometry(), cfg, dmr.mapping());
@@ -89,7 +90,6 @@ TEST(Checkpoint, RoundTripRestoresStateExactly) {
         for (int n = 0; n < NCONS; ++n)
             EXPECT_EQ(amr::MultiFab::l2Diff(a.state(lev), b.state(lev), n), 0.0);
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, RestartContinuesIdentically) {
@@ -111,7 +111,8 @@ TEST(Checkpoint, RestartContinuesIdentically) {
     CroccoAmr first(dmr.geometry(), cfg, dmr.mapping());
     first.init(dmr.initialCondition(), dmr.boundaryConditions());
     first.evolve(2);
-    const std::string dir = "/tmp/crocco_ckpt_restart";
+    const testing::TempDir tmp("crocco_ckpt_restart");
+    const std::string dir = tmp.path + "/chk";
     first.writeCheckpoint(dir);
     CroccoAmr second(dmr.geometry(), cfg, dmr.mapping());
     second.readCheckpoint(dir, dmr.initialCondition(), dmr.boundaryConditions());
@@ -126,24 +127,22 @@ TEST(Checkpoint, RestartContinuesIdentically) {
                 << "lev " << lev << " comp " << n;
         }
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, RejectsCorruptHeader) {
-    std::filesystem::create_directories("/tmp/crocco_ckpt_bad");
-    std::ofstream("/tmp/crocco_ckpt_bad/header.txt") << "not-a-checkpoint 9\n";
+    const testing::TempDir bad("crocco_ckpt_bad");
+    std::ofstream(bad.path + "/header.txt") << "not-a-checkpoint 9\n";
     problems::Dmr dmr(problems::Dmr::Options{});
     CroccoAmr solver(dmr.geometry(), dmr.solverConfig(CodeVersion::V20),
                      dmr.mapping());
-    EXPECT_THROW(solver.readCheckpoint("/tmp/crocco_ckpt_bad",
+    EXPECT_THROW(solver.readCheckpoint(bad.path,
                                        dmr.initialCondition(),
                                        dmr.boundaryConditions()),
                  std::runtime_error);
-    EXPECT_THROW(solver.readCheckpoint("/tmp/does_not_exist",
+    EXPECT_THROW(solver.readCheckpoint(bad.path + "/does_not_exist",
                                        dmr.initialCondition(),
                                        dmr.boundaryConditions()),
                  std::runtime_error);
-    std::filesystem::remove_all("/tmp/crocco_ckpt_bad");
 }
 
 } // namespace

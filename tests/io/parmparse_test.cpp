@@ -1,8 +1,9 @@
 #include "io/ParmParse.hpp"
 
+#include "TempDir.hpp"
+
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -69,13 +70,13 @@ TEST(ParmParse, TracksUnusedKeys) {
 }
 
 TEST(ParmParse, FileRoundTrip) {
-    const char* path = "/tmp/crocco_deck_test.inputs";
+    const testing::TempDir dir("crocco_deck_test");
+    const std::string path = dir.path + "/deck.inputs";
     std::ofstream(path) << "amr.blocking_factor = 8\n";
     ParmParse pp;
     pp.parseFile(path);
     EXPECT_EQ(pp.getInt("amr.blocking_factor"), 8);
-    EXPECT_THROW(ParmParse().parseFile("/tmp/nope.inputs"), std::runtime_error);
-    std::remove(path);
+    EXPECT_THROW(ParmParse().parseFile(dir.path + "/nope.inputs"), std::runtime_error);
 }
 
 TEST(ParmParse, MakeConfigAppliesPaperDeckKeys) {

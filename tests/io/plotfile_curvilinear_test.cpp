@@ -2,9 +2,10 @@
 
 #include "problems/Dmr.hpp"
 
+#include "TempDir.hpp"
+
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -25,9 +26,10 @@ TEST(PlotfileCurvilinear, VtkVerticesFollowTheWavyGrid) {
     core::CroccoAmr solver(dmr.geometry(), dmr.solverConfig(core::CodeVersion::V11),
                            dmr.mapping());
     solver.init(dmr.initialCondition(), dmr.boundaryConditions());
-    writeVtk(solver, "/tmp/pfc");
+    const testing::TempDir dir("crocco_plotfile_curvilinear");
+    writeVtk(solver, dir.path + "/pfc");
 
-    std::ifstream is("/tmp/pfc_lev0.vtk");
+    std::ifstream is(dir.path + "/pfc_lev0.vtk");
     ASSERT_TRUE(is.good());
     std::string line;
     while (std::getline(is, line) && line.rfind("POINTS", 0) != 0) {
@@ -51,7 +53,6 @@ TEST(PlotfileCurvilinear, VtkVerticesFollowTheWavyGrid) {
     EXPECT_LT(xmin, 0.15);
     EXPECT_GT(xmax, 3.8);
     EXPECT_TRUE(sawCurved);
-    std::filesystem::remove("/tmp/pfc_lev0.vtk");
 }
 
 TEST(PlotfileCurvilinear, CsvCoordinatesArePhysical) {
@@ -64,9 +65,10 @@ TEST(PlotfileCurvilinear, CsvCoordinatesArePhysical) {
     core::CroccoAmr solver(dmr.geometry(), dmr.solverConfig(core::CodeVersion::V11),
                            dmr.mapping());
     solver.init(dmr.initialCondition(), dmr.boundaryConditions());
-    writeCsv(solver, "/tmp/pfc.csv");
+    const testing::TempDir dir("crocco_plotfile_curvilinear");
+    writeCsv(solver, dir.path + "/pfc.csv");
 
-    std::ifstream is("/tmp/pfc.csv");
+    std::ifstream is(dir.path + "/pfc.csv");
     std::string header;
     std::getline(is, header);
     double xmax = 0, rhoMin = 1e30, rhoMax = -1e30;
@@ -85,7 +87,6 @@ TEST(PlotfileCurvilinear, CsvCoordinatesArePhysical) {
     EXPECT_GT(xmax, 3.5); // physical domain is 4 long, not 32
     EXPECT_NEAR(rhoMin, 1.4, 1e-9);  // pre-shock
     EXPECT_NEAR(rhoMax, 8.0, 1e-9);  // post-shock (initial condition)
-    std::filesystem::remove("/tmp/pfc.csv");
 }
 
 } // namespace

@@ -2,9 +2,10 @@
 
 #include "problems/Canonical.hpp"
 
+#include "TempDir.hpp"
+
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -13,6 +14,7 @@ namespace {
 
 struct PlotFixture : ::testing::Test {
     std::unique_ptr<core::CroccoAmr> solver;
+    const testing::TempDir dir{"crocco_plotfile"};
 
     void SetUp() override {
         problems::SodTube sod(32);
@@ -22,17 +24,12 @@ struct PlotFixture : ::testing::Test {
         solver->init(sod.initialCondition(), sod.boundaryConditions());
         solver->evolve(2);
     }
-    void TearDown() override {
-        for (const auto& f : {"/tmp/pf_lev0.vtk", "/tmp/pf_lev1.vtk",
-                              "/tmp/pf.csv"})
-            std::filesystem::remove(f);
-    }
 };
 
 TEST_F(PlotFixture, VtkFilesAreWellFormedPerLevel) {
-    writeVtk(*solver, "/tmp/pf");
+    writeVtk(*solver, dir.path + "/pf");
     for (int lev = 0; lev <= solver->finestLevel(); ++lev) {
-        const std::string path = "/tmp/pf_lev" + std::to_string(lev) + ".vtk";
+        const std::string path = dir.path + "/pf_lev" + std::to_string(lev) + ".vtk";
         std::ifstream is(path);
         ASSERT_TRUE(is.good()) << path;
         std::string line;
@@ -53,8 +50,9 @@ TEST_F(PlotFixture, VtkFilesAreWellFormedPerLevel) {
 }
 
 TEST_F(PlotFixture, CsvCoversDomainOnceAtFinestData) {
-    writeCsv(*solver, "/tmp/pf.csv");
-    std::ifstream is("/tmp/pf.csv");
+    const std::string csv = dir.path + "/pf.csv";
+    writeCsv(*solver, csv);
+    std::ifstream is(csv);
     std::string header;
     std::getline(is, header);
     EXPECT_EQ(header, "x,y,z,level,rho,u,v,w,p");
@@ -70,7 +68,7 @@ TEST_F(PlotFixture, CsvCoversDomainOnceAtFinestData) {
     }
     EXPECT_EQ(rows, expected);
     // Spot-check physical plausibility of a data row.
-    std::ifstream is2("/tmp/pf.csv");
+    std::ifstream is2(csv);
     std::getline(is2, header);
     double x, y, z, rho, u, v, w, p;
     int lev;

@@ -1,10 +1,9 @@
 #include "mesh/CoordStore.hpp"
 
+#include "TempDir.hpp"
+
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 
@@ -51,9 +50,10 @@ TEST(CoordStore, MemoryAndFileModesAgree) {
     auto mapping = std::make_shared<InteriorWavyMapping>(
         std::array<Real, 3>{0, 0, 0}, std::array<Real, 3>{4, 1, 1}, 0.04);
     const Geometry g = makeGeom(8, true);
+    const testing::TempDir dir("crocco_coordstore_modes");
     CoordStore mem(mapping, g, IntVect(2), 1, 3, CoordStore::Mode::Memory);
     CoordStore file(mapping, g, IntVect(2), 1, 3, CoordStore::Mode::File,
-                    "/tmp");
+                    dir.path);
     for (int lev = 0; lev <= 1; ++lev) {
         const Box target = g.domain().refine(lev == 0 ? 1 : 2).grow(2);
         amr::FArrayBox a(target, 3), b(target, 3);
@@ -63,17 +63,14 @@ TEST(CoordStore, MemoryAndFileModesAgree) {
             EXPECT_EQ(amr::FArrayBox::l2Diff(a, b, target, m), 0.0)
                 << "lev " << lev << " comp " << m;
     }
-    std::remove("/tmp/coords_lev0.bin");
-    std::remove("/tmp/coords_lev1.bin");
 }
 
 TEST(CoordStore, FileModeFailsLoudlyOnBadLevelFiles) {
     // A truncated or missing coords_lev<n>.bin must throw, naming the file
     // and the level, instead of leaving a patch's coordinates unfilled.
     namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() /
-                         ("crocco_coordstore_" + std::to_string(::getpid()));
-    fs::create_directories(dir);
+    const testing::TempDir tmp("crocco_coordstore");
+    const fs::path dir = tmp.path;
     auto mapping = std::make_shared<UniformMapping>(
         std::array<Real, 3>{0, 0, 0}, std::array<Real, 3>{1, 1, 1});
     const Geometry g = makeGeom(8, false);
@@ -100,7 +97,6 @@ TEST(CoordStore, FileModeFailsLoudlyOnBadLevelFiles) {
     EXPECT_THROW(CoordStore(mapping, g, IntVect(2), 1, 2,
                             CoordStore::Mode::File, (dir / "absent").string()),
                  std::runtime_error);
-    fs::remove_all(dir);
 }
 
 TEST(CoordStore, FillsMultiFabValidAndGhost) {
@@ -124,14 +120,13 @@ TEST(CoordStore, BytesStoredReflectsModeAndFootprint) {
     auto mapping = std::make_shared<UniformMapping>(
         std::array<Real, 3>{0, 0, 0}, std::array<Real, 3>{1, 1, 1});
     const Geometry g = makeGeom(8, false);
+    const testing::TempDir dir("crocco_coordstore_bytes");
     CoordStore mem(mapping, g, IntVect(2), 1, 2, CoordStore::Mode::Memory);
-    CoordStore file(mapping, g, IntVect(2), 1, 2, CoordStore::Mode::File, "/tmp");
+    CoordStore file(mapping, g, IntVect(2), 1, 2, CoordStore::Mode::File, dir.path);
     // Memory mode stores both levels' grown grids: 12^3 + 20^3 cells x 3.
     EXPECT_EQ(mem.bytesStored(),
               static_cast<std::int64_t>((12 * 12 * 12 + 20 * 20 * 20) * 3 * 8));
     EXPECT_EQ(file.bytesStored(), 0);
-    std::remove("/tmp/coords_lev0.bin");
-    std::remove("/tmp/coords_lev1.bin");
 }
 
 } // namespace

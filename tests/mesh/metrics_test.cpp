@@ -22,8 +22,9 @@ using amr::IntVect;
 using amr::MultiFab;
 
 /// The two-pass metric kernel as it was before the per-call constants were
-/// hoisted and the shared central differences evaluated once per cell,
-/// kept verbatim as the bit-for-bit reference for mesh::computeMetricsFab.
+/// hoisted, the shared central differences evaluated once per cell and the
+/// second metrics dropped: pass 1 verbatim, pass 2 without its
+/// second-metric loop. The bit-for-bit reference for mesh::computeMetricsFab.
 namespace reference {
 
 /// 4th-order central first derivative along dimension d of component m.
@@ -35,15 +36,6 @@ inline Real d1(const Array4<const Real>& f, int i, int j, int k, int m, int d,
             8.0 * f(i - e[0], j - e[1], k - e[2], m) +
             f(i - 2 * e[0], j - 2 * e[1], k - 2 * e[2], m)) *
            (invdx / 12.0);
-}
-
-/// 2nd-order central first derivative (used for the second metrics).
-inline Real d1c2(const Array4<const Real>& f, int i, int j, int k, int m, int d,
-                 Real invdx) {
-    const IntVect e = IntVect::basis(d);
-    return (f(i + e[0], j + e[1], k + e[2], m) -
-            f(i - e[0], j - e[1], k - e[2], m)) *
-           (0.5 * invdx);
 }
 
 /// Invert a 3x3 matrix T (rows: physical dims, cols: computational dims);
@@ -85,20 +77,6 @@ void computeMetricsFab(const Array4<const Real>& coords, const Array4<Real>& met
     auto firstC = firstTmp.const_array();
     amr::forEachCell(region, [&](int i, int j, int k) {
         for (int n = 0; n < 9; ++n) metrics(i, j, k, n) = firstC(i, j, k, n);
-        // Second metrics by the chain rule:
-        //   ∂²ξ_d/∂x_j∂x_k = Σ_e (∂ξ_e/∂x_k) ∂(∂ξ_d/∂x_j)/∂ξ_e
-        for (int d = 0; d < 3; ++d) {
-            for (int jj = 0; jj < 3; ++jj) {
-                for (int kk = jj; kk < 3; ++kk) {
-                    Real s = 0.0;
-                    for (int e = 0; e < 3; ++e) {
-                        s += firstC(i, j, k, metric1(e, kk)) *
-                             d1c2(firstC, i, j, k, metric1(d, jj), e, 1.0 / dxi[e]);
-                    }
-                    metrics(i, j, k, metric2(d, jj, kk)) = s;
-                }
-            }
-        }
     });
 }
 
@@ -122,22 +100,17 @@ struct MetricsSetup {
 };
 
 TEST(GridMetrics, ComponentIndexing) {
-    // 9 first derivatives then 18 symmetric second derivatives = 27.
+    // The 9 first derivatives ∂ξ_d/∂x_j, row-major in d, fill the layout.
+    EXPECT_EQ(MetricComps, 9);
     EXPECT_EQ(metric1(0, 0), 0);
-    EXPECT_EQ(metric1(2, 2), 8);
-    EXPECT_EQ(metric2(0, 0, 0), 9);
-    EXPECT_EQ(metric2(0, 1, 2), metric2(0, 2, 1)); // symmetry
-    EXPECT_EQ(metric2(2, 2, 2), 9 + 12 + 2);
-    int maxComp = 0;
-    for (int d = 0; d < 3; ++d)
-        for (int j = 0; j < 3; ++j)
-            for (int k = 0; k < 3; ++k) maxComp = std::max(maxComp, metric2(d, j, k));
-    EXPECT_EQ(maxComp, MetricComps - 1);
+    EXPECT_EQ(metric1(0, 2), 2);
+    EXPECT_EQ(metric1(1, 0), 3);
+    EXPECT_EQ(metric1(2, 2), MetricComps - 1);
 }
 
 TEST(GridMetrics, UniformGridIsExact) {
     // x = 4 xi, y = eta, z = 2 zeta on an 8^3 grid: dxi_0/dx = 1/4 etc.,
-    // J = 8, all second metrics zero.
+    // J = 8.
     auto mapping = std::make_shared<UniformMapping>(
         std::array<Real, 3>{0, 0, 0}, std::array<Real, 3>{4, 1, 2});
     MetricsSetup s(mapping, 8);
@@ -149,8 +122,6 @@ TEST(GridMetrics, UniformGridIsExact) {
         EXPECT_NEAR(m(i, j, k, metric1(0, 1)), 0.0, 1e-12);
         EXPECT_NEAR(m(i, j, k, metric1(1, 2)), 0.0, 1e-12);
         EXPECT_NEAR(jacobian(m, i, j, k), 8.0, 1e-10);
-        for (int n = 9; n < MetricComps; ++n)
-            EXPECT_NEAR(m(i, j, k, n), 0.0, 1e-10);
     });
 }
 
@@ -210,31 +181,6 @@ TEST(GridMetrics, GclResidualSmallAndConverging) {
     }
     EXPECT_LT(res[1], res[0]); // refining the grid shrinks the GCL error
     EXPECT_LT(res[1], 0.5);    // and it is small in absolute terms
-}
-
-TEST(GridMetrics, SecondMetricsVanishOnAffineMapsOnly) {
-    auto affine = std::make_shared<UniformMapping>(std::array<Real, 3>{1, 2, 3},
-                                                   std::array<Real, 3>{5, 4, 9});
-    MetricsSetup sa(affine, 8);
-    auto ma = sa.metrics.const_array(0);
-    double worstAffine = 0.0;
-    amr::forEachCell(sa.geom.domain(), [&](int i, int j, int k) {
-        for (int n = 9; n < MetricComps; ++n)
-            worstAffine = std::max(worstAffine, std::abs(ma(i, j, k, n)));
-    });
-    EXPECT_LT(worstAffine, 1e-10);
-
-    auto curved = std::make_shared<WavyMapping>(std::array<Real, 3>{0, 0, 0},
-                                                std::array<Real, 3>{1, 1, 1},
-                                                0.05);
-    MetricsSetup sc(curved, 8);
-    auto mc = sc.metrics.const_array(0);
-    double worstCurved = 0.0;
-    amr::forEachCell(sc.geom.domain(), [&](int i, int j, int k) {
-        for (int n = 9; n < MetricComps; ++n)
-            worstCurved = std::max(worstCurved, std::abs(mc(i, j, k, n)));
-    });
-    EXPECT_GT(worstCurved, 1.0); // second derivatives are genuinely nonzero
 }
 
 /// One bit-for-bit case: a fab of `shape` on `level` of a two-level

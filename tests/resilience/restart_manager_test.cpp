@@ -5,6 +5,8 @@
 #include "core/CroccoAmr.hpp"
 #include "problems/Dmr.hpp"
 
+#include "TempDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,22 +19,15 @@ namespace {
 namespace fs = std::filesystem;
 using core::CroccoAmr;
 
-struct TmpRoot {
-    explicit TmpRoot(const std::string& name) : path("/tmp/" + name) {
-        fs::remove_all(path);
-    }
-    ~TmpRoot() { fs::remove_all(path); }
-    std::string path;
-};
-
 // --------------------------------------------------- manager housekeeping
 
 TEST(RestartManager, RejectsNonPositiveKeepLast) {
-    EXPECT_THROW(RestartManager("/tmp/crocco_rm_bad", 0), std::invalid_argument);
+    const testing::TempDir root("crocco_rm_bad");
+    EXPECT_THROW(RestartManager(root.path, 0), std::invalid_argument);
 }
 
 TEST(RestartManager, DirNamingAndStepParsing) {
-    TmpRoot root("crocco_rm_names");
+    const testing::TempDir root("crocco_rm_names");
     RestartManager rm(root.path);
     EXPECT_EQ(rm.dirFor(42), root.path + "/chk000042");
     EXPECT_EQ(RestartManager::stepOf(rm.dirFor(42)), 42);
@@ -40,7 +35,7 @@ TEST(RestartManager, DirNamingAndStepParsing) {
 }
 
 TEST(RestartManager, WritePrunesToKeepLastNewestFirst) {
-    TmpRoot root("crocco_rm_prune");
+    const testing::TempDir root("crocco_rm_prune");
     RestartManager rm(root.path, 2);
     auto dummyWriter = [](const std::string& dir) {
         fs::create_directories(dir);
@@ -78,7 +73,7 @@ void expectBitwiseEqual(const CroccoAmr& a, const CroccoAmr& b) {
 }
 
 TEST(RestartManager, AtomicWriteLeavesNoStagingDirBehind) {
-    TmpRoot root("crocco_rm_atomic");
+    const testing::TempDir root("crocco_rm_atomic");
     auto dmr = testDmr(0);
     CroccoAmr solver(dmr.geometry(), dmr.solverConfig(core::CodeVersion::V20),
                      dmr.mapping());
@@ -92,7 +87,7 @@ TEST(RestartManager, AtomicWriteLeavesNoStagingDirBehind) {
 }
 
 TEST(RestartManager, VerifyNamesFlippedByteAndTruncation) {
-    TmpRoot root("crocco_rm_verify");
+    const testing::TempDir root("crocco_rm_verify");
     auto dmr = testDmr(0);
     CroccoAmr solver(dmr.geometry(), dmr.solverConfig(core::CodeVersion::V20),
                      dmr.mapping());
@@ -124,7 +119,7 @@ TEST(RestartManager, VerifyNamesFlippedByteAndTruncation) {
 TEST(Checkpoint, TruncatedLevelFileThrowsNamingLevelAndFile) {
     // Satellite regression: a short read / EOF mid-record must raise
     // CheckpointCorruption naming the truncated file, not garbage state.
-    TmpRoot root("crocco_ckpt_trunc");
+    const testing::TempDir root("crocco_ckpt_trunc");
     auto dmr = testDmr(1);
     const auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     CroccoAmr a(dmr.geometry(), cfg, dmr.mapping());
@@ -152,7 +147,7 @@ TEST(Checkpoint, TruncatedLevelFileThrowsNamingLevelAndFile) {
 TEST(Checkpoint, ReadsLegacyV1Format) {
     // Strip the v2 CRC/length columns out of a fresh checkpoint's header and
     // mark it version 1: readCheckpoint must still restore it bit-exactly.
-    TmpRoot root("crocco_ckpt_v1");
+    const testing::TempDir root("crocco_ckpt_v1");
     auto dmr = testDmr(1);
     const auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     CroccoAmr a(dmr.geometry(), cfg, dmr.mapping());
@@ -199,7 +194,7 @@ TEST(RestartManager, FallsBackToPreviousGoodCheckpointOnByteFlip) {
     // Acceptance: flip one byte in the newest checkpoint's level data. The
     // manager must detect the CRC mismatch, skip it, and restore the previous
     // good checkpoint bitwise-equal to the state at its write time.
-    TmpRoot root("crocco_rm_fallback");
+    const testing::TempDir root("crocco_rm_fallback");
     auto dmr = testDmr(1);
     const auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
@@ -238,7 +233,7 @@ TEST(RestartManager, FallsBackToPreviousGoodCheckpointOnByteFlip) {
 }
 
 TEST(RestartManager, RestoreLatestThrowsListingAllCorruptCheckpoints) {
-    TmpRoot root("crocco_rm_allbad");
+    const testing::TempDir root("crocco_rm_allbad");
     RestartManager rm(root.path, 2);
     auto badWriter = [](const std::string& dir) {
         fs::create_directories(dir);
@@ -269,7 +264,7 @@ TEST(Checkpoint, RoundTripAcrossRegridBoundaryMatchesUninterruptedRun) {
     full.evolve(5);
     const auto fullTotals = full.conservedTotals();
 
-    TmpRoot root("crocco_ckpt_regrid");
+    const testing::TempDir root("crocco_ckpt_regrid");
     CroccoAmr first(dmr.geometry(), cfg, dmr.mapping());
     first.init(dmr.initialCondition(), dmr.boundaryConditions());
     first.evolve(3);
@@ -287,11 +282,45 @@ TEST(Checkpoint, RoundTripAcrossRegridBoundaryMatchesUninterruptedRun) {
                   fullTotals[static_cast<std::size_t>(n)]);
 }
 
+TEST(Checkpoint, ReadDropsLevelsAboveTheCheckpointsFinest) {
+    // A checkpoint of a two-level run read into a running three-level
+    // solver: level 2 must not outlive the read with its old boxes and data.
+    const testing::TempDir root("crocco_ckpt_shallow");
+    auto dmr1 = testDmr(1);
+    CroccoAmr writer(dmr1.geometry(), dmr1.solverConfig(core::CodeVersion::V20),
+                     dmr1.mapping());
+    writer.init(dmr1.initialCondition(), dmr1.boundaryConditions());
+    writer.evolve(2);
+    ASSERT_EQ(writer.finestLevel(), 1);
+    const std::string dir = root.path + "/chk";
+    writer.writeCheckpoint(dir);
+
+    auto dmr2 = testDmr(2);
+    auto cfg = dmr2.solverConfig(core::CodeVersion::V20);
+    cfg.regridFreq = 1; // the next step rebuilds level 2 from the restore
+    CroccoAmr running(dmr2.geometry(), cfg, dmr2.mapping());
+    running.init(dmr2.initialCondition(), dmr2.boundaryConditions());
+    ASSERT_EQ(running.finestLevel(), 2);
+    running.readCheckpoint(dir, dmr2.initialCondition(), dmr2.boundaryConditions());
+    EXPECT_EQ(running.finestLevel(), 1);
+    EXPECT_TRUE(running.boxArray(2).empty());
+    EXPECT_EQ(running.state(2).numFabs(), 0);
+    EXPECT_EQ(running.coords(2).numFabs(), 0);
+    EXPECT_EQ(running.metrics(2).numFabs(), 0);
+
+    CroccoAmr fresh(dmr2.geometry(), cfg, dmr2.mapping());
+    fresh.readCheckpoint(dir, dmr2.initialCondition(), dmr2.boundaryConditions());
+    running.step();
+    fresh.step();
+    EXPECT_EQ(running.finestLevel(), 2);
+    expectBitwiseEqual(running, fresh);
+}
+
 TEST(Evolve, AutoRecoversFromDivergenceViaCheckpoint) {
     // With no retry budget, a one-shot corruption turns straight into
     // SolverDivergence; evolve() must restore the newest checkpoint and
     // replay (the transient fault is spent, so the replay runs clean).
-    TmpRoot root("crocco_rm_recover");
+    const testing::TempDir root("crocco_rm_recover");
     auto dmr = testDmr(0);
     auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     cfg.guard.maxRetries = 0;
@@ -320,7 +349,7 @@ TEST(Evolve, AutoRecoversFromDivergenceViaCheckpoint) {
 }
 
 TEST(Evolve, RethrowsWhenRecoveryBudgetExhausted) {
-    TmpRoot root("crocco_rm_budget");
+    const testing::TempDir root("crocco_rm_budget");
     auto dmr = testDmr(0);
     auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     cfg.guard.maxRetries = 0;

@@ -16,6 +16,8 @@
 #include "resilience/RecoveryLadder.hpp"
 #include "resilience/RestartManager.hpp"
 
+#include "TempDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -34,14 +36,6 @@ std::uint64_t campaignSeed() {
         return std::strtoull(env, nullptr, 10);
     return 2026;
 }
-
-struct TmpRoot {
-    std::string path;
-    explicit TmpRoot(const std::string& name) : path("/tmp/" + name) {
-        std::filesystem::remove_all(path);
-    }
-    ~TmpRoot() { std::filesystem::remove_all(path); }
-};
 
 problems::Dmr smallDmr() {
     problems::Dmr::Options o;
@@ -209,7 +203,7 @@ TEST(SdcSoak, CorruptRetainedCopyEscalatesToBuddyMirror) {
 // BuddyCheckpoint::verifyMirror: the corrupt copy must never overwrite
 // live state.
 TEST(SdcSoak, CorruptBuddyMirrorFallsThroughToDiskRestart) {
-    TmpRoot root("crocco_sdc_corrupt_mirror");
+    const testing::TempDir root("crocco_sdc_corrupt_mirror");
     const int nsteps = 10;
     parallel::SimComm cleanComm(4);
     auto reference = makeSolver(soakConfig(4, false), &cleanComm);
@@ -257,7 +251,7 @@ TEST(SdcSoak, CorruptBuddyMirrorFallsThroughToDiskRestart) {
 // corrupt and "repairs" it from the retained pre-read copy, silently
 // undoing the restore.
 TEST(SdcSoak, ReadCheckpointBecomesTheGuardBaseline) {
-    TmpRoot root("crocco_sdc_restamp_on_read");
+    const testing::TempDir root("crocco_sdc_restamp_on_read");
     const std::string dir = root.path + "/step2";
     auto cfg = soakConfig(1, true);
     cfg.regridFreq = std::numeric_limits<int>::max(); // frozen after init
