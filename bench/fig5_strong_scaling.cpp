@@ -22,7 +22,7 @@ int main() {
         for (int v = 0; v < 3; ++v) {
             const auto c = strongCases(versions[v])[idx];
             nodes = c.nodes;
-            t[v] = sim.iterationTime(c).totalSerial();
+            t[v] = sim.iterationTime(c).total();
         }
         std::printf("%8d %16.4f %16.4f %16.4f %10.2f %10.2f %10.2f\n", nodes,
                     t[0], t[1], t[2], t[0] / t[1], t[1] / t[2], t[0] / t[2]);

@@ -25,7 +25,7 @@ int main() {
         for (int v = 0; v < 4; ++v) {
             auto c = rows[idx];
             c.version = versions[v];
-            t[v] = sim.iterationTime(c).totalSerial();
+            t[v] = sim.iterationTime(c).total();
             if (idx == 0) base[v] = t[v];
         }
         std::printf("%8d %12.2e | %9.4f %9.4f %9.4f %9.4f | %6.0f%% %6.0f%% %6.0f%% %6.0f%%\n",

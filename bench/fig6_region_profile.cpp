@@ -20,9 +20,9 @@ void profileTable(machine::ScalingSimulator& sim, CodeVersion v) {
         const auto rt = sim.iterationTime(c);
         std::printf(
             "%8d | %10.4f %10.4f %10.4f %10.4f %10.4f %10.4f %10.4f | %10.4f\n",
-            c.nodes, rt.advance() + rt.update, rt.fillBoundary, rt.parallelCopy,
+            c.nodes, rt.advance + rt.update, rt.fillBoundary, rt.parallelCopy,
             rt.parallelCopyInterp, rt.interpCompute,
-            rt.computeDt, rt.regrid + rt.averageDown, rt.totalSerial());
+            rt.computeDt, rt.regrid + rt.averageDown, rt.total());
     }
 }
 

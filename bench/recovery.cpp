@@ -9,14 +9,13 @@
 //                  ceiling past ~200 nodes); restore = job relaunch
 //                  penalty + filesystem re-read,
 //   buddy  delta = one node's state mirrored to its ring partner over the
-//                  interconnect; restore = waitall detection latency + the
+//                  interconnect; restore = failure-detection latency + the
 //                  partner streaming the replica back.
 //
 // Both follow Daly's optimal interval for their own delta, so the sweep is
 // a fair fight: each scheme checkpoints as rarely as its cost allows. The
 // retransmit column models the CRC/NACK verified-exchange tax: with a
-// fault probability p per message, the comm regions (wait + posting) are
-// re-paid at rate p.
+// fault probability p per message, the comm regions are re-paid at rate p.
 //
 // JSON on stdout (composed into BENCH_PR6.json by run_bench_pr6.sh); the
 // readable table goes to stderr.

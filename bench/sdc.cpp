@@ -265,7 +265,7 @@ int main() {
     std::int64_t boxes = 0;
     for (const auto& lev : hm.levels) boxes += lev.ba.size();
     const machine::SdcComparison sc10 = sim.sdcComparison(big, 10);
-    const double stepTime = it.totalOverlapped();
+    const double stepTime = it.total();
     const double detectLatency = 0.5 * 10 * stepTime + sc10.scanTime;
     const double fabBytes =
         static_cast<double>(sc10.residentBytes) / static_cast<double>(boxes);

@@ -30,18 +30,18 @@ int main() {
         const auto rv = summit.iterationTime(c);
         const auto re = exa.iterationTime(c);
         if (c.nodes == 4) {
-            baseV = rv.totalSerial();
-            baseE = re.totalSerial();
+            baseV = rv.total();
+            baseE = re.total();
         }
         std::printf("%8d | %12.4f %12.4f | %13.0f%% %13.0f%%\n", c.nodes,
-                    rv.totalSerial(), re.totalSerial(), 100 * rv.fillPatch() / rv.totalSerial(),
-                    100 * re.fillPatch() / re.totalSerial());
+                    rv.total(), re.total(), 100 * rv.fillPatch() / rv.total(),
+                    100 * re.fillPatch() / re.total());
     }
     const auto rv = summit.iterationTime(
         {CodeVersion::V20, 1024, 41900000000ll});
     const auto re = exa.iterationTime({CodeVersion::V20, 1024, 41900000000ll});
     std::printf("\nweak efficiency at 1024 nodes: V100 %.0f%%, exascale %.0f%%\n",
-                100 * baseV / rv.totalSerial(), 100 * baseE / re.totalSerial());
+                100 * baseV / rv.total(), 100 * baseE / re.total());
     std::printf("\nFaster kernels shrink Advance but not FillPatch: the\n");
     std::printf("communication share grows further, confirming the paper's\n");
     std::printf("insight #2 — GPU AMR codes at exascale need the interpolator\n");

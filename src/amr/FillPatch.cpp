@@ -26,30 +26,19 @@ void FillPatchSingleLevel(MultiFab& dst, const MultiFab& src, const Geometry& ge
     if (bc) bc(dst, geom, time);
 }
 
-void FillPatchSingleLevelBegin(MultiFab& dst, const MultiFab& src,
-                               const Geometry& geom) {
-    assert(dst.boxArray() == src.boxArray());
-    MultiFab::copy(dst, src, 0, 0, dst.nComp(), 0);
-    dst.fillBoundaryBegin(geom);
-}
+void FillPatchTwoLevels(MultiFab& dst, const MultiFab& fineSrc,
+                        const MultiFab& crseSrc, const Geometry& fineGeom,
+                        const Geometry& crseGeom, const IntVect& ratio,
+                        const Interpolater& interp, const PhysBCFunct& fineBC,
+                        const PhysBCFunct& crseBC, Real time,
+                        const MultiFab* fineCoords, const MultiFab* crseCoords) {
+    assert(dst.boxArray() == fineSrc.boxArray());
 
-void FillPatchSingleLevelEnd(MultiFab& dst, const Geometry& geom,
-                             const PhysBCFunct& bc, Real time) {
-    dst.fillBoundaryEnd();
-    if (bc) bc(dst, geom, time);
-}
+    // 1-2. Fine data everywhere it exists: valid cells, then ghost cells
+    // covered by sibling fine patches (incl. periodic images).
+    MultiFab::copy(dst, fineSrc, 0, 0, dst.nComp(), 0);
+    dst.fillBoundary(fineGeom);
 
-namespace {
-
-// Steps 3-5 of FillPatchTwoLevels — everything after the same-level ghost
-// exchange. Shared by the blocking call and FillPatchTwoLevelsEnd so the
-// two paths cannot drift.
-void finishTwoLevels(MultiFab& dst, const MultiFab& crseSrc,
-                     const Geometry& fineGeom, const Geometry& crseGeom,
-                     const IntVect& ratio, const Interpolater& interp,
-                     const PhysBCFunct& fineBC, const PhysBCFunct& crseBC,
-                     Real time, const MultiFab* fineCoords,
-                     const MultiFab* crseCoords) {
     const int ng = dst.nGrow();
     const int ncomp = dst.nComp();
 
@@ -99,43 +88,6 @@ void finishTwoLevels(MultiFab& dst, const MultiFab& crseSrc,
 
     // 5. Physical boundary conditions.
     if (fineBC) fineBC(dst, fineGeom, time);
-}
-
-} // namespace
-
-void FillPatchTwoLevels(MultiFab& dst, const MultiFab& fineSrc,
-                        const MultiFab& crseSrc, const Geometry& fineGeom,
-                        const Geometry& crseGeom, const IntVect& ratio,
-                        const Interpolater& interp, const PhysBCFunct& fineBC,
-                        const PhysBCFunct& crseBC, Real time,
-                        const MultiFab* fineCoords, const MultiFab* crseCoords) {
-    assert(dst.boxArray() == fineSrc.boxArray());
-
-    // 1-2. Fine data everywhere it exists: valid cells, then ghost cells
-    // covered by sibling fine patches (incl. periodic images).
-    MultiFab::copy(dst, fineSrc, 0, 0, dst.nComp(), 0);
-    dst.fillBoundary(fineGeom);
-
-    finishTwoLevels(dst, crseSrc, fineGeom, crseGeom, ratio, interp, fineBC,
-                    crseBC, time, fineCoords, crseCoords);
-}
-
-void FillPatchTwoLevelsBegin(MultiFab& dst, const MultiFab& fineSrc,
-                             const Geometry& fineGeom) {
-    assert(dst.boxArray() == fineSrc.boxArray());
-    MultiFab::copy(dst, fineSrc, 0, 0, dst.nComp(), 0);
-    dst.fillBoundaryBegin(fineGeom);
-}
-
-void FillPatchTwoLevelsEnd(MultiFab& dst, const MultiFab& crseSrc,
-                           const Geometry& fineGeom, const Geometry& crseGeom,
-                           const IntVect& ratio, const Interpolater& interp,
-                           const PhysBCFunct& fineBC, const PhysBCFunct& crseBC,
-                           Real time, const MultiFab* fineCoords,
-                           const MultiFab* crseCoords) {
-    dst.fillBoundaryEnd();
-    finishTwoLevels(dst, crseSrc, fineGeom, crseGeom, ratio, interp, fineBC,
-                    crseBC, time, fineCoords, crseCoords);
 }
 
 void InterpFromCoarseLevel(MultiFab& dst, const MultiFab& crseSrc,

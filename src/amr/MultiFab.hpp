@@ -6,8 +6,6 @@
 #include "amr/Geometry.hpp"
 #include "parallel/SimComm.hpp"
 
-#include <memory>
-#include <source_location>
 #include <vector>
 
 namespace crocco::amr {
@@ -25,20 +23,9 @@ struct CommPattern;
 /// the communication structure observable for the Summit machine model.
 class MultiFab {
 public:
-    // All special members are out of line: the AsyncFillState member is an
-    // incomplete type here, so anything that may destroy it cannot inline.
-    MultiFab();
+    MultiFab() = default;
     MultiFab(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
              int ngrow, parallel::SimComm* comm = nullptr);
-
-    // The async-fill state is move-only, but MultiFabs themselves are
-    // copied (checkpoint snapshots, test fixtures). Copies never carry an
-    // in-flight exchange; copying a MultiFab that has one pending throws.
-    MultiFab(const MultiFab& o);
-    MultiFab& operator=(const MultiFab& o);
-    MultiFab(MultiFab&&) noexcept;
-    MultiFab& operator=(MultiFab&&) noexcept;
-    ~MultiFab();
 
     void define(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
                 int ngrow, parallel::SimComm* comm = nullptr);
@@ -75,25 +62,6 @@ public:
     /// descriptors, producing identical copies and identical SimComm
     /// messages (see docs/performance.md).
     void fillBoundary(const Geometry& geom);
-
-    /// Asynchronous fillBoundary, split MPI-style. Begin resolves the
-    /// communication pattern (same CommCache lookup as the blocking call),
-    /// enqueues the ghost copies on a gpu::Stream *without executing them*,
-    /// and posts the inter-rank messages as SimComm::isend requests. End
-    /// drains the stream (FIFO == pattern build order) and commits the
-    /// requests via waitall in posting order — so both the ghost data and
-    /// the recorded message stream are byte-identical to fillBoundary().
-    /// Interior kernels that read only valid cells may run between the two.
-    ///
-    /// Begin with an exchange already in flight throws std::logic_error;
-    /// so does End without a Begin, with the caller's file:line in the
-    /// message (lint rule R5 flags unbalanced pairs statically).
-    void fillBoundaryBegin(const Geometry& geom);
-    void fillBoundaryEnd(
-        const std::source_location& loc = std::source_location::current());
-
-    /// Is a Begin pending its End?
-    bool fillBoundaryInFlight() const { return asyncFill_ != nullptr; }
 
     /// General rectangle copy from another MultiFab with a possibly
     /// different BoxArray/DistributionMapping: dst valid+dstNGrow cells are
@@ -160,15 +128,12 @@ private:
                                          int srcNGrow,
                                          const std::vector<IntVect>& shifts) const;
 
-    struct AsyncFillState;
-
     BoxArray ba_;
     DistributionMapping dm_;
     int ncomp_ = 0;
     int ngrow_ = 0;
     std::vector<FArrayBox> fabs_;
     parallel::SimComm* comm_ = nullptr;
-    std::unique_ptr<AsyncFillState> asyncFill_;
 };
 
 } // namespace crocco::amr

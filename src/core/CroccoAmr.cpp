@@ -8,7 +8,6 @@
 #include "core/Rk3.hpp"
 #include "gpu/Arena.hpp"
 #include "gpu/Gpu.hpp"
-#include "gpu/Stream.hpp"
 #include "gpu/ThreadPool.hpp"
 #include "mesh/GridMetrics.hpp"
 #include "resilience/Crc32.hpp"
@@ -265,38 +264,6 @@ void CroccoAmr::fillPatch(int lev, MultiFab& dst) {
     }
 }
 
-void CroccoAmr::fillPatchBegin(int lev, MultiFab& dst) {
-    perf::TinyProfiler::Scope scope(prof_, "FillPatchBegin");
-    if (lev == 0) {
-        amr::FillPatchSingleLevelBegin(dst, U_[0], geom(0));
-    } else {
-        amr::FillPatchTwoLevelsBegin(dst, U_[lev], geom(lev));
-    }
-}
-
-void CroccoAmr::fillPatchEnd(int lev, MultiFab& dst) {
-    // No profiler scope here: this runs as task 0 of the fused halo launch
-    // and the enclosing computeRhsHaloAndEnd scope (opened on the calling
-    // thread, which is the thread that executes task 0) already covers it.
-    if (lev == 0) {
-        amr::FillPatchSingleLevelEnd(dst, geom(0), physBC_, time_);
-    } else {
-        amr::FillPatchTwoLevelsEnd(dst, U_[lev - 1], geom(lev), geom(lev - 1),
-                                   refRatio(), interpolater(), physBC_, physBC_,
-                                   time_, &coords_[lev], &coords_[lev - 1]);
-    }
-}
-
-int CroccoAmr::rhsGhostWidth() const {
-    // WENO interface fluxes reach 3 cells across a face; the viscous/SGS
-    // stencil (gradients of gradients) reaches 4. The interior box shrinks
-    // by this width in *all* dimensions, not per direction: that keeps each
-    // interior cell's complete dir0 -> dir1 -> dir2 (-> viscous) update
-    // sequence inside the interior pass, so the floating-point accumulation
-    // order per cell matches the unsplit path exactly.
-    return (cfg_.gas.viscous() || cfg_.sgs.active()) ? 4 : 3;
-}
-
 Real CroccoAmr::computeDtAllLevels() {
     perf::TinyProfiler::Scope scope(prof_, "ComputeDt");
     Real dt = std::numeric_limits<Real>::infinity();
@@ -349,108 +316,6 @@ void CroccoAmr::computeRhs(int lev, const MultiFab& Sborder, MultiFab& dU) {
     }
 }
 
-void CroccoAmr::computeRhsInterior(int lev, const MultiFab& Sborder,
-                                   MultiFab& dU) {
-    // Same launch structure as computeRhs, restricted to each fab's
-    // ghost-independent interior. Runs between fillPatchBegin and
-    // fillPatchEnd: every stencil read stays inside the valid region, which
-    // Begin has already copied (check builds verify this — Sborder's ghost
-    // cells are still poisoned here).
-    const auto dxi = geom(lev).cellSizeArray();
-    const int gw = rhsGhostWidth();
-    gpu::ScopedLaunchTag tag("interior");
-    static const char* wenoNames[3] = {"WENOx", "WENOy", "WENOz"};
-
-    double ipts = 0.0;
-    for (int f = 0; f < dU.numFabs(); ++f) {
-        const Box ib = dU.validBox(f).grow(-gw);
-        if (ib.ok()) ipts += static_cast<double>(ib.numPts());
-    }
-    for (int dir = 0; dir < 3; ++dir) {
-        perf::TinyProfiler::Scope scope(prof_, wenoNames[dir]);
-        prof_.addBytes(wenoNames[dir],
-                       wenoKernelProfile().dramBytesPerPoint * ipts);
-        gpu::ParallelForIndex(dU.numFabs(), [&](int f) {
-            const Box ib = dU.validBox(f).grow(-gw);
-            if (!ib.ok()) return; // patch too small; halo pass covers it all
-            wenoFlux(dir, Sborder.const_array(f), metrics_[lev].const_array(f),
-                     ib, dU.array(f), dxi[static_cast<std::size_t>(dir)],
-                     cfg_.gas, cfg_.scheme, cfg_.variant, cfg_.recon);
-        });
-    }
-    if (cfg_.gas.viscous() || cfg_.sgs.active()) {
-        perf::TinyProfiler::Scope scope(prof_, "Viscous");
-        prof_.addBytes("Viscous",
-                       viscousKernelProfile().dramBytesPerPoint * ipts);
-        gpu::ParallelForIndex(dU.numFabs(), [&](int f) {
-            const Box ib = dU.validBox(f).grow(-gw);
-            if (!ib.ok()) return;
-            viscousFlux(Sborder.const_array(f), metrics_[lev].const_array(f),
-                        ib, dU.array(f), dxi, cfg_.gas, cfg_.variant, cfg_.sgs);
-        });
-    }
-}
-
-void CroccoAmr::computeRhsHaloAndEnd(int lev, MultiFab& Sborder, MultiFab& dU) {
-    // One fused launch of numFabs()+1 tasks. The deterministic stripe
-    // schedule always runs task 0 first on the calling thread, so the
-    // exchange is guaranteed to drain: task 0 completes the FillPatch and
-    // signals endEvent; every halo task waits on the event before touching
-    // Sborder's ghost cells. The wait also publishes a happens-before edge
-    // to the race detector, which otherwise would (correctly) flag task 0's
-    // ghost writes against the halo tasks' ghost reads.
-    const auto dxi = geom(lev).cellSizeArray();
-    const int gw = rhsGhostWidth();
-    const bool viscous = cfg_.gas.viscous() || cfg_.sgs.active();
-    perf::TinyProfiler::Scope scope(prof_, "AdvanceHalo");
-    gpu::ScopedLaunchTag tag("halo+end");
-    {
-        double hpts = 0.0;
-        for (int f = 0; f < dU.numFabs(); ++f) {
-            const Box valid = dU.validBox(f);
-            const Box ib = valid.grow(-gw);
-            hpts += static_cast<double>(valid.numPts() -
-                                        (ib.ok() ? ib.numPts() : 0));
-        }
-        const double bpp =
-            3.0 * wenoKernelProfile().dramBytesPerPoint +
-            (viscous ? viscousKernelProfile().dramBytesPerPoint : 0.0);
-        prof_.addBytes("AdvanceHalo", bpp * hpts);
-    }
-    gpu::Event endEvent;
-    gpu::ParallelForIndex(dU.numFabs() + 1, [&](int t) {
-        if (t == 0) {
-            // SignalGuard signals even if fillPatchEnd throws, so waiting
-            // halo tasks never deadlock on an exception unwind.
-            gpu::Event::SignalGuard guard(endEvent);
-            fillPatchEnd(lev, Sborder);
-            return;
-        }
-        endEvent.wait();
-        const int f = t - 1;
-        const Box valid = dU.validBox(f);
-        const Box ib = valid.grow(-gw);
-        const std::vector<Box> strips =
-            ib.ok() ? amr::boxDiff(valid, {ib}) : std::vector<Box>{valid};
-        auto s = Sborder.const_array(f);
-        auto m = metrics_[lev].const_array(f);
-        auto du = dU.array(f);
-        // Per strip the update order is dir0, dir1, dir2, viscous — each
-        // valid cell lies in exactly one strip, so its per-cell sequence
-        // (and therefore the result) is bitwise-identical to computeRhs.
-        for (const Box& strip : strips) {
-            for (int dir = 0; dir < 3; ++dir) {
-                wenoFlux(dir, s, m, strip, du,
-                         dxi[static_cast<std::size_t>(dir)], cfg_.gas,
-                         cfg_.scheme, cfg_.variant, cfg_.recon);
-            }
-            if (viscous)
-                viscousFlux(s, m, strip, du, dxi, cfg_.gas, cfg_.variant,
-                            cfg_.sgs);
-        }
-    });
-}
-
 void CroccoAmr::rk3Advance() {
     // Algorithm 2: three Williamson stages, each sweeping all levels with
     // the same global dt (no subcycling).
@@ -458,26 +323,9 @@ void CroccoAmr::rk3Advance() {
         for (int lev = 0; lev <= finestLevel(); ++lev) {
             MultiFab Sborder(boxArray(lev), dmap(lev), NCONS, NGHOST, comm());
             MultiFab dU(boxArray(lev), dmap(lev), NCONS, 0, comm());
-            if (cfg_.overlap) {
-                // Overlapped variant: post the ghost exchange, evaluate the
-                // RHS over the ghost-independent interiors while it is in
-                // flight, then drain it fused with the halo-strip pass.
-                // Bitwise-identical to the serial branch below (pinned by
-                // tests/core/overlap_test).
-                // The matching fillPatchEnd runs inside
-                // computeRhsHaloAndEnd's task-0 drain (SignalGuard on
-                // endEvent orders it before the halo kernels) — the split
-                // IS the overlap.
-                // crocco-analyze:allow(A2): End is in computeRhsHaloAndEnd
-                fillPatchBegin(lev, Sborder);
-                dU.setVal(0.0);
-                computeRhsInterior(lev, Sborder, dU);
-                computeRhsHaloAndEnd(lev, Sborder, dU);
-            } else {
-                fillPatch(lev, Sborder); // includes BC_Fill
-                dU.setVal(0.0);
-                computeRhs(lev, Sborder, dU);
-            }
+            fillPatch(lev, Sborder); // includes BC_Fill
+            dU.setVal(0.0);
+            computeRhs(lev, Sborder, dU);
             // SDC hooks between RHS production and consumption: an armed
             // kernel flip lands in dU here, and the sampled dual execution
             // re-derives one fab's RHS to catch exactly such corruption
@@ -515,10 +363,10 @@ void CroccoAmr::dualExecuteCheck(int lev, int stage, const MultiFab& Sborder,
     if (nf == 0) return;
     const int f = resilience::FabGuard::sampledFab(step_, stage, lev, nf);
     perf::TinyProfiler::Scope scope(prof_, "SdcDualExec");
-    // Re-derive the sampled fab's RHS with the plain serial kernels — a
-    // structurally independent path from the overlapped pipeline, pinned
-    // bitwise-identical to it by the core tests, so any discrepancy here is
-    // corruption, not roundoff.
+    // Re-derive the sampled fab's RHS with the kernels called directly on
+    // this thread, outside the pool launch that produced dU. Results are
+    // bitwise independent of the thread count (pinned by the core tests),
+    // so any discrepancy here is corruption, not roundoff.
     auto lease = gpu::ScratchPool::instance().acquire(dU.validBox(f), NCONS);
     amr::FArrayBox& ref = lease.fab();
     ref.setVal(0.0);
@@ -566,8 +414,8 @@ void CroccoAmr::step() {
         sdcVerifyAndRepair("step-start verify");
     // Scheduled rank deaths fire at step boundaries: the node dies between
     // iterations, and the first communication touching it — a regrid
-    // exchange, the ComputeDt reduction, or an RK3 waitall — raises
-    // RankFailure for evolve()'s recovery path.
+    // exchange, the ComputeDt reduction, or an RK3 stage's ghost exchange —
+    // raises RankFailure for evolve()'s recovery path.
     if (auto* c = comm()) {
         if (auto* f = c->faults()) {
             if (const auto dead = f->takeRankDeath(step_)) c->killRank(*dead);
@@ -813,9 +661,8 @@ bool CroccoAmr::recoverFromRankDeath(int deadRank, const EvolveOptions& opts) {
                              "buddy mirror failed CRC verification");
         useBuddy = false;
     }
-    // ULFM sequence: revoke + shrink. Survivors are renumbered densely,
-    // pending ops are revoked, and every layer tracking the communicator
-    // size follows suit.
+    // ULFM-style shrink: survivors are renumbered densely, and every layer
+    // tracking the communicator size follows suit.
     c->shrink();
     setNumRanks(c->size());
     amr::CommCache::instance().noteCommSize(c->size());

@@ -43,7 +43,7 @@ struct V100Model {
     double registerFile = 65536;    ///< 32-bit registers per SM
     double launchOverhead = 12e-6;  ///< per kernel launch, seconds
     double pointsToSaturate = 2.0e5; ///< ~full-device problem size
-    double copyEngineDispatch = 1.2e-6; ///< per async-copy enqueue+engine setup, s
+    double copyEngineDispatch = 1.2e-6; ///< per ghost-copy descriptor dispatch, s
 
     /// Theoretical occupancy given register pressure (paper: 12.5%).
     double occupancy(const KernelProfile& k) const;
@@ -56,16 +56,6 @@ struct V100Model {
 
     /// Achieved DP flop rate implied by kernelTime (for the roofline plot).
     double achievedFlops(const KernelProfile& k, std::int64_t npoints) const;
-
-    /// Modeled cost of one stream-ordered asynchronous ghost copy: the
-    /// copy-engine dispatch plus staging the payload through HBM (read +
-    /// write). This is the *non-overlappable* device-side cost a
-    /// fillBoundaryBegin pays per descriptor; the network transit itself
-    /// is charged by machine::NetworkModel and can hide behind interior
-    /// compute.
-    double asyncCopyTime(std::int64_t bytes) const {
-        return copyEngineDispatch + 2.0 * static_cast<double>(bytes) / bwDram;
-    }
 };
 
 /// Execution-time model of one 22-core IBM POWER9 socket running

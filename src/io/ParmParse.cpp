@@ -220,7 +220,6 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     query("amr.comm_cache_size", cfg.commCacheCapacity);
     if (cfg.commCacheCapacity < 0)
         throw std::runtime_error("amr.comm_cache_size: must be >= 0");
-    query("core.overlap", cfg.overlap);
 
     query("resilience.health_checks", cfg.guard.enabled);
     query("resilience.max_retries", cfg.guard.maxRetries);

@@ -58,7 +58,6 @@ public:
     ///   gpu.num_threads (0 = auto; the GPU_NUM_THREADS environment
     ///   variable overrides the deck), amr.comm_cache (on|off),
     ///   amr.comm_cache_size (LRU pattern bound, >= 0),
-    ///   core.overlap (communication/computation overlap, on|off),
     ///   resilience.health_checks, resilience.max_retries (>= 0),
     ///   resilience.dt_backoff (in (0,1)), resilience.max_faults_reported.
     /// Unset keys keep the passed-in defaults.

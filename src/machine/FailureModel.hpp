@@ -26,8 +26,8 @@ struct FailureModel {
     /// ~23 GB/s usable) — the channel buddy mirroring and recovery
     /// redistribution use instead of the filesystem.
     double interconnectBandwidth = 23.0e9;
-    /// Time from a rank dying to its peers raising the failure at a
-    /// waitall and agreeing on the shrink (ULFM detection + consensus),
+    /// Time from a rank dying to its peers raising the failure at their
+    /// next exchange and agreeing on the shrink (ULFM detection + consensus),
     /// seconds. Calibrated against SimComm::setTimeout.
     double detectionLatency = 5.0;
     /// Silent-data-corruption rate: upsets per GB of resident state per

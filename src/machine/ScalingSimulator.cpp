@@ -215,26 +215,8 @@ RegionTimes ScalingSimulator::iterationTime(const ScalingCase& c) const {
             return worst;
         };
 
-        const double levelAdvance =
-            nStages * (3.0 * kernelTime(core::wenoKernelProfile()) +
-                       kernelTime(core::viscousKernelProfile()));
-        // Interior/halo split of the advance, mirroring the overlapped
-        // solver: cells within the stencil-dependency width of a patch
-        // face need fresh ghosts and go to the halo pass. The model uses
-        // the full NGHOST width (the viscous stencil; WENO alone needs 3),
-        // matching the conservative all-dims shrink CroccoAmr applies.
-        std::int64_t interiorPts = 0;
-        for (int i = 0; i < L.ba.size(); ++i) {
-            const Box ib = L.ba[i].grow(-core::NGHOST);
-            if (ib.ok()) interiorPts += ib.numPts();
-        }
-        const double interiorFrac =
-            L.ba.numPts() > 0
-                ? static_cast<double>(interiorPts) /
-                      static_cast<double>(L.ba.numPts())
-                : 0.0;
-        rt.advanceInterior += levelAdvance * interiorFrac;
-        rt.advanceHalo += levelAdvance * (1.0 - interiorFrac);
+        rt.advance += nStages * (3.0 * kernelTime(core::wenoKernelProfile()) +
+                                 kernelTime(core::viscousKernelProfile()));
         rt.update += nStages * kernelTime(core::updateKernelProfile());
         rt.computeDt += kernelTime(core::computeDtProfile());
 
@@ -270,12 +252,10 @@ RegionTimes ScalingSimulator::iterationTime(const ScalingCase& c) const {
             fillBoundaryLoad(L, core::NGHOST, core::NCONS, ranks);
         rt.fillBoundary += nStages * fbLoad.time(net, c.nodes, gpuRun, rpn);
         if (gpuRun) {
-            // Posting the exchange asynchronously is not free: the busiest
-            // rank dispatches one copy-engine descriptor per message and
-            // streams the pack/unpack staging through device memory. This
-            // cost cannot hide behind the interior pass (it happens before
-            // the interior kernels launch), so it is charged separately.
-            rt.commPosted +=
+            // The device side of the exchange: the busiest rank dispatches
+            // one copy-engine descriptor per message and streams the
+            // pack/unpack staging through device memory.
+            rt.fillBoundary +=
                 nStages * (fbLoad.maxMessages() * m.v100.copyEngineDispatch +
                            2.0 * static_cast<double>(fbLoad.maxBytes()) /
                                m.v100.bwDram);
@@ -332,19 +312,18 @@ RegionTimes ScalingSimulator::iterationTime(const ScalingCase& c) const {
     if (params_.modelCommFaults && params_.commFaultRate > 0.0) {
         // Expected retransmit traffic of the verified exchange: a fraction
         // commFaultRate of messages times out or fails its CRC and is
-        // re-sent after a NACK, so the wire carries the p2p volume again
-        // (plus the posting cost of the duplicate descriptors). First-order
-        // in the rate; the geometric tail of re-faulted retransmits is
-        // negligible at realistic rates.
-        rt.retransmit =
-            params_.commFaultRate * (rt.commWait() + rt.commPosted);
+        // re-sent after a NACK, so the wire carries the exchanged volume
+        // again (with the dispatch cost of the duplicate descriptors).
+        // First-order in the rate; the geometric tail of re-faulted
+        // retransmits is negligible at realistic rates.
+        rt.retransmit = params_.commFaultRate * rt.commWait();
     }
 
     if (params_.modelFailures) {
         // Charge the Daly checkpoint + expected-rework waste against each
         // iteration so that resilience / total() == overheadFraction.
         const ResilienceStats rs = resilienceStats(c);
-        const double base = rt.totalSerial(); // resilience still 0 here
+        const double base = rt.total(); // resilience still 0 here
         rt.resilience = base * rs.overheadFraction / (1.0 - rs.overheadFraction);
     }
     return rt;
@@ -399,7 +378,7 @@ RecoveryComparison ScalingSimulator::recoveryComparison(
     if (params_.modelCommFaults && params_.commFaultRate > 0.0) {
         RegionTimes rt = iterationTime(c);
         const double surcharge = rt.retransmit;
-        const double total = rt.totalSerial();
+        const double total = rt.total();
         if (total > 0.0) rc.retransmitOverheadFraction = surcharge / total;
     }
     return rc;
@@ -417,7 +396,7 @@ SdcComparison ScalingSimulator::sdcComparison(const ScalingCase& c,
                        static_cast<std::int64_t>(sizeof(double));
     sc.upsetMtbf = fm.sdcMeanTimeBetween(sc.residentBytes);
     sc.scanTime = fm.sdcScanTime(sc.residentBytes, c.nodes);
-    const double stepTime = iterationTime(c).totalSerial();
+    const double stepTime = iterationTime(c).total();
     sc.detectionOverheadFraction =
         fm.sdcDetectionOverhead(sc.residentBytes, c.nodes, stepTime, interval);
     // Guarded: an upset is caught at most `interval` steps after it lands

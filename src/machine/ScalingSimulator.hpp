@@ -30,21 +30,18 @@ struct HierarchyMeta {
 };
 
 /// Per-iteration modeled time broken into the regions the paper profiles
-/// with TinyProfiler (Figs. 6-7). The advance is split the way the
-/// overlapped solver splits it (core::CroccoAmr with Config::overlap):
-/// an interior pass over ghost-independent shrunk boxes that can run while
-/// the ghost exchange is in flight, and a halo-strip pass that cannot.
+/// with TinyProfiler (Figs. 6-7). Each RK3 stage runs its regions back to
+/// back, as the paper's CRoCCo does: FillPatch, then the WENO and viscous
+/// sweeps, then the update.
 struct RegionTimes {
     double fillBoundary = 0;      ///< p2p ghost exchange inside FillPatch
+                                  ///< (on GPU runs including the descriptor
+                                  ///< dispatch and device pack/unpack)
     double parallelCopy = 0;      ///< FillPatch's coarse-data gather
     double parallelCopyInterp = 0;///< the curvilinear interpolator's extra
                                   ///< global coordinate gather (v2.0 only)
     double interpCompute = 0;
-    double advanceInterior = 0;   ///< WENOx/y/z + Viscous over fab interiors
-    double advanceHalo = 0;       ///< same kernels over the halo strips
-    double commPosted = 0;        ///< non-overlappable cost of *posting* the
-                                  ///< async exchange (descriptor dispatch +
-                                  ///< device pack/unpack; 0 on CPU runs)
+    double advance = 0;           ///< WENOx/y/z + Viscous
     double update = 0;            ///< RK accumulation
     double computeDt = 0;
     double averageDown = 0;
@@ -56,40 +53,16 @@ struct RegionTimes {
                                   ///< the verified exchange path (0 unless
                                   ///< Params::modelCommFaults)
 
-    /// Full WENO/viscous sweep (both passes).
-    double advance() const { return advanceInterior + advanceHalo; }
-    /// Communication the serial path waits on (and the overlapped path
-    /// hides behind the interior pass).
+    /// Communication the step waits on.
     double commWait() const {
         return fillBoundary + parallelCopy + parallelCopyInterp;
     }
     double fillPatch() const { return commWait() + interpCompute; }
 
-    /// Iteration time with the serial (non-overlapped) schedule: every
-    /// region back to back. This is the pre-overlap total() plus the
-    /// posting cost, which the serial path pays inline as part of its
-    /// blocking exchange.
-    double totalSerial() const {
-        return commPosted + fillPatch() + advance() + update + computeDt +
-               averageDown + regrid + resilience + retransmit;
-    }
-    /// Iteration time with the overlapped schedule: the interior pass runs
-    /// concurrently with the in-flight exchange, so only the slower of the
-    /// two is on the critical path; the halo pass (and everything that
-    /// needs fresh ghosts) still serializes after both.
-    double totalOverlapped() const {
-        const double overlapped =
-            commWait() > advanceInterior ? commWait() : advanceInterior;
-        return commPosted + overlapped + advanceHalo + interpCompute + update +
-               computeDt + averageDown + regrid + resilience + retransmit;
-    }
-    /// Communication time the overlap actually hides, as a fraction of the
-    /// communication the serial path waits on (1.0 == fully hidden).
-    double overlapEfficiency() const {
-        const double w = commWait();
-        if (w <= 0.0) return 1.0;
-        const double hidden = advanceInterior < w ? advanceInterior : w;
-        return hidden / w;
+    /// Iteration time: every region back to back.
+    double total() const {
+        return fillPatch() + advance + update + computeDt + averageDown +
+               regrid + resilience + retransmit;
     }
 };
 
@@ -109,7 +82,7 @@ struct ResilienceStats {
 struct RecoveryComparison {
     ResilienceStats disk;    ///< filesystem dumps, relaunch + re-read restore
     ResilienceStats buddy;   ///< partner mirroring, in-memory redistribution
-    double detectionLatency = 0;   ///< waitall timeout -> shrink consensus, s
+    double detectionLatency = 0;   ///< receive timeout -> shrink consensus, s
     double diskRestoreTime = 0;    ///< per-failure restore cost, disk path
     double buddyRestoreTime = 0;   ///< per-failure restore cost, buddy path
     double retransmitOverheadFraction = 0; ///< verified-exchange retransmit

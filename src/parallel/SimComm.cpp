@@ -164,93 +164,6 @@ double SimComm::reduceRealSum(const std::vector<double>& perRank, const std::str
     return std::accumulate(perRank.begin(), perRank.end(), 0.0);
 }
 
-namespace {
-std::string sendKey(int src, int dst, const std::string& tag) {
-    return std::to_string(src) + ">" + std::to_string(dst) + ":" + tag;
-}
-
-const char* kindName(MessageKind k) {
-    switch (k) {
-        case MessageKind::PointToPoint: return "P2P";
-        case MessageKind::ParallelCopy: return "ParallelCopy";
-        case MessageKind::Reduction: return "Reduction";
-    }
-    return "?";
-}
-} // namespace
-
-SimComm::Request SimComm::isend(int src, int dst, std::int64_t bytes,
-                                MessageKind kind, const std::string& tag,
-                                std::uint32_t payloadCrc) {
-    assert(src >= 0 && src < nranks_ && dst >= 0 && dst < nranks_);
-    if (anyDead_) {
-        checkAlive(src, "isend");
-        checkAlive(dst, "isend");
-    }
-    const Request id = nextRequest_++;
-    pending_.push_back(
-        PendingOp{id, false, Message{src, dst, bytes, kind, tag, payloadCrc}});
-    ++sendBalance_[sendKey(src, dst, tag)];
-    return id;
-}
-
-SimComm::Request SimComm::irecv(int src, int dst, const std::string& tag) {
-    assert(src >= 0 && src < nranks_ && dst >= 0 && dst < nranks_);
-    if (anyDead_) {
-        checkAlive(src, "irecv");
-        checkAlive(dst, "irecv");
-    }
-    const Request id = nextRequest_++;
-    pending_.push_back(PendingOp{id, true, Message{src, dst, 0,
-                                                   MessageKind::PointToPoint, tag}});
-    return id;
-}
-
-std::string SimComm::pendingDump() const {
-    std::ostringstream os;
-    os << pending_.size() << " pending op(s):";
-    for (const PendingOp& p : pending_) {
-        os << "\n  [" << p.id << "] " << (p.isRecv ? "irecv" : "isend") << " "
-           << p.msg.src << " -> " << p.msg.dst << " '" << p.msg.tag << "' ("
-           << kindName(p.msg.kind) << ", " << p.msg.bytes << " B)";
-    }
-    return os.str();
-}
-
-void SimComm::waitall(const std::vector<Request>& requests) {
-    for (const Request r : requests) {
-        const auto it = std::find_if(pending_.begin(), pending_.end(),
-                                     [r](const PendingOp& p) { return p.id == r; });
-        if (it == pending_.end()) {
-            throw std::logic_error("SimComm::waitall: request " + std::to_string(r) +
-                                   " is unknown or already completed");
-        }
-        // MPI_Waitall is where a run first blocks on a dead peer; surface
-        // the failure here so the recovery path (shrink + redistribute)
-        // takes over instead of an infinite wait.
-        if (anyDead_) {
-            checkAlive(it->msg.src, "waitall");
-            checkAlive(it->msg.dst, "waitall");
-        }
-        if (it->isRecv) {
-            auto bal = sendBalance_.find(sendKey(it->msg.src, it->msg.dst, it->msg.tag));
-            if (bal == sendBalance_.end() || bal->second <= 0) {
-                throw std::logic_error(
-                    "SimComm::waitall: irecv (" + std::to_string(it->msg.src) + " -> " +
-                    std::to_string(it->msg.dst) + ", '" + it->msg.tag +
-                    "') has no matching isend — a real MPI_Waitall would hang here"
-                    " (simulated receive timed out after " +
-                    std::to_string(timeoutSeconds_) + " s, deck key comm.timeout); " +
-                    pendingDump());
-            }
-            --bal->second;
-        } else {
-            log_.record(it->msg);
-        }
-        pending_.erase(it);
-    }
-}
-
 // --- Fault-tolerant exchange -------------------------------------------
 
 void SimComm::setTimeout(double seconds) {
@@ -413,51 +326,6 @@ void SimComm::sendVerified(const Transfer& t) {
     }
 }
 
-void SimComm::verifyDelivered(const Transfer& t) {
-    assert(t.deliver && t.payloadCrc && t.deliveredCrc && t.scramble);
-    if (t.src == t.dst) return;
-    if (anyDead_) {
-        checkAlive(t.src, "verifyDelivered");
-        checkAlive(t.dst, "verifyDelivered");
-    }
-    ++fstats_.verified;
-    const std::uint32_t want = t.payloadCrc();
-    std::optional<MessageFault> fault;
-    if (faults_) fault = faults_->decide(t.src, t.dst, t.bytes, t.tag);
-    if (fault) {
-        switch (*fault) {
-            case MessageFault::Corrupt:
-                ++fstats_.corrupted;
-                t.scramble(faults_->corruptionWord());
-                break;
-            case MessageFault::Duplicate:
-                // Second copy of an already-delivered payload: discard.
-                ++fstats_.duplicated;
-                log_.record(Message{t.src, t.dst, t.bytes, t.kind,
-                                    t.tag + "/dup", want});
-                ++fstats_.duplicateDiscards;
-                break;
-            case MessageFault::Drop:
-            case MessageFault::Delay:
-                // The payload is already present by the wait (the stream
-                // drain delivered it); late arrival shows up as one extra
-                // timeout of detection latency, then the local copy wins.
-                ++fstats_.delayed;
-                ++fstats_.timeouts;
-                fstats_.modeledDelaySeconds += timeoutSeconds_;
-                break;
-        }
-    }
-    if (t.deliveredCrc() == want) {
-        ++fstats_.delivered;
-        return;
-    }
-    ++fstats_.crcFailures;
-    ++fstats_.nacks;
-    log_.record(Message{t.dst, t.src, 8, t.kind, t.tag + "/nack", want});
-    recoverTransfer(t, want, true);
-}
-
 // --- Rank failure and recovery -----------------------------------------
 
 void SimComm::killRank(int rank) {
@@ -491,11 +359,6 @@ std::vector<int> SimComm::shrink() {
     nranks_ = next;
     alive_.assign(static_cast<std::size_t>(nranks_), true);
     anyDead_ = false;
-    // The old communicator's epoch ends with the shrink: every pending
-    // nonblocking op and send/recv balance belonged to it and is revoked
-    // (ULFM revokes the communicator before shrinking it).
-    pending_.clear();
-    sendBalance_.clear();
     return map;
 }
 

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -88,14 +87,14 @@ private:
 ///
 /// Fault tolerance (docs/resilience.md §5): an attached CommFaults injector
 /// drops, duplicates, delays or bit-flips verified transfers, and schedules
-/// rank deaths. The hardened exchange (sendVerified / verifyDelivered)
-/// checksums every payload with CRC32, NACKs corruption, and retransmits
-/// with exponential backoff until the payload lands intact — or raises a
-/// located error after maxRetransmits(). Dead ranks are detected at the
-/// first operation touching them (including waitall, the MPI hang site) as
-/// RankFailure; shrink() then rebuilds the communicator over the survivors,
-/// ULFM-style. With no injector attached and verification off, every code
-/// path below is byte-identical to the unhardened implementation.
+/// rank deaths. The hardened exchange (sendVerified) checksums every
+/// payload with CRC32, NACKs corruption, and retransmits with exponential
+/// backoff until the payload lands intact — or raises a located error
+/// after maxRetransmits(). Dead ranks are detected at the first operation
+/// touching them as RankFailure; shrink() then rebuilds the communicator
+/// over the survivors, ULFM-style. With no injector attached and
+/// verification off, every code path below is byte-identical to the
+/// unhardened implementation.
 class SimComm {
 public:
     explicit SimComm(int nranks = 1);
@@ -118,46 +117,6 @@ public:
     double reduceRealMin(const std::vector<double>& perRank, const std::string& tag);
     double reduceRealMax(const std::vector<double>& perRank, const std::string& tag);
     double reduceRealSum(const std::vector<double>& perRank, const std::string& tag);
-
-    /// --- Nonblocking point-to-point (MPI_Isend/Irecv/Waitall analogue) ---
-    ///
-    /// An isend posts a message without recording it; the message is held
-    /// pending until a waitall completes its request. waitall commits the
-    /// pending sends to the log in the order their requests are passed —
-    /// callers pass requests in posting order, so the recorded message
-    /// metadata is byte-identical to a blocking recordMessage sequence.
-    /// (Real MPI completes requests in arbitrary order; pinning the
-    /// completion order is what keeps the simulated log deterministic.)
-    using Request = std::uint64_t;
-
-    /// Post a nonblocking send. Asserts rank bounds like recordMessage; the
-    /// on-rank filter of recordP2P is the caller's job (post only when
-    /// src != dst), matching the blocking path's message stream.
-    /// `payloadCrc` (hardened path) rides on the committed Message so a
-    /// receiver can verify the delivered bytes; 0 = unverified.
-    Request isend(int src, int dst, std::int64_t bytes, MessageKind kind,
-                  const std::string& tag, std::uint32_t payloadCrc = 0);
-
-    /// Post a matching nonblocking receive. Receives record nothing (the
-    /// sender's commit carries the message); they are bookkeeping that must
-    /// pair with a posted send of the same (src, dst, tag) by the time
-    /// waitall completes them, or waitall throws std::logic_error — the
-    /// in-process analogue of a hung MPI_Waitall. The error dumps every
-    /// pending operation and names the configured comm.timeout, so a hang
-    /// diagnosis starts from the full set of unmatched traffic.
-    Request irecv(int src, int dst, const std::string& tag);
-
-    /// Complete the given requests in the order passed: pending sends are
-    /// committed to the log (deterministic completion order), receives are
-    /// matched against posted sends. Throws std::logic_error on an unknown
-    /// or already-completed request and on an unmatched receive (with the
-    /// pending-operation dump), and RankFailure when any request touches a
-    /// dead rank — MPI_Waitall is where a real run first blocks on a dead
-    /// peer, so this is the failure-detection point of the async path.
-    void waitall(const std::vector<Request>& requests);
-
-    /// Requests posted and not yet completed by a waitall.
-    std::size_t pendingCount() const { return pending_.size(); }
 
     /// --- Fault-tolerant exchange (hardened path) -----------------------
 
@@ -212,14 +171,6 @@ public:
     /// (located: src, dst, tag) when maxRetransmits() is exhausted.
     void sendVerified(const Transfer& t);
 
-    /// Post-hoc verification of an async transfer whose original message
-    /// was already committed by waitall: applies corruption/duplication
-    /// faults to the delivered payload, CRC-checks it against the posted
-    /// checksum, and NACKs + retransmits on mismatch. Drop/Delay decisions
-    /// are meaningless after delivery and are recorded as delays (the
-    /// payload was late but present by the wait).
-    void verifyDelivered(const Transfer& t);
-
     /// Counters of the hardened exchange (process of docs/resilience.md §5).
     struct FaultStats {
         std::int64_t verified = 0;      ///< transfers through the hardened path
@@ -242,8 +193,8 @@ public:
 
     /// --- Rank failure and recovery (ULFM-style) ------------------------
 
-    /// Mark a rank dead. Every later operation touching it (including
-    /// waitall) raises RankFailure until shrink() removes it. Throws
+    /// Mark a rank dead. Every later operation touching it raises
+    /// RankFailure until shrink() removes it. Throws
     /// std::invalid_argument on an unknown/already-dead rank and
     /// std::logic_error when the death would leave no survivors.
     void killRank(int rank);
@@ -253,35 +204,21 @@ public:
 
     /// Rebuild the communicator over the surviving ranks (the analogue of
     /// MPIX_Comm_shrink): survivors are renumbered densely preserving
-    /// order, size() drops, and all pending nonblocking operations are
-    /// revoked (the old communicator's epoch is over). Returns the
-    /// old-rank -> new-rank map, -1 for dead ranks.
+    /// order and size() drops. Returns the old-rank -> new-rank map, -1
+    /// for dead ranks.
     std::vector<int> shrink();
 
 private:
-    struct PendingOp {
-        Request id = 0;
-        bool isRecv = false;
-        Message msg; ///< for receives only src/dst/tag are meaningful
-    };
-
     void checkAlive(int rank, const char* what) const;
-    std::string pendingDump() const;
-    /// Detect-and-retransmit loop shared by sendVerified/verifyDelivered:
-    /// charges the timeout backoff, records the retransmit messages, and
-    /// re-delivers until the CRC matches. `delivered` tells whether the
-    /// first transmission already landed payload bytes.
+    /// sendVerified's detect-and-retransmit loop: charges the timeout
+    /// backoff, records the retransmit messages, and re-delivers until the
+    /// CRC matches. `delivered` tells whether the first transmission
+    /// already landed payload bytes.
     void recoverTransfer(const Transfer& t, std::uint32_t wantCrc,
                          bool delivered);
 
     int nranks_;
     CommLog log_;
-    std::vector<PendingOp> pending_;
-    Request nextRequest_ = 1;
-    /// Send-minus-matched-receive balance per (src, dst, tag) signature,
-    /// so a receive can complete against a send committed earlier in the
-    /// same (or a previous) waitall.
-    std::map<std::string, std::int64_t> sendBalance_;
 
     CommFaults* faults_ = nullptr;
     bool verifyExchanges_ = false;

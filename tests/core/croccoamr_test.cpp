@@ -13,7 +13,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
+#include <utility>
 
 namespace crocco::core {
 namespace {
@@ -422,6 +424,18 @@ std::uint64_t geometryDigest(const CroccoAmr& s) {
     return h.value();
 }
 
+/// Per CommLog tag: (message count, payload bytes).
+std::map<std::string, std::pair<std::size_t, std::int64_t>>
+trafficByTag(const parallel::SimComm& comm) {
+    std::map<std::string, std::pair<std::size_t, std::int64_t>> out;
+    for (const auto& m : comm.log().messages()) {
+        auto& t = out[m.tag];
+        ++t.first;
+        t.second += m.bytes;
+    }
+    return out;
+}
+
 TEST(CroccoAmr, StateAndGeometryDigestsArePinned) {
     // The solver's trajectory, pinned bit for bit: a change that claims to
     // leave every stored value alone must leave both digests alone, at any
@@ -468,6 +482,18 @@ TEST(CroccoAmr, StateAndGeometryDigestsArePinned) {
         ASSERT_EQ(solver.finestLevel(), 2);
         EXPECT_EQ(stateDigest(solver), 0xc442686b1f2d23bcull);
         EXPECT_EQ(geometryDigest(solver), 0x5417edf9d4f39509ull);
+        // The traffic of the same run, from construction on: messages and
+        // payload bytes per CommLog tag. A change to what the exchanges
+        // ship (a ghost width, a gather, a reduction) must re-baseline
+        // this on purpose.
+        const std::map<std::string, std::pair<std::size_t, std::int64_t>>
+            traffic{{"AverageDown", {278, 711680}},
+                    {"ComputeDt", {105, 840}},
+                    {"FillBoundary", {13110, 74956800}},
+                    {"ParallelCopy", {4610, 28113680}},
+                    {"ParallelCopy_interp", {8547, 136695360}},
+                    {"Regrid", {8, 163840}}};
+        EXPECT_EQ(trafficByTag(comm), traffic);
     }
     {
         // Two-level Smagorinsky LES: viscousFlux reads the metrics too.
@@ -484,6 +510,24 @@ TEST(CroccoAmr, StateAndGeometryDigestsArePinned) {
         solver.evolve(5);
         ASSERT_EQ(solver.finestLevel(), 1);
         EXPECT_EQ(stateDigest(solver), 0x049a8867a1745077ull);
+        EXPECT_EQ(geometryDigest(solver), 0xa10723262d4550f5ull);
+    }
+    {
+        // Two-level Navier-Stokes: molecular viscosity by Sutherland's law.
+        Dmr::Options o;
+        o.nx = 32;
+        o.ny = 8;
+        o.nz = 8;
+        o.maxLevel = 1;
+        Dmr dmr(o);
+        auto cfg = dmr.solverConfig(CodeVersion::V20);
+        cfg.gas.muRef = 2e-3;
+        CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
+        solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+        solver.evolve(5);
+        ASSERT_EQ(solver.finestLevel(), 1);
+        EXPECT_GT(solver.profiler().calls("Viscous"), 0);
+        EXPECT_EQ(stateDigest(solver), 0x59362aee500cbd74ull);
         EXPECT_EQ(geometryDigest(solver), 0xa10723262d4550f5ull);
     }
 }

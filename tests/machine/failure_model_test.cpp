@@ -96,10 +96,10 @@ TEST(ScalingSimulator, IterationTimeChargesResilienceOnlyWhenEnabled) {
     EXPECT_GT(rt.resilience, 0.0);
     // The charge is calibrated so resilience/total() is the waste fraction.
     const double frac = on.resilienceStats(c).overheadFraction;
-    EXPECT_NEAR(rt.resilience / rt.totalSerial(), frac, 1e-12);
+    EXPECT_NEAR(rt.resilience / rt.total(), frac, 1e-12);
     // All other regions are untouched by the failure model.
-    EXPECT_NEAR(rt.totalSerial() - rt.resilience, base.totalSerial(),
-                1e-12 * base.totalSerial());
+    EXPECT_NEAR(rt.total() - rt.resilience, base.total(),
+                1e-12 * base.total());
 }
 
 TEST(FailureModel, BuddyTimesScaleWithTheInterconnectNotTheFilesystem) {
@@ -172,10 +172,10 @@ TEST(ScalingSimulator, CommFaultRateChargesRetransmitSurcharge) {
     p.commFaultRate = 0.01;
     ScalingSimulator on(p);
     const RegionTimes rt = on.iterationTime(c);
-    // 1% of messages re-sent: the comm regions (wait + posting) pay 1%.
-    EXPECT_NEAR(rt.retransmit, 0.01 * (rt.commWait() + rt.commPosted), 1e-15);
-    EXPECT_NEAR(rt.totalSerial() - rt.retransmit, base.totalSerial(),
-                1e-12 * base.totalSerial());
+    // 1% of messages re-sent: the comm regions pay 1%.
+    EXPECT_NEAR(rt.retransmit, 0.01 * rt.commWait(), 1e-15);
+    EXPECT_NEAR(rt.total() - rt.retransmit, base.total(),
+                1e-12 * base.total());
     const RecoveryComparison rc = on.recoveryComparison(c);
     EXPECT_GT(rc.retransmitOverheadFraction, 0.0);
     EXPECT_LT(rc.retransmitOverheadFraction, 0.011); // bounded by the rate
@@ -265,8 +265,9 @@ TEST(ScalingSimulator, SdcGuardCrossesOverToWinningAtScale) {
         EXPECT_GT(sc.unguardedWasteFraction, prevUnguarded) << nodes << " nodes";
         prevUnguarded = sc.unguardedWasteFraction;
         // ...until at the paper's largest configuration the guard wins.
-        if (nodes == 4096)
+        if (nodes == 4096) {
             EXPECT_LT(sc.guardedWasteFraction, sc.unguardedWasteFraction);
+        }
     }
     // A denser cadence detects sooner but scans more often.
     ScalingCase c;

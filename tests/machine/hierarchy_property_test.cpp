@@ -68,9 +68,9 @@ TEST_P(HierarchyProperty, StructureIsValid) {
 
     // Iteration time is finite, positive, and dominated by real regions.
     const auto rt = sim.iterationTime(c);
-    EXPECT_GT(rt.totalSerial(), 0.0);
-    EXPECT_LT(rt.totalSerial(), 120.0);
-    EXPECT_GT(rt.advance(), 0.0);
+    EXPECT_GT(rt.total(), 0.0);
+    EXPECT_LT(rt.total(), 120.0);
+    EXPECT_GT(rt.advance, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -88,13 +88,13 @@ TEST(ScalingShapes, GpuStrongScalingHasInteriorOptimumCpuKeepsDropping) {
     double bestGpu = 1e30, gpuAtMax = 0, cpuPrev = 1e30;
     int bestNode = 0;
     for (int nodes : {16, 32, 64, 128, 256, 512, 1024}) {
-        const double tGpu = sim.iterationTime({CodeVersion::V20, nodes, pts}).totalSerial();
+        const double tGpu = sim.iterationTime({CodeVersion::V20, nodes, pts}).total();
         if (tGpu < bestGpu) {
             bestGpu = tGpu;
             bestNode = nodes;
         }
         gpuAtMax = tGpu;
-        const double tCpu = sim.iterationTime({CodeVersion::V11, nodes, pts}).totalSerial();
+        const double tCpu = sim.iterationTime({CodeVersion::V11, nodes, pts}).total();
         EXPECT_LT(tCpu, cpuPrev) << "CPU must keep scaling at " << nodes;
         cpuPrev = tCpu;
     }

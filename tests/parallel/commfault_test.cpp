@@ -292,27 +292,6 @@ TEST(HardenedExchange, OnRankTransferBypassesTheWire) {
     EXPECT_EQ(comm.faultStats().verified, 0);
 }
 
-// ------------------------------------------------------- waitall diagnosis
-
-TEST(WaitallTimeout, UnmatchedReceiveDumpsAllPendingOps) {
-    SimComm comm(3);
-    comm.setTimeout(7.5);
-    const auto s = comm.isend(0, 1, 128, MessageKind::PointToPoint, "FB");
-    const auto r = comm.irecv(1, 2, "FB"); // never matched
-    try {
-        comm.waitall({s, r});
-        FAIL() << "expected std::logic_error";
-    } catch (const std::logic_error& e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("no matching isend"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("comm.timeout"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("7.5"), std::string::npos) << msg;
-        // The dump lists every still-pending op with its direction.
-        EXPECT_NE(msg.find("pending op"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("irecv 1 -> 2"), std::string::npos) << msg;
-    }
-}
-
 // --------------------------------------------------- rank death and shrink
 
 TEST(RankDeath, OperationsTouchingTheDeadRankRaiseRankFailure) {
@@ -328,16 +307,6 @@ TEST(RankDeath, OperationsTouchingTheDeadRankRaiseRankFailure) {
     }
     // Collectives touch every rank.
     EXPECT_THROW(comm.reduceRealMin({1.0, 2.0, 3.0}, "dt"), RankFailure);
-    // Nonblocking ops fail at post time...
-    EXPECT_THROW(comm.isend(1, 2, 8, MessageKind::PointToPoint, "FB"),
-                 RankFailure);
-    EXPECT_THROW(comm.irecv(0, 1, "FB"), RankFailure);
-    // ...and a request posted before the death fails at waitall (the MPI
-    // hang site).
-    SimComm late(3);
-    const auto s = late.isend(0, 1, 8, MessageKind::PointToPoint, "FB");
-    late.killRank(1);
-    EXPECT_THROW(late.waitall({s}), RankFailure);
     // Survivors can still talk to each other.
     EXPECT_NO_THROW(comm.recordMessage(0, 2, 8, MessageKind::PointToPoint, "FB"));
 }
@@ -353,10 +322,8 @@ TEST(RankDeath, KillRankValidatesItsTarget) {
     EXPECT_THROW(solo.killRank(0), std::logic_error);
 }
 
-TEST(RankDeath, ShrinkRenumbersSurvivorsAndRevokesPendingOps) {
+TEST(RankDeath, ShrinkRenumbersSurvivors) {
     SimComm comm(4);
-    const auto s = comm.isend(0, 3, 8, MessageKind::PointToPoint, "FB");
-    (void)s;
     comm.killRank(1);
     const auto map = comm.shrink();
     ASSERT_EQ(map.size(), 4u);
@@ -367,7 +334,6 @@ TEST(RankDeath, ShrinkRenumbersSurvivorsAndRevokesPendingOps) {
     EXPECT_EQ(comm.size(), 3);
     EXPECT_EQ(comm.aliveCount(), 3);
     EXPECT_FALSE(comm.anyDead());
-    EXPECT_EQ(comm.pendingCount(), 0u); // old epoch's ops revoked
     // The shrunken communicator is fully operational.
     EXPECT_NO_THROW(comm.recordMessage(0, 2, 8, MessageKind::PointToPoint, "FB"));
     EXPECT_DOUBLE_EQ(comm.reduceRealSum({1.0, 2.0, 3.0}, "t"), 6.0);
@@ -437,39 +403,6 @@ TEST(MultiFabFaults, GhostExchangeRecoversEveryInjectedFault) {
     }
 }
 
-TEST(MultiFabFaults, AsyncExchangeVerifiesAtEndAndRecovers) {
-    const amr::Box domain(amr::IntVect::zero(), amr::IntVect(15));
-    const amr::Geometry geom(domain, {0, 0, 0}, {1, 1, 1},
-                             amr::Periodicity::all());
-    amr::BoxArray ba(tiledBoxes(domain, 8));
-    amr::DistributionMapping dm(ba, 3);
-
-    SimComm clean(3), faulty(3);
-    CommFaults faults(4242);
-    faults.armMessageFault(MessageFault::Corrupt, 0);
-    faults.armMessageFault(MessageFault::Drop, 2);
-    faulty.attachFaults(&faults);
-
-    amr::MultiFab ref(ba, dm, 2, 3, &clean);
-    amr::MultiFab mf(ba, dm, 2, 3, &faulty);
-    fillField(ref);
-    fillField(mf);
-    ref.fillBoundary(geom);
-    mf.fillBoundaryBegin(geom);
-    mf.fillBoundaryEnd(); // post-hoc CRC verification happens here
-    EXPECT_EQ(faulty.faultStats().corrupted, 1);
-    EXPECT_GE(faulty.faultStats().crcFailures, 1);
-    EXPECT_GE(faulty.faultStats().retransmits, 1);
-    for (int f = 0; f < ref.numFabs(); ++f) {
-        auto a = ref.const_array(f);
-        auto b = mf.const_array(f);
-        for (int n = 0; n < 2; ++n)
-            amr::forEachCell(ref.grownBox(f), [&](int i, int j, int k) {
-                ASSERT_EQ(a(i, j, k, n), b(i, j, k, n));
-            });
-    }
-}
-
 TEST(MultiFabFaults, VerificationOffKeepsTheMessageStreamByteIdentical) {
     // The acceptance gate for the seed path: with no injector and
     // comm.verify off, the hardened code must record exactly the stream the
@@ -486,8 +419,6 @@ TEST(MultiFabFaults, VerificationOffKeepsTheMessageStreamByteIdentical) {
         amr::MultiFab mf(ba, dm, 2, 2, &comm);
         fillField(mf);
         mf.fillBoundary(geom);
-        mf.fillBoundaryBegin(geom);
-        mf.fillBoundaryEnd();
         return comm.log().messages();
     };
 

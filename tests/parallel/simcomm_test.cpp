@@ -71,72 +71,6 @@ TEST(CommLog, AggregatesByKindAndRank) {
     EXPECT_EQ(per[2], 75);
 }
 
-TEST(SimComm, NonblockingSendsCommitAtWaitallInPostingOrder) {
-    // The async fillBoundary contract: isend records nothing until waitall,
-    // and waitall commits in the order requests are passed — so the logged
-    // message stream is byte-identical to the blocking recordMessage path.
-    SimComm comm(4);
-    std::vector<SimComm::Request> reqs;
-    reqs.push_back(comm.isend(0, 1, 100, MessageKind::PointToPoint, "FB"));
-    reqs.push_back(comm.isend(2, 3, 200, MessageKind::PointToPoint, "FB"));
-    reqs.push_back(comm.irecv(0, 1, "FB"));
-    reqs.push_back(comm.irecv(2, 3, "FB"));
-    EXPECT_EQ(comm.log().count(), 0u); // nothing visible before completion
-    EXPECT_EQ(comm.pendingCount(), 4u);
-    comm.waitall(reqs);
-    EXPECT_EQ(comm.pendingCount(), 0u);
-    ASSERT_EQ(comm.log().count(), 2u);
-    const auto& msgs = comm.log().messages();
-    EXPECT_EQ(msgs[0].src, 0);
-    EXPECT_EQ(msgs[0].dst, 1);
-    EXPECT_EQ(msgs[0].bytes, 100);
-    EXPECT_EQ(msgs[0].tag, "FB");
-    EXPECT_EQ(msgs[1].src, 2);
-    EXPECT_EQ(msgs[1].bytes, 200);
-}
-
-TEST(SimComm, NonblockingMatchesBlockingMessageStream) {
-    SimComm blocking(3), async(3);
-    blocking.recordMessage(0, 1, 64, MessageKind::PointToPoint, "FillBoundary");
-    blocking.recordMessage(1, 2, 32, MessageKind::PointToPoint, "FillBoundary");
-    std::vector<SimComm::Request> reqs;
-    reqs.push_back(async.isend(0, 1, 64, MessageKind::PointToPoint, "FillBoundary"));
-    reqs.push_back(async.isend(1, 2, 32, MessageKind::PointToPoint, "FillBoundary"));
-    async.waitall(reqs);
-    const auto& a = blocking.log().messages();
-    const auto& b = async.log().messages();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].src, b[i].src);
-        EXPECT_EQ(a[i].dst, b[i].dst);
-        EXPECT_EQ(a[i].bytes, b[i].bytes);
-        EXPECT_EQ(a[i].kind, b[i].kind);
-        EXPECT_EQ(a[i].tag, b[i].tag);
-    }
-}
-
-TEST(SimComm, WaitallRejectsUnknownAndCompletedRequests) {
-    SimComm comm(2);
-    const auto r = comm.isend(0, 1, 8, MessageKind::PointToPoint, "t");
-    comm.waitall({r});
-    EXPECT_THROW(comm.waitall({r}), std::logic_error);   // already completed
-    EXPECT_THROW(comm.waitall({999}), std::logic_error); // never posted
-}
-
-TEST(SimComm, UnmatchedReceiveDiagnosesTheHang) {
-    // A receive with no matching send would hang a real MPI_Waitall; the
-    // simulation turns that into an immediate located failure.
-    SimComm comm(2);
-    const auto r = comm.irecv(0, 1, "FillBoundary");
-    EXPECT_THROW(comm.waitall({r}), std::logic_error);
-    // Matched across waitall calls is fine: send committed first.
-    SimComm ok(2);
-    const auto s = ok.isend(0, 1, 8, MessageKind::PointToPoint, "FB");
-    ok.waitall({s});
-    const auto r2 = ok.irecv(0, 1, "FB");
-    EXPECT_NO_THROW(ok.waitall({r2}));
-}
-
 TEST(CommLog, SummaryCountsKindsBytesAndFaultTraffic) {
     CommLog log;
     log.record({0, 1, 100, MessageKind::PointToPoint, "FB", 7});

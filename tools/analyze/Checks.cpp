@@ -7,7 +7,7 @@ namespace crocco::analyze {
 
 namespace {
 
-/// Split "R1, R6" -> {"R1","R6"}; empty/garbage entries dropped.
+/// Split "R1, R7" -> {"R1","R7"}; empty/garbage entries dropped.
 std::set<std::string> splitRules(const std::string& list) {
     std::set<std::string> out;
     std::string cur;
@@ -76,17 +76,11 @@ const std::vector<RuleInfo>& ruleCatalog() {
         {"R3", "no defaulted ghost-count parameters", "docs/correctness.md#r3"},
         {"R4", "no serial forEachCell in flux/transport kernel files",
          "docs/correctness.md#r4"},
-        {"R5", "async exchange Begin/End count parity per file",
-         "docs/correctness.md#r5"},
-        {"R6", "no raw isend/irecv outside the verified exchange",
-         "docs/correctness.md#r6"},
         {"R7", "RK3 stage triple only inside core::rk3StageUpdate",
          "docs/correctness.md#r7"},
         {"A1", "kernel dataflow: no cross-thread write/read hazards in "
                "gpu launches",
          "docs/correctness.md#a1"},
-        {"A2", "exchange protocol: Begin/End paired per function",
-         "docs/correctness.md#a2"},
         {"A3", "every ParmParse deck key documented, every documented key "
                "live",
          "docs/correctness.md#a3"},
@@ -109,11 +103,8 @@ std::vector<Finding> runChecks(const Project& project,
     if (want("R2")) checkR2(project, findings);
     if (want("R3")) checkR3(project, findings);
     if (want("R4")) checkR4(project, findings);
-    if (want("R5")) checkR5(project, findings);
-    if (want("R6")) checkR6(project, findings);
     if (want("R7")) checkR7(project, findings);
     if (want("A1")) checkA1(project, findings);
-    if (want("A2")) checkA2(project, findings);
     if (want("A3")) checkA3(project, findings);
     if (want("A4")) checkA4(project, findings);
     if (want("A6")) checkA6(project, findings);

@@ -37,11 +37,8 @@ void checkR1(const Project&, std::vector<Finding>&); ///< .data() escapes
 void checkR2(const Project&, std::vector<Finding>&); ///< threading primitives
 void checkR3(const Project&, std::vector<Finding>&); ///< defaulted ghost counts
 void checkR4(const Project&, std::vector<Finding>&); ///< forEachCell in kernels
-void checkR5(const Project&, std::vector<Finding>&); ///< per-file Begin/End parity
-void checkR6(const Project&, std::vector<Finding>&); ///< raw isend/irecv
 void checkR7(const Project&, std::vector<Finding>&); ///< open-coded RK3 triple
 void checkA1(const Project&, std::vector<Finding>&); ///< kernel dataflow
-void checkA2(const Project&, std::vector<Finding>&); ///< exchange protocol
 void checkA3(const Project&, std::vector<Finding>&); ///< deck-key registry
 void checkA4(const Project&, std::vector<Finding>&); ///< module layering
 void checkA6(const Project&, std::vector<Finding>&); ///< guarded recovery sources

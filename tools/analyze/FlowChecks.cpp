@@ -1,6 +1,6 @@
-// The four whole-program passes (A1–A4). These are the checks the grep lint
-// could never express: they need function bodies, call-argument structure,
-// the include graph, and cross-file state.
+// The whole-program passes A1, A3 and A4. These are the checks the grep
+// lint could never express: they need function bodies, call-argument
+// structure, the include graph, and cross-file state.
 
 #include "Checks.hpp"
 
@@ -15,10 +15,6 @@ namespace {
 
 bool startsWith(const std::string& s, const std::string& prefix) {
     return s.rfind(prefix, 0) == 0;
-}
-bool endsWith(const std::string& s, const std::string& suffix) {
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 bool inSrc(const std::string& path) { return startsWith(path, "src/"); }
 
@@ -416,64 +412,6 @@ void checkA1(const Project& project, std::vector<Finding>& out) {
                                impure, out);
             else
                 scanTaskKernel(sf, lam, call.chain + "(...)", out);
-        }
-    }
-}
-
-// ====================================================================
-// A2 — exchange protocol: Begin/End paired per function
-// ====================================================================
-
-void checkA2(const Project& project, std::vector<Finding>& out) {
-    for (const SourceFile& sf : project.files) {
-        if (!inSrc(sf.lexed.path)) continue;
-        if (startsWith(sf.lexed.path, "src/amr/")) continue; // API owner
-        for (std::size_t fi = 0; fi < sf.outline.functions.size(); ++fi) {
-            const FunctionDef& fn = sf.outline.functions[fi];
-            // Forwarders — functions that ARE a Begin or End half (e.g.
-            // CroccoAmr::fillPatchBegin, or a *End routine that completes an
-            // exchange its Begin-half opened) — are intentionally one-sided.
-            if (endsWith(fn.name, "Begin") || endsWith(fn.name, "End"))
-                continue;
-            struct Count {
-                int begin = 0, end = 0, firstLine = 0;
-            };
-            std::map<std::string, Count> stems;
-            for (const CallExpr& c : sf.outline.calls) {
-                if (c.func != static_cast<int>(fi)) continue;
-                const std::string low = lowered(c.name);
-                if (low.find("fillboundary") == std::string::npos &&
-                    low.find("fillpatch") == std::string::npos)
-                    continue;
-                std::string stem;
-                bool isBegin = false;
-                if (endsWith(c.name, "Begin")) {
-                    stem = c.name.substr(0, c.name.size() - 5);
-                    isBegin = true;
-                } else if (endsWith(c.name, "End")) {
-                    stem = c.name.substr(0, c.name.size() - 3);
-                } else {
-                    continue;
-                }
-                Count& cnt = stems[stem];
-                if (!cnt.firstLine) cnt.firstLine = c.line;
-                if (isBegin) ++cnt.begin;
-                else ++cnt.end;
-            }
-            for (const auto& [stem, cnt] : stems) {
-                if (cnt.begin == cnt.end) continue;
-                std::ostringstream os;
-                os << "function '" << fn.name << "' calls " << stem
-                   << "Begin " << cnt.begin << "x but " << stem << "End "
-                   << cnt.end << "x: the exchange "
-                   << (cnt.begin > cnt.end
-                           ? "is left in flight when the function returns"
-                           : "completes a Begin this function never posted")
-                   << " — pair them in the same function, or name the "
-                      "function *Begin/*End if it intentionally owns one "
-                      "half of a split exchange";
-                add(out, "A2", sf.lexed.path, cnt.firstLine, os.str());
-            }
         }
     }
 }

@@ -27,7 +27,7 @@ struct Token {
 };
 
 /// A stripped comment, kept for the suppression scanner
-/// (`// crocco-analyze:allow(R5): reason`).
+/// (`// crocco-analyze:allow(R1): reason`).
 struct Comment {
     std::string text; ///< without the // or /* */ delimiters
     int line = 0;     ///< line the comment starts on

@@ -27,7 +27,7 @@ struct RuleInfo {
 };
 
 /// Inline suppressions parsed from comments:
-///   // crocco-analyze:allow(R1[,R6...])[: reason]        same or next line
+///   // crocco-analyze:allow(R1[,R7...])[: reason]        same or next line
 ///   // crocco-analyze:allow-file(R1[,...]): reason       whole file
 /// The reason is mandatory for allow-file (a file-wide waiver with no
 /// rationale is exactly the grep allowlist this tool replaces).

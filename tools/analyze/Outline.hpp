@@ -21,16 +21,16 @@ struct IncludeDirective {
 };
 
 struct FunctionDef {
-    std::string name;      ///< unqualified ("fillBoundaryBegin")
-    std::string qualified; ///< as written ("MultiFab::fillBoundaryBegin")
+    std::string name;      ///< unqualified ("fillBoundary")
+    std::string qualified; ///< as written ("MultiFab::fillBoundary")
     int line = 0;
     int bodyBegin = 0; ///< token index of '{'
     int bodyEnd = 0;   ///< token index of matching '}'
 };
 
 struct CallExpr {
-    std::string name;  ///< callee's last identifier ("isend", "query")
-    std::string chain; ///< full access chain as written ("comm_->isend")
+    std::string name;  ///< callee's last identifier ("recordP2P", "query")
+    std::string chain; ///< full access chain as written ("comm_->recordP2P")
     int line = 0;
     int nameTok = 0;   ///< token index of the callee identifier
     int lparen = 0;

@@ -1,4 +1,4 @@
-// Token-aware re-implementations of the seven grep rules from the old
+// Token-aware re-implementations of the grep rules from the old
 // tools/lint.sh. The semantics are the same contracts; the matching is on
 // the lexed token stream, so comments, strings, and raw strings can no
 // longer produce false positives, and multi-line calls cannot dodge a rule.
@@ -140,65 +140,6 @@ void checkR4(const Project& project, std::vector<Finding>& out) {
                     "forEachCell in a kernel file — iterate through "
                     "gpu::ParallelFor so thread scaling and the race "
                     "detector cover the loop");
-        }
-    }
-}
-
-// R5 — per-file count parity of the async exchange Begin/End entry points
-// (outside src/amr/, which implements the API). Kept alongside A2: R5 is
-// the cheap whole-file invariant, A2 the per-function protocol check that
-// closes R5's orphaned-Begin-plus-orphaned-End blind spot.
-void checkR5(const Project& project, std::vector<Finding>& out) {
-    static const char* kPairs[][2] = {
-        {"fillBoundaryBegin", "fillBoundaryEnd"},
-        {"FillPatchSingleLevelBegin", "FillPatchSingleLevelEnd"},
-        {"FillPatchTwoLevelsBegin", "FillPatchTwoLevelsEnd"},
-    };
-    for (const SourceFile& sf : project.files) {
-        if (!inSrc(sf.lexed.path)) continue;
-        if (startsWith(sf.lexed.path, "src/amr/")) continue;
-        for (const auto& pair : kPairs) {
-            int nb = 0, ne = 0, firstLine = 0;
-            for (const CallExpr& c : sf.outline.calls) {
-                if (c.name == pair[0]) {
-                    ++nb;
-                    if (!firstLine) firstLine = c.line;
-                } else if (c.name == pair[1]) {
-                    ++ne;
-                    if (!firstLine) firstLine = c.line;
-                }
-            }
-            if (nb != ne) {
-                std::ostringstream os;
-                os << nb << " " << pair[0] << " call(s) vs " << ne << " "
-                   << pair[1] << " call(s) in this file — an exchange left "
-                   << "in flight aborts the next Begin at runtime";
-                add(out, "R5", sf.lexed.path, firstLine, os.str());
-            }
-        }
-    }
-}
-
-// R6 — raw nonblocking posts outside the hardened exchange. SimComm owns
-// the isend/irecv API (CRC stamp, receive timeout, bounded retransmit,
-// NACK-on-corruption); every other caller must go through MultiFab or
-// SimComm::sendVerified or carry a reviewed allow.
-void checkR6(const Project& project, std::vector<Finding>& out) {
-    for (const SourceFile& sf : project.files) {
-        if (!inSrc(sf.lexed.path)) continue;
-        if (startsWith(sf.lexed.path, "src/parallel/SimComm.")) continue;
-        const auto& toks = sf.lexed.tokens;
-        for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-            if (toks[i].kind == TokKind::Identifier &&
-                (toks[i].text == "isend" || toks[i].text == "irecv") &&
-                isPunct(toks[i + 1], "(")) {
-                add(out, "R6", sf.lexed.path, toks[i].line,
-                    "raw " + toks[i].text +
-                        "() outside the verified exchange — new p2p traffic "
-                        "must go through MultiFab or SimComm::sendVerified "
-                        "(or wire the same verification in and add a "
-                        "reviewed allow(R6))");
-            }
         }
     }
 }

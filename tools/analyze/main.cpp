@@ -1,9 +1,8 @@
 // crocco-analyze — the project's own static analyzer. Token-aware
-// re-implementation of the seven grep lint rules (R1–R7) plus five
-// whole-program passes (A1 kernel dataflow, A2 exchange protocol, A3
-// deck-key registry, A4 module layering, A6 guarded recovery sources). See
-// docs/correctness.md for the rule catalogue and the inline suppression
-// syntax.
+// re-implementation of the grep lint rules (R1–R4, R7) plus four
+// whole-program passes (A1 kernel dataflow, A3 deck-key registry, A4 module
+// layering, A6 guarded recovery sources). See docs/correctness.md for the
+// rule catalogue and the inline suppression syntax.
 //
 // Exit status: 0 = clean (suppressed findings do not count), 1 = unsuppressed
 // findings or malformed suppressions, 2 = usage/IO error.
@@ -32,7 +31,7 @@ int usage(std::ostream& os, int code) {
           "directory.\n"
           "\n"
           "  --root DIR            repository root to scan\n"
-          "  --rules R1,A2,...     run only these rules (default: all)\n"
+          "  --rules R1,A1,...     run only these rules (default: all)\n"
           "  --list-rules          print the rule catalogue and exit\n"
           "  --sarif FILE          also write a SARIF 2.1.0 log to FILE\n"
           "  --json                print JSON instead of text\n"

@@ -54,11 +54,10 @@ for seed in 7 1234 90210; do
     (cd build-ci && CROCCO_SDC_SEED=$seed ctest -R sdc_soak --output-on-failure)
 done
 
-echo "== perf benches (BENCH_PR2 + BENCH_PR4 + BENCH_PR6 + BENCH_PR10) =="
+echo "== perf benches (BENCH_PR2 + BENCH_PR6 + BENCH_PR10) =="
 # This host's numbers go to build-ci/; the committed BENCH_PRn.json files
 # are the recorded reference runs and stay untouched.
 bench/run_bench.sh build-ci build-ci/BENCH_PR2.json
-bench/run_bench_pr4.sh build-ci build-ci/BENCH_PR4.json
 bench/run_bench_pr6.sh build-ci build-ci/BENCH_PR6.json
 bench/run_bench_pr10.sh build-ci build-ci/BENCH_PR10.json
 

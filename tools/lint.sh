@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Source lint driver. The rules themselves live in the crocco-analyze
 # static analyzer (tools/analyze/, built by the root CMake): token-aware
-# re-implementations of the original grep rules R1–R7 plus the
-# whole-program passes A1–A4. See docs/correctness.md for the full rule
-# catalogue and the `// crocco-analyze:allow(<rule>): reason` suppression
-# syntax that replaced the old file-granular grep allowlists.
+# re-implementations of the original grep rules (R1–R4, R7) plus the
+# whole-program passes (A1, A3, A4, A6). See docs/correctness.md for the
+# full rule catalogue and the `// crocco-analyze:allow(<rule>): reason`
+# suppression syntax that replaced the old file-granular grep allowlists.
 #
 # This script only (1) builds the analyzer, (2) runs it over the repo,
 # (3) runs clang-tidy when the toolchain provides it. Run from the repo
