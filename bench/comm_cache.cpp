@@ -1,8 +1,8 @@
-// PR2 microbench: communication-pattern caching (AMReX CommMetaData-style).
+// Microbench: communication-pattern caching (AMReX CommMetaData-style).
 //
-// Measures ns-per-call with the CommCache disabled (the seed behavior: the
-// BoxArray hash-intersection search re-runs every call) versus enabled
-// (descriptor replay after the first call) for:
+// Measures ns-per-call with the CommCache at capacity 0 (nothing retained:
+// the BoxArray hash-intersection search re-runs every call) versus its
+// default capacity (descriptor replay after the first call) for:
 //
 //  * fillBoundary        — ghost exchange on the DMR domain chopped at the
 //                          paper's blocking factor (8^3 boxes): the
@@ -14,8 +14,7 @@
 //  * parallelCopy        — the interpolator's cross-layout gather.
 //  * fillPatch_two_level — the full coarse/fine FillPatch path.
 //
-// Emits a JSON object on stdout (composed into BENCH_PR2.json by
-// bench/run_bench.sh); human-readable rows go to stderr.
+// Emits a JSON object on stdout; human-readable rows go to stderr.
 #include "amr/CommCache.hpp"
 #include "gpu/ThreadPool.hpp"
 #include "problems/Dmr.hpp"
@@ -105,8 +104,9 @@ int main() {
                    {"fillBoundary_state"},
                    {"parallelCopy"},
                    {"fillPatch_two_level"}};
+    const std::size_t capacity = cache.capacity();
     for (const bool cached : {false, true}) {
-        cache.setEnabled(cached);
+        cache.setCapacity(cached ? capacity : 0);
         cache.clear();
         const int c = cached ? 1 : 0;
         rows[0].ns[c] = nsPerCall([&] { bfField.fillBoundary(geom0); });
@@ -117,7 +117,7 @@ int main() {
         });
         rows[3].ns[c] = nsPerCall([&] { solver.fillPatch(lev, scratch); });
     }
-    cache.setEnabled(true);
+    cache.setCapacity(capacity);
 
     std::fprintf(stderr, "%-22s %14s %14s %8s\n", "path", "uncached ns",
                  "cached ns", "speedup");

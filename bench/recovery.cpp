@@ -17,8 +17,7 @@
 // retransmit column models the CRC/NACK verified-exchange tax: with a
 // fault probability p per message, the comm regions are re-paid at rate p.
 //
-// JSON on stdout (composed into BENCH_PR6.json by run_bench_pr6.sh); the
-// readable table goes to stderr.
+// JSON on stdout; the readable table goes to stderr.
 #include "machine/FailureModel.hpp"
 #include "machine/ScalingSimulator.hpp"
 

@@ -26,8 +26,7 @@
 //   - modeled detection overhead < 5% at the default cadence (interval 10),
 //   - modeled per-upset waste grows monotonically with ladder depth.
 //
-// JSON on stdout (composed into BENCH_PR10.json by run_bench_pr10.sh);
-// the readable table goes to stderr.
+// JSON on stdout; the readable table goes to stderr.
 #include "core/CroccoAmr.hpp"
 #include "machine/FailureModel.hpp"
 #include "machine/ScalingSimulator.hpp"

@@ -20,7 +20,7 @@
 // modeled(T) = wall(1) - sum_L serial(L) + sum_L criticalPath(L, T) over
 // all pooled launches L of one step.
 //
-// JSON on stdout (composed into BENCH_PR2.json); table on stderr.
+// JSON on stdout; table on stderr.
 #include "core/CroccoAmr.hpp"
 #include "gpu/ThreadPool.hpp"
 #include "problems/Dmr.hpp"

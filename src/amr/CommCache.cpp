@@ -40,7 +40,6 @@ void CommCache::touch(std::list<Entry>::iterator it) {
 }
 
 const CommPattern* CommCache::lookup(const Key& k, int srcSize, int dstSize) {
-    if (!enabled_) return nullptr;
     auto it = map_.find(k);
     if (it == map_.end()) {
         ++stats_.misses;
@@ -61,7 +60,7 @@ const CommPattern* CommCache::lookup(const Key& k, int srcSize, int dstSize) {
 }
 
 const CommPattern& CommCache::insert(const Key& k, CommPattern pattern) {
-    if (!enabled_ || capacity_ == 0) {
+    if (capacity_ == 0) {
         static thread_local CommPattern scratch;
         scratch = std::move(pattern);
         return scratch;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "amr/Box.hpp"
-#include "perf/TinyProfiler.hpp"
 
 #include <cstdint>
 #include <list>
@@ -77,28 +76,21 @@ public:
 
     static CommCache& instance();
 
-    /// Patterns retained (LRU). Shrinking evicts oldest entries immediately.
+    /// Patterns retained (LRU, default 64). Shrinking evicts oldest entries
+    /// immediately; 0 retains nothing, so every call runs the uncached
+    /// build path (the seed behavior the tests and bench/comm_cache compare
+    /// against).
     void setCapacity(std::size_t cap);
     std::size_t capacity() const { return capacity_; }
     std::size_t size() const { return map_.size(); }
 
-    /// Disabled: lookups miss, inserts are dropped — the uncached build path
-    /// runs every call (seed behavior; used by tests and the benches).
-    void setEnabled(bool e) { enabled_ = e; }
-    bool enabled() const { return enabled_; }
-
-    /// Optional profiler charged with CommCacheBuild / CommCacheHit regions
-    /// by MultiFab; non-owning, nullptr detaches.
-    void attachProfiler(perf::TinyProfiler* p) { prof_ = p; }
-    perf::TinyProfiler* profiler() const { return prof_; }
-
-    /// nullptr on miss (or when disabled, or when the validation fields do
-    /// not match — a collided key is dropped and rebuilt). The returned
-    /// pointer is valid until the next insert/invalidate/clear call.
+    /// nullptr on miss (or when the validation fields do not match — a
+    /// collided key is dropped and rebuilt). The returned pointer is valid
+    /// until the next insert/invalidate/clear call.
     const CommPattern* lookup(const Key& k, int srcSize, int dstSize);
 
-    /// Store (or replace) a pattern; returns the stored copy. No-op when
-    /// disabled (returns a reference to a thread-local scratch instead).
+    /// Store (or replace) a pattern; returns the stored copy. No-op at
+    /// capacity 0 (returns a reference to a thread-local scratch instead).
     const CommPattern& insert(const Key& k, CommPattern pattern);
 
     /// Drop every entry whose key mentions `baId` as source or destination.
@@ -133,8 +125,6 @@ private:
     std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
     std::size_t capacity_ = 64;
     int commSize_ = 0;
-    bool enabled_ = true;
-    perf::TinyProfiler* prof_ = nullptr;
     Stats stats_;
 };
 

@@ -6,7 +6,6 @@
 #include "resilience/Crc32.hpp"
 
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -14,23 +13,6 @@
 namespace crocco::amr {
 
 namespace {
-
-/// RAII profiler region that is a no-op when the cache has no profiler
-/// attached (MultiFab is usable without any perf instrumentation).
-struct MaybeScope {
-    perf::TinyProfiler* prof;
-    const char* name;
-    std::chrono::steady_clock::time_point start;
-    explicit MaybeScope(const char* n)
-        : prof(CommCache::instance().profiler()), name(n),
-          start(std::chrono::steady_clock::now()) {}
-    ~MaybeScope() {
-        if (!prof) return;
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - start;
-        prof->addTime(name, dt.count());
-    }
-};
 
 /// CRC32 of one fab rectangle (the payload of a single copy descriptor):
 /// cells in forEachCell (Fortran) order, components outermost, chained per
@@ -76,14 +58,6 @@ void scrambleRegionBit(FArrayBox& f, const Box& region, int comp, int ncomp,
     }
 }
 
-/// Per-region message accounting (TinyProfiler Msgs / MsgBytes columns);
-/// no-op without an attached profiler.
-void chargeMessages(const std::string& tag, std::int64_t nmsgs, double bytes) {
-    if (nmsgs <= 0) return;
-    if (perf::TinyProfiler* prof = CommCache::instance().profiler())
-        prof->addMessages(tag, nmsgs, bytes);
-}
-
 } // namespace
 
 MultiFab::MultiFab(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
@@ -93,7 +67,15 @@ MultiFab::MultiFab(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
 
 void MultiFab::define(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
                       int ngrow, parallel::SimComm* comm) {
+    define(ba, dm, ncomp, ngrow, comm,
+           std::vector<bool>(static_cast<std::size_t>(ba.size()), true));
+}
+
+void MultiFab::define(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
+                      int ngrow, parallel::SimComm* comm,
+                      const std::vector<bool>& allocate) {
     assert(ba.size() == dm.size());
+    assert(static_cast<int>(allocate.size()) == ba.size());
     assert(ncomp >= 1 && ngrow >= 0);
     ba_ = ba;
     dm_ = dm;
@@ -101,14 +83,15 @@ void MultiFab::define(const BoxArray& ba, const DistributionMapping& dm, int nco
     ngrow_ = ngrow;
     comm_ = comm;
     fabs_.clear();
-    fabs_.reserve(ba.size());
-    for (int i = 0; i < ba.size(); ++i) fabs_.emplace_back(ba[i].grow(ngrow), ncomp);
-    if constexpr (check::enabled) {
+    fabs_.resize(static_cast<std::size_t>(ba.size()));
+    for (int i = 0; i < ba.size(); ++i) {
+        if (!allocate[static_cast<std::size_t>(i)]) continue;
+        FArrayBox& f = fabs_[static_cast<std::size_t>(i)];
+        f = FArrayBox(ba[i].grow(ngrow), ncomp);
         // MultiFab storage models fresh device allocations: poison it and
-        // start the shadow maps at Uninit so never-filled reads are caught
+        // start the shadow map at Uninit so never-filled reads are caught
         // (bare FArrayBoxes — kernel scratch — stay value-initialized).
-        for (int i = 0; i < ba.size(); ++i)
-            fabs_[static_cast<std::size_t>(i)].markUninitialized(ba[i]);
+        if constexpr (check::enabled) f.markUninitialized(ba[i]);
     }
 }
 
@@ -142,8 +125,6 @@ void MultiFab::replay(const CommPattern& pattern, const MultiFab& src,
     // descriptor order is free — but SimComm recording must match the build
     // order byte for byte, so the replay stays serial and in order.
     const bool verified = comm_ && comm_->exchangeVerification();
-    std::int64_t nmsgs = 0;
-    double msgBytes = 0.0;
     for (const CopyDescriptor& d : pattern.copies) {
         const int srcRank = src.distributionMap()[d.srcFab];
         const int dstRank = dm_[d.dstFab];
@@ -177,8 +158,6 @@ void MultiFab::replay(const CommPattern& pattern, const MultiFab& src,
                 scrambleRegionBit(fabs_[d.dstFab], d.region, destComp, numComp, w);
             };
             comm_->sendVerified(t);
-            ++nmsgs;
-            msgBytes += static_cast<double>(bytes);
             continue;
         }
         fabs_[d.dstFab].copyFrom(src.fab(d.srcFab), d.region, srcComp, destComp,
@@ -192,12 +171,7 @@ void MultiFab::replay(const CommPattern& pattern, const MultiFab& src,
             comm_->recordMessage(srcRank, dstRank, bytes,
                                  parallel::MessageKind::ParallelCopy, tag);
         }
-        if (srcRank != dstRank) {
-            ++nmsgs;
-            msgBytes += static_cast<double>(bytes);
-        }
     }
-    chargeMessages(tag, nmsgs, msgBytes);
 }
 
 namespace {
@@ -253,22 +227,17 @@ void MultiFab::fillBoundary(const Geometry& geom) {
     if (comm_) cache.noteCommSize(comm_->size());
     const CommCache::Key key{ba_.id(), ba_.id(), ngrow_, 0, hashShifts(shifts),
                              CommCache::FillBoundary};
-    const bool cacheable = cache.enabled() && ba_.id() != 0;
+    const bool cacheable = ba_.id() != 0;
     if (cacheable) {
         if (const CommPattern* pat = cache.lookup(key, ba_.size(), ba_.size())) {
             if (check::enabled && check::commGuardShouldVerify())
                 verifyReplay(*pat, buildFillBoundaryPattern(shifts),
                              "FillBoundary");
-            MaybeScope scope("CommCacheHit");
             replay(*pat, *this, 0, 0, ncomp_, "FillBoundary", /*p2p=*/true);
             return;
         }
     }
-    CommPattern pattern;
-    {
-        MaybeScope scope("CommCacheBuild");
-        pattern = buildFillBoundaryPattern(shifts);
-    }
+    CommPattern pattern = buildFillBoundaryPattern(shifts);
     const CommPattern& stored =
         cacheable ? cache.insert(key, std::move(pattern)) : pattern;
     replay(stored, *this, 0, 0, ncomp_, "FillBoundary", /*p2p=*/true);
@@ -286,8 +255,7 @@ void MultiFab::parallelCopy(const MultiFab& src, int srcComp, int destComp,
     if (comm_) cache.noteCommSize(comm_->size());
     const CommCache::Key key{src.boxArray().id(), ba_.id(), dstNGrow, srcNGrow,
                              hashShifts(shifts), CommCache::ParallelCopy};
-    const bool cacheable =
-        cache.enabled() && ba_.id() != 0 && src.boxArray().id() != 0;
+    const bool cacheable = ba_.id() != 0 && src.boxArray().id() != 0;
     if (cacheable) {
         if (const CommPattern* pat =
                 cache.lookup(key, src.boxArray().size(), ba_.size())) {
@@ -296,16 +264,12 @@ void MultiFab::parallelCopy(const MultiFab& src, int srcComp, int destComp,
                     *pat,
                     buildParallelCopyPattern(src, dstNGrow, srcNGrow, shifts),
                     "ParallelCopy");
-            MaybeScope scope("CommCacheHit");
             replay(*pat, src, srcComp, destComp, numComp, tag, /*p2p=*/false);
             return;
         }
     }
-    CommPattern pattern;
-    {
-        MaybeScope scope("CommCacheBuild");
-        pattern = buildParallelCopyPattern(src, dstNGrow, srcNGrow, shifts);
-    }
+    CommPattern pattern =
+        buildParallelCopyPattern(src, dstNGrow, srcNGrow, shifts);
     const CommPattern& stored =
         cacheable ? cache.insert(key, std::move(pattern)) : pattern;
     replay(stored, src, srcComp, destComp, numComp, tag, /*p2p=*/false);

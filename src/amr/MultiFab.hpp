@@ -29,6 +29,13 @@ public:
 
     void define(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
                 int ngrow, parallel::SimComm* comm = nullptr);
+    /// As define(), but only fab i with allocate[i] gets storage; the others
+    /// stay empty until the caller moves a fab of box grownBox(i) and
+    /// nComp() components into fab(i). A regrid takes over the geometry
+    /// fabs it keeps this way, so they are never allocated twice.
+    void define(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
+                int ngrow, parallel::SimComm* comm,
+                const std::vector<bool>& allocate);
 
     bool isDefined() const { return !fabs_.empty(); }
     const BoxArray& boxArray() const { return ba_; }

@@ -4,7 +4,6 @@
 
 #include "amr/BoxList.hpp"
 #include "amr/CommCache.hpp"
-#include "core/KernelProfiles.hpp"
 #include "core/Rk3.hpp"
 #include "gpu/Arena.hpp"
 #include "gpu/Gpu.hpp"
@@ -18,7 +17,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <stdexcept>
 
 namespace crocco::core {
@@ -63,8 +61,7 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
     // InterpFromCoarseLevel gather coarse coordinates with their full halo,
     // so a narrower one would change the ParallelCopy_interp traffic.
     coordStore_ = std::make_unique<mesh::CoordStore>(
-        mapping_, geom0, cfg.amrInfo.refRatio, cfg.amrInfo.maxLevel, NGHOST + 3,
-        cfg.coordMode, cfg.coordFileDir);
+        mapping_, geom0, cfg.amrInfo.refRatio, cfg.amrInfo.maxLevel, NGHOST + 3);
     const int nlev = cfg.amrInfo.maxLevel + 1;
     U_.resize(nlev);
     G_.resize(nlev);
@@ -84,15 +81,11 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
             interp_ = std::make_unique<amr::CellConservativeLinear>();
             break;
     }
-    // Execution-tuning knobs are process-wide (the thread pool and the comm
-    // cache are singletons); the most recently constructed solver wins,
-    // which matches the one-solver-per-process usage of every driver.
+    // The thread count is process-wide (the pool is a singleton); the most
+    // recently constructed solver wins, which matches the one-solver-per-
+    // process usage of every driver.
     gpu::setNumThreads(cfg.gpuNumThreads > 0 ? cfg.gpuNumThreads
                                              : gpu::ThreadPool::defaultNumThreads());
-    auto& cache = amr::CommCache::instance();
-    cache.setEnabled(cfg.commCache);
-    cache.setCapacity(static_cast<std::size_t>(std::max(cfg.commCacheCapacity, 0)));
-    cache.attachProfiler(&prof_);
     if (auto* c = this->comm()) {
         // Hardened-exchange policy from the deck (comm.* keys). Zero-valued
         // knobs keep SimComm's defaults so decks without the keys are
@@ -102,13 +95,6 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
             c->setMaxRetransmits(cfg.commMaxRetransmits);
         if (cfg.commVerify) c->setVerifyExchanges(true);
     }
-}
-
-CroccoAmr::~CroccoAmr() {
-    // The cache holds a non-owning pointer to this solver's profiler; drop
-    // it before the profiler dies so no later MultiFab call dangles.
-    auto& cache = amr::CommCache::instance();
-    if (cache.profiler() == &prof_) cache.attachProfiler(nullptr);
 }
 
 const amr::Interpolater& CroccoAmr::interpolater() const { return *interp_; }
@@ -141,8 +127,8 @@ void CroccoAmr::fillGeometry(int lev, MultiFab& coords, MultiFab& metrics,
             compute.push_back(f);
             continue;
         }
-        coords.fab(f) = coords_[lev].fab(g);
-        metrics.fab(f) = metrics_[lev].fab(g);
+        coords.fab(f) = std::move(coords_[lev].fab(g));
+        metrics.fab(f) = std::move(metrics_[lev].fab(g));
     }
     // Per fab exactly what CoordStore::getCoords(MultiFab&) followed by
     // mesh::computeMetrics does (the serial reference the tests compare
@@ -202,9 +188,20 @@ void CroccoAmr::remakeLevel(int lev, Real time, const BoxArray& ba,
     MultiFab newU(ba, dm, NCONS, NGHOST, comm());
     MultiFab newG(ba, dm, NCONS, 0, comm());
     newG.setVal(0.0);
-    MultiFab newCoords(ba, dm, 3, NGHOST + 3, comm());
-    MultiFab newMetrics(ba, dm, mesh::MetricComps, NGHOST, comm());
+    // The kept geometry fabs are taken over from the outgoing level, so
+    // they get no storage of their own here.
+    std::vector<bool> allocate(keep.size());
+    for (std::size_t f = 0; f < keep.size(); ++f) allocate[f] = keep[f] < 0;
+    MultiFab newCoords, newMetrics;
+    newCoords.define(ba, dm, 3, NGHOST + 3, comm(), allocate);
+    newMetrics.define(ba, dm, mesh::MetricComps, NGHOST, comm(), allocate);
     fillGeometry(lev, newCoords, newMetrics, keep);
+    // coords_[lev] and metrics_[lev] have lost the fabs fillGeometry took.
+    // Nothing below reads them (the interpolation reads level lev - 1 and
+    // newCoords), and the end of this function replaces both. When an
+    // exchange below raises RankFailure, every recovery rebuilds this
+    // level through defineLevelData (buddy restore or readCheckpoint)
+    // before anything reads it.
 
     // Only fabs reaching past the old level need coarse data: gather and
     // interpolate for those alone. Every other fab takes all of its valid
@@ -274,31 +271,15 @@ Real CroccoAmr::computeDtAllLevels() {
     return dt;
 }
 
-namespace {
-
-/// Total valid points of the level — the per-point unit the modeled-DRAM
-/// profiler column (KernelProfiles dramBytesPerPoint) is charged against.
-double levelValidPts(const MultiFab& mf) {
-    double pts = 0.0;
-    for (int f = 0; f < mf.numFabs(); ++f)
-        pts += static_cast<double>(mf.validBox(f).numPts());
-    return pts;
-}
-
-} // namespace
-
 void CroccoAmr::computeRhs(int lev, const MultiFab& Sborder, MultiFab& dU) {
     // Fab-level tiled parallelism: each worker owns whole fabs (disjoint dU
     // writes, read-only Sborder/metrics, per-call kernel scratch), so every
     // thread count produces bitwise-identical dU. The profiler scopes stay
     // outside the parallel region — TinyProfiler is not thread-safe.
     const auto dxi = geom(lev).cellSizeArray();
-    const double pts = levelValidPts(dU);
     static const char* wenoNames[3] = {"WENOx", "WENOy", "WENOz"};
     for (int dir = 0; dir < 3; ++dir) {
         perf::TinyProfiler::Scope scope(prof_, wenoNames[dir]);
-        prof_.addBytes(wenoNames[dir],
-                       wenoKernelProfile().dramBytesPerPoint * pts);
         gpu::ParallelForIndex(dU.numFabs(), [&](int f) {
             wenoFlux(dir, Sborder.const_array(f), metrics_[lev].const_array(f),
                      dU.validBox(f), dU.array(f), dxi[static_cast<std::size_t>(dir)],
@@ -307,7 +288,6 @@ void CroccoAmr::computeRhs(int lev, const MultiFab& Sborder, MultiFab& dU) {
     }
     if (cfg_.gas.viscous() || cfg_.sgs.active()) {
         perf::TinyProfiler::Scope scope(prof_, "Viscous");
-        prof_.addBytes("Viscous", viscousKernelProfile().dramBytesPerPoint * pts);
         gpu::ParallelForIndex(dU.numFabs(), [&](int f) {
             viscousFlux(Sborder.const_array(f), metrics_[lev].const_array(f),
                         dU.validBox(f), dU.array(f), dxi, cfg_.gas, cfg_.variant,
@@ -336,8 +316,6 @@ void CroccoAmr::rk3Advance() {
                 dualExecuteCheck(lev, stage, Sborder, dU);
             {
                 perf::TinyProfiler::Scope scope(prof_, "Update");
-                prof_.addBytes("Update", updateKernelProfile().dramBytesPerPoint *
-                                             levelValidPts(dU));
                 // G <- A*G + dt*RHS;  U <- U + B*G.
                 rk3StageUpdate(G_[lev], U_[lev], dU,
                                Rk3::A[static_cast<std::size_t>(stage)],
@@ -391,20 +369,7 @@ void CroccoAmr::dualExecuteCheck(int lev, int stage, const MultiFab& Sborder,
     }
 }
 
-void CroccoAmr::emitCommSummary() {
-    if (!cfg_.commLogSummary) return;
-    const auto* c = comm();
-    if (!c) return;
-    const parallel::CommLog::Summary s = c->log().summarize(commLogMark_);
-    lastCommSummary_ =
-        "step " + std::to_string(step_) + " " +
-        parallel::CommLog::formatSummary(s);
-    std::cout << lastCommSummary_ << '\n';
-    commLogMark_ = c->log().count();
-}
-
 void CroccoAmr::step() {
-    if (cfg_.commLogSummary && comm()) commLogMark_ = comm()->log().count();
     // SDC window boundary: flips that hit resident state while it sat cold
     // since the last stamp land now, and the guard verify (on its cadence)
     // catches and repairs them before anything reads the state.
@@ -443,7 +408,6 @@ void CroccoAmr::step() {
             throw;
         }
         if (faultInjector_) faultInjector_->corruptState(step_, U_, finestLevel());
-        emitCommSummary();
         time_ += dt_;
         ++step_;
         if (cfg_.sdc.guard) {
@@ -512,7 +476,6 @@ void CroccoAmr::step() {
                 resilience::FaultClass::HealthFault))
             dt_ *= cfg_.guard.dtBackoff;
     }
-    emitCommSummary();
     time_ += dt_;
     ++step_;
     if (cfg_.sdc.guard) {

@@ -59,20 +59,12 @@ public:
         SgsModel sgs; ///< Smagorinsky LES closure; cs = 0 means DNS mode
         InterpChoice interp = InterpChoice::Curvilinear;
         TaggingSpec tagging;
-        mesh::CoordStore::Mode coordMode = mesh::CoordStore::Mode::Memory;
-        std::string coordFileDir = ".";
         int nranks = 1;
         /// Host worker threads for tiled kernel execution (ParmParse key
         /// `gpu.num_threads`, env override GPU_NUM_THREADS). 0 = auto
         /// (env var, else hardware_concurrency); 1 = serial execution
         /// identical to the pre-threading code path.
         int gpuNumThreads = 0;
-        /// Communication-pattern caching (`amr.comm_cache`): reuse
-        /// FillBoundary/ParallelCopy copy descriptors across steps instead
-        /// of re-running the BoxArray intersection search every call.
-        bool commCache = true;
-        /// LRU bound on distinct cached patterns (`amr.comm_cache_size`).
-        int commCacheCapacity = 64;
         /// Health-check + rollback/retry policy applied by step().
         resilience::GuardConfig guard;
         /// Silent-data-corruption guard (resilience.sdc_* keys): CRC32
@@ -93,9 +85,6 @@ public:
         /// Retransmit budget per message before the exchange raises a
         /// located error (`comm.max_retransmits`); 0 keeps the default.
         int commMaxRetransmits = 0;
-        /// Print a per-step exchange summary (messages, bytes, retransmits)
-        /// from the CommLog after every step (`comm.log_summary`).
-        bool commLogSummary = false;
 
         static Config forVersion(CodeVersion v);
     };
@@ -118,7 +107,6 @@ public:
     CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
               std::shared_ptr<const mesh::Mapping> mapping,
               parallel::SimComm* comm = nullptr);
-    ~CroccoAmr() override;
 
     /// InitGrid + InitGridMetrics + InitFlow of Algorithm 1.
     void init(InitFunct initialCondition, amr::PhysBCFunct physBC);
@@ -157,11 +145,6 @@ public:
 
     /// Health report of the last completed (healthy) step.
     const resilience::HealthReport& lastHealth() const { return lastHealth_; }
-    /// The exchange digest of the last completed step, as printed under
-    /// comm.log_summary ("step N comm: msgs=... bytes=... ..."); empty when
-    /// the key is off or no step has run. Tests assert on this instead of
-    /// scraping stdout.
-    const std::string& lastCommSummary() const { return lastCommSummary_; }
     /// Rollback/retry attempts performed over the solver's lifetime.
     int rollbackCount() const { return rollbackCount_; }
     /// Checkpoint-restore recoveries performed by evolve() overloads.
@@ -186,6 +169,7 @@ public:
     const amr::MultiFab& metrics(int lev) const { return metrics_[lev]; }
     const mesh::CoordStore& coordStore() const { return *coordStore_; }
 
+    /// Wall-clock seconds and calls of this solver's regions only.
     perf::TinyProfiler& profiler() { return prof_; }
 
     /// Global conserved totals (density-weighted cell "volumes" J dxi^3),
@@ -236,11 +220,15 @@ private:
     void defineLevelData(int lev, const amr::BoxArray& ba,
                          const amr::DistributionMapping& dm);
     /// The per-fab geometry fill of every level build. Fab f with
-    /// keep[f] >= 0 copies fab keep[f] of the level's outgoing coords_/
+    /// keep[f] >= 0 takes over fab keep[f] of the level's outgoing coords_/
     /// metrics_, which has the same box and owner: both are a pure
-    /// function of level and cell index, so the copy is bitwise the
+    /// function of level and cell index, so the taken fab is bitwise the
     /// recomputation. Every other fab reads its coordinates from the
-    /// CoordStore and computes its metrics, all in one pool launch.
+    /// CoordStore and computes its metrics, all in one pool launch. The
+    /// taken fabs are moved, not copied, into fabs the caller left
+    /// unallocated, so `keep` must be injective (new boxes are disjoint, so
+    /// no two share an old box) and the caller must replace coords_[lev]
+    /// and metrics_[lev] before anything reads them.
     void fillGeometry(int lev, amr::MultiFab& coords, amr::MultiFab& metrics,
                       const std::vector<int>& keep);
     void rk3Advance();
@@ -270,10 +258,6 @@ private:
     /// (KernelSdc) so step() rolls the stage back and replays.
     void dualExecuteCheck(int lev, int stage, const amr::MultiFab& Sborder,
                           const amr::MultiFab& dU);
-    /// comm.log_summary: render + print the digest of the traffic this
-    /// step generated (from commLogMark_ to the log end) and advance the
-    /// mark. No-op unless the key is on and a communicator is attached.
-    void emitCommSummary();
 
     Config cfg_;
     std::shared_ptr<const mesh::Mapping> mapping_;
@@ -296,10 +280,6 @@ private:
     resilience::SdcInjector* sdcInjector_ = nullptr;
     resilience::FabGuard sdcGuard_;
     resilience::RecoveryLadder ladder_;
-    /// CommLog index where the current step's traffic starts — the
-    /// comm.log_summary printout summarizes messages from this mark on.
-    std::size_t commLogMark_ = 0;
-    std::string lastCommSummary_;
     resilience::HealthReport lastHealth_;
     int rollbackCount_ = 0;
     int recoveryCount_ = 0;

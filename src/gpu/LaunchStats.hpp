@@ -15,9 +15,10 @@ namespace crocco::gpu {
 ///    launch, not extra launches), and each per-fab MultiFab arithmetic
 ///    sweep (setVal / mult / saxpy) models one launch per fab.
 ///
-/// perf::TinyProfiler::Scope snapshots count() on entry/exit, giving every
-/// profiled region a launch column; the counter itself is a relaxed atomic
-/// so pool workers can count concurrently without ordering cost.
+/// This counter is the one account of launches: readers take count()
+/// before and after what they measure (dmrbench's per-step
+/// `gpu.launches_per_step`). It is a relaxed atomic so pool workers can
+/// count concurrently without ordering cost.
 class LaunchStats {
 public:
     static std::uint64_t count() {

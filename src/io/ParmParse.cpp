@@ -216,10 +216,6 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     }
     if (cfg.gpuNumThreads < 0)
         throw std::runtime_error("gpu.num_threads: must be >= 0 (0 = auto)");
-    query("amr.comm_cache", cfg.commCache);
-    query("amr.comm_cache_size", cfg.commCacheCapacity);
-    if (cfg.commCacheCapacity < 0)
-        throw std::runtime_error("amr.comm_cache_size: must be >= 0");
 
     query("resilience.health_checks", cfg.guard.enabled);
     query("resilience.max_retries", cfg.guard.maxRetries);
@@ -240,7 +236,6 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     query("comm.timeout", cfg.commTimeout);
     query("comm.verify", cfg.commVerify);
     query("comm.max_retransmits", cfg.commMaxRetransmits);
-    query("comm.log_summary", cfg.commLogSummary);
     if (cfg.commTimeout < 0.0)
         throw std::runtime_error("comm.timeout: must be >= 0 (0 = default)");
     if (cfg.commMaxRetransmits < 0)

@@ -140,7 +140,8 @@ public:
         bool modelFailures = false;
         /// Charge the verified-exchange retransmit surcharge against the
         /// communication regions: each faulted message is re-sent after a
-        /// NACK, so expected comm time grows by ~commFaultRate.
+        /// NACK, so expected comm time grows by ~commFaultRate. The CPU
+        /// versions' on-rank ghost staging is not re-sent and not charged.
         bool modelCommFaults = false;
         /// Per-message fault probability on the wire (drop + corrupt rates
         /// of the injection campaign being modeled).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 namespace crocco::parallel {
@@ -64,15 +63,6 @@ CommLog::Summary CommLog::summarize(std::size_t fromIndex) const {
         if (endsWith(m.tag, "/dup")) ++s.duplicates;
     }
     return s;
-}
-
-std::string CommLog::formatSummary(const Summary& s) {
-    std::ostringstream os;
-    os << "comm: msgs=" << s.messages << " bytes=" << s.bytes
-       << " p2p=" << s.p2p << " pc=" << s.parallelCopy
-       << " red=" << s.reductions << " rtx=" << s.retransmits
-       << " nack=" << s.nacks << " dup=" << s.duplicates;
-    return os.str();
 }
 
 SimComm::SimComm(int nranks)

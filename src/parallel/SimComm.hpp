@@ -47,11 +47,10 @@ public:
     /// communication time is governed by the busiest rank.
     std::vector<std::int64_t> bytesPerRank(int nranks) const;
 
-    /// Aggregate view of one slice of the log (messages [fromIndex, end)):
-    /// the per-step exchange digest printed under comm.log_summary so a
-    /// message-count regression is visible without running the bench.
-    /// Fault traffic is classified by the tag suffixes the hardened
-    /// exchange appends ("/rtxN", "/nack", "/dup").
+    /// Aggregate view of one slice of the log (messages [fromIndex, end)),
+    /// e.g. one step's traffic from a count() mark taken before it. Fault
+    /// traffic is classified by the tag suffixes the hardened exchange
+    /// appends ("/rtxN", "/nack", "/dup").
     struct Summary {
         std::size_t messages = 0;    ///< everything, fault traffic included
         std::int64_t bytes = 0;      ///< payload bytes of those messages
@@ -66,10 +65,6 @@ public:
     /// Summarize the log from `fromIndex` (a count() snapshot taken at the
     /// start of the step) to the current end.
     Summary summarize(std::size_t fromIndex = 0) const;
-
-    /// One-line rendering of a Summary: "msgs=N bytes=B p2p=... pc=...
-    /// red=... rtx=... nack=... dup=...".
-    static std::string formatSummary(const Summary& s);
 
 private:
     std::vector<Message> messages_;

@@ -1,7 +1,5 @@
 #include "perf/TinyProfiler.hpp"
 
-#include "gpu/LaunchStats.hpp"
-
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
@@ -9,15 +7,11 @@
 namespace crocco::perf {
 
 TinyProfiler::Scope::Scope(TinyProfiler& p, std::string name)
-    : prof_(p), name_(std::move(name)),
-      start_(std::chrono::steady_clock::now()),
-      launchStart_(gpu::LaunchStats::count()) {}
+    : prof_(p), name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
 
 TinyProfiler::Scope::~Scope() {
     const auto end = std::chrono::steady_clock::now();
     prof_.addTime(name_, std::chrono::duration<double>(end - start_).count());
-    prof_.addLaunches(name_, static_cast<std::int64_t>(gpu::LaunchStats::count() -
-                                                       launchStart_));
 }
 
 void TinyProfiler::addTime(const std::string& name, double seconds, std::int64_t calls) {
@@ -25,26 +19,6 @@ void TinyProfiler::addTime(const std::string& name, double seconds, std::int64_t
     e.name = name;
     e.seconds += seconds;
     e.calls += calls;
-}
-
-void TinyProfiler::addLaunches(const std::string& name, std::int64_t launches) {
-    Entry& e = entries_[name];
-    e.name = name;
-    e.launches += launches;
-}
-
-void TinyProfiler::addBytes(const std::string& name, double bytes) {
-    Entry& e = entries_[name];
-    e.name = name;
-    e.modeledBytes += bytes;
-}
-
-void TinyProfiler::addMessages(const std::string& name, std::int64_t msgs,
-                               double bytes) {
-    Entry& e = entries_[name];
-    e.name = name;
-    e.msgs += msgs;
-    e.msgBytes += bytes;
 }
 
 double TinyProfiler::seconds(const std::string& name) const {
@@ -55,26 +29,6 @@ double TinyProfiler::seconds(const std::string& name) const {
 std::int64_t TinyProfiler::calls(const std::string& name) const {
     auto it = entries_.find(name);
     return it == entries_.end() ? 0 : it->second.calls;
-}
-
-std::int64_t TinyProfiler::launches(const std::string& name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? 0 : it->second.launches;
-}
-
-double TinyProfiler::modeledBytes(const std::string& name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? 0.0 : it->second.modeledBytes;
-}
-
-std::int64_t TinyProfiler::messages(const std::string& name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? 0 : it->second.msgs;
-}
-
-double TinyProfiler::messageBytes(const std::string& name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? 0.0 : it->second.msgBytes;
 }
 
 std::vector<TinyProfiler::Entry> TinyProfiler::report() const {
@@ -89,17 +43,12 @@ std::vector<TinyProfiler::Entry> TinyProfiler::report() const {
 std::string TinyProfiler::table() const {
     std::ostringstream os;
     os << std::left << std::setw(36) << "Region" << std::right << std::setw(12)
-       << "Calls" << std::setw(16) << "Time (s)" << std::setw(12) << "Launches"
-       << std::setw(14) << "Model MB" << std::setw(10) << "Msgs"
-       << std::setw(12) << "Msg MB" << '\n';
-    os << std::string(112, '-') << '\n';
+       << "Calls" << std::setw(16) << "Time (s)" << '\n';
+    os << std::string(64, '-') << '\n';
     for (const Entry& e : report()) {
         os << std::left << std::setw(36) << e.name << std::right << std::setw(12)
            << e.calls << std::setw(16) << std::fixed << std::setprecision(6)
-           << e.seconds << std::setw(12) << e.launches << std::setw(14)
-           << std::setprecision(2) << e.modeledBytes / 1e6 << std::setw(10)
-           << e.msgs << std::setw(12) << std::setprecision(2)
-           << e.msgBytes / 1e6 << '\n';
+           << e.seconds << '\n';
     }
     return os.str();
 }

@@ -41,7 +41,6 @@ struct CacheReset {
         auto& c = CommCache::instance();
         c.clear();
         c.resetStats();
-        c.setEnabled(true);
         c.setCapacity(64);
     }
     CacheReset() { apply(); }
@@ -88,7 +87,8 @@ TEST(CommCache, ReplayedSimCommTrafficIsByteIdenticalToUncached) {
     DistributionMapping dm(ba, 4);
 
     auto runExchange = [&](bool cached, parallel::SimComm& comm) {
-        CommCache::instance().setEnabled(cached);
+        // Capacity 0 retains nothing: every call runs the uncached build.
+        CommCache::instance().setCapacity(cached ? 64 : 0);
         MultiFab mf(ba, dm, 3, 2, &comm);
         fillValid(mf);
         mf.fillBoundary(geom); // build (or uncached pass 1)
@@ -105,6 +105,7 @@ TEST(CommCache, ReplayedSimCommTrafficIsByteIdenticalToUncached) {
 
     parallel::SimComm commCached(4), commPlain(4);
     const auto cached = runExchange(true, commCached);
+    const std::int64_t cachedHits = CommCache::instance().stats().hits;
     const auto plain = runExchange(false, commPlain);
 
     ASSERT_EQ(cached.size(), plain.size());
@@ -116,7 +117,9 @@ TEST(CommCache, ReplayedSimCommTrafficIsByteIdenticalToUncached) {
         EXPECT_EQ(cached[m].tag, plain[m].tag);
         EXPECT_EQ(static_cast<int>(cached[m].kind), static_cast<int>(plain[m].kind));
     }
-    EXPECT_GT(CommCache::instance().stats().hits, 0);
+    EXPECT_GT(cachedHits, 0);
+    EXPECT_EQ(CommCache::instance().stats().hits, cachedHits)
+        << "capacity 0 replayed a pattern";
 }
 
 TEST(CommCache, ChangedBoxArrayMissesAndNeverReplaysStalePattern) {

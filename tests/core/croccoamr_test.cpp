@@ -5,8 +5,6 @@
 #include "problems/Canonical.hpp"
 #include "problems/Dmr.hpp"
 
-#include "TempDir.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -115,34 +114,10 @@ TEST(CroccoAmr, MassConservedOnPeriodicProblem) {
     EXPECT_NEAR(after[UMX], before[UMX], 1e-8 * std::abs(before[UMX]) + 1e-10);
 }
 
-TEST(CroccoAmr, CoordStoreFileModeMatchesMemoryMode) {
-    // The regrid coordinate source (§III-C) must not change the physics —
-    // only the performance (bench/ablation_coordstore measures that).
-    Dmr dmr(smallDmr());
-    const testing::TempDir dir("crocco_coordmode");
-    auto run = [&](mesh::CoordStore::Mode mode) {
-        auto cfg = dmr.solverConfig(CodeVersion::V20);
-        cfg.coordMode = mode;
-        cfg.coordFileDir = dir.path;
-        cfg.regridFreq = 2;
-        auto s = std::make_unique<CroccoAmr>(dmr.geometry(), cfg, dmr.mapping());
-        s->init(dmr.initialCondition(), dmr.boundaryConditions());
-        s->evolve(3);
-        return s;
-    };
-    auto mem = run(mesh::CoordStore::Mode::Memory);
-    auto file = run(mesh::CoordStore::Mode::File);
-    for (int lev = 0; lev <= mem->finestLevel(); ++lev) {
-        for (int n = 0; n < NCONS; ++n)
-            EXPECT_EQ(amr::MultiFab::l2Diff(mem->state(lev), file->state(lev), n),
-                      0.0);
-    }
-}
-
 /// How the fabs of the remade levels were rebuilt, over all regrids.
 struct RemakeCounts {
     int levels = 0;      ///< remade levels checked
-    int kept = 0;        ///< same box, same owner: geometry copied
+    int kept = 0;        ///< same box, same owner: geometry taken over
     int moved = 0;       ///< same box, new owner: geometry recomputed
     int interpolated = 0; ///< not fully covered by the old level
 };
@@ -169,8 +144,7 @@ void countRebuilds(const amr::BoxArray& oldBa, const amr::DistributionMapping& o
 /// mesh::computeMetrics on the new layout, and its valid state equals the
 /// whole-level recipe — interpolate every fab from the (already regridded)
 /// coarse level, then parallelCopy the old level over it.
-RemakeCounts checkRegridsAgainstFullRebuild(mesh::CoordStore::Mode mode,
-                                            const std::string& fileDir) {
+RemakeCounts checkRegridsAgainstFullRebuild() {
     Dmr::Options o;
     o.nx = 32;
     o.ny = 8;
@@ -181,8 +155,6 @@ RemakeCounts checkRegridsAgainstFullRebuild(mesh::CoordStore::Mode mode,
     cfg.amrInfo.maxGridSize = 8;
     cfg.regridFreq = 1;
     cfg.nranks = 8;
-    cfg.coordMode = mode;
-    cfg.coordFileDir = fileDir;
     parallel::SimComm comm(8);
     CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping(), &comm);
     const amr::PhysBCFunct bc = dmr.boundaryConditions();
@@ -248,21 +220,14 @@ RemakeCounts checkRegridsAgainstFullRebuild(mesh::CoordStore::Mode mode,
 }
 
 TEST(CroccoAmr, RegridRebuildsOnlyWhatChangedBitwise) {
-    const RemakeCounts c = checkRegridsAgainstFullRebuild(
-        mesh::CoordStore::Mode::Memory, "");
-    // The case exercises every rebuild path: copied geometry, geometry
-    // recomputed after an owner change, and coarse interpolation.
+    const RemakeCounts c = checkRegridsAgainstFullRebuild();
+    // The case exercises every rebuild path: geometry taken over from the
+    // old level, geometry recomputed after an owner change, and coarse
+    // interpolation.
     EXPECT_GT(c.levels, 0);
     EXPECT_GT(c.kept, 0);
     EXPECT_GT(c.moved, 0);
     EXPECT_GT(c.interpolated, 0);
-}
-
-TEST(CroccoAmr, RegridRebuildsOnlyWhatChangedBitwiseFromCoordFiles) {
-    const testing::TempDir dir("crocco_regrid_files");
-    const RemakeCounts c =
-        checkRegridsAgainstFullRebuild(mesh::CoordStore::Mode::File, dir.path);
-    EXPECT_GT(c.levels, 0);
 }
 
 TEST(CroccoAmr, EstimateRegridFreqScalesWithPatchSize) {
@@ -333,39 +298,40 @@ TEST(CroccoAmr, CommLogCapturesPaperCommunicationStructure) {
         EXPECT_NE(m.tag, "ParallelCopy_interp");
 }
 
-TEST(CroccoAmr, LogSummaryDigestsEachStep) {
-    // comm.log_summary on 4 SimComm ranks: the line printed after each step
-    // digests that step's traffic only.
+TEST(CroccoAmr, ProfilerTimesOnlyItsOwnSolversRegions) {
+    // A solver's TinyProfiler holds the wall-clock regions that solver ran,
+    // and nothing else: the exchanges charge no process-wide profiler, so a
+    // solver constructed later receives none of an earlier one's activity.
     Dmr::Options o;
     o.nx = 32;
     o.ny = 8;
     o.nz = 8;
     o.maxLevel = 1;
     Dmr dmr(o);
-    parallel::SimComm comm(4);
     auto cfg = dmr.solverConfig(CodeVersion::V20);
-    cfg.nranks = 4;
-    cfg.regridFreq = 3;
     cfg.amrInfo.maxGridSize = 8; // several boxes per rank: real exchanges
-    cfg.commLogSummary = true;
-    CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping(), &comm);
-    solver.init(dmr.initialCondition(), dmr.boundaryConditions());
-    EXPECT_TRUE(solver.lastCommSummary().empty());
-    solver.evolve(3);
+    cfg.regridFreq = 1;
+    cfg.nranks = 2;
+    parallel::SimComm comm(2), idleComm(2);
+    CroccoAmr stepped(dmr.geometry(), cfg, dmr.mapping(), &comm);
+    CroccoAmr idle(dmr.geometry(), cfg, dmr.mapping(), &idleComm);
+    stepped.init(dmr.initialCondition(), dmr.boundaryConditions());
+    stepped.evolve(2);
+    ASSERT_GT(comm.log().count(parallel::MessageKind::PointToPoint), 0u);
 
-    // emitCommSummary ran on the last step (0-based index 2) and digested
-    // only that step's traffic.
-    const std::string& line = solver.lastCommSummary();
-    ASSERT_FALSE(line.empty());
-    EXPECT_NE(line.find("step 2 "), std::string::npos) << line;
-    EXPECT_NE(line.find("comm: msgs="), std::string::npos) << line;
-    EXPECT_NE(line.find("rtx=0"), std::string::npos) << line;
-    // The digest is a per-step slice, not the cumulative log: three steps of
-    // traffic add up to strictly more than the last step's digest alone.
-    const auto total = comm.log().summarize();
-    EXPECT_EQ(line.find("msgs=" + std::to_string(total.messages) + " "),
-              std::string::npos)
-        << "step digest matched the cumulative count; line: " << line;
+    EXPECT_TRUE(idle.profiler().report().empty()) << idle.profiler().table();
+    const std::set<std::string> solverRegions{
+        "InitGrid",    "InitGridMetrics", "InitFlow",  "Regrid",
+        "FillPatch",   "ComputeDt",       "WENOx",     "WENOy",
+        "WENOz",       "Viscous",         "Update",    "AverageDown",
+        "HealthCheck", "SdcStamp",        "SdcVerify", "SdcDualExec"};
+    const auto regions = stepped.profiler().report();
+    EXPECT_FALSE(regions.empty());
+    for (const auto& e : regions) {
+        EXPECT_EQ(solverRegions.count(e.name), 1u) << e.name;
+        EXPECT_GT(e.calls, 0) << e.name;
+    }
+    EXPECT_TRUE(stepped.profiler().has("FillPatch"));
 }
 
 /// 64-bit FNV-1a over the bytes of each value: a pinned digest moves when

@@ -181,6 +181,29 @@ TEST(ScalingSimulator, CommFaultRateChargesRetransmitSurcharge) {
     EXPECT_LT(rc.retransmitOverheadFraction, 0.011); // bounded by the rate
 }
 
+TEST(ScalingSimulator, CpuRetransmitExcludesOnRankGhostStaging) {
+    // On the CPU versions fillBoundary includes the on-rank ghost-shell
+    // staging (host memcpy), which never crosses the wire and is not re-sent
+    // after a NACK. Pricing the same case with free staging gives the
+    // communication the retransmit tax applies to.
+    ScalingCase c;
+    c.version = core::CodeVersion::V12;
+    c.nodes = 16;
+    c.equivalentPoints = 500'000'000;
+
+    ScalingSimulator::Params p;
+    p.modelCommFaults = true;
+    p.commFaultRate = 0.01;
+    const RegionTimes rt = ScalingSimulator(p).iterationTime(c);
+
+    ScalingSimulator::Params freeStaging = p;
+    freeStaging.network.hostCopyBandwidth = 1e300;
+    const RegionTimes wire = ScalingSimulator(freeStaging).iterationTime(c);
+    ASSERT_LT(wire.fillBoundary, 0.99 * rt.fillBoundary)
+        << "the case must stage a visible share of fillBoundary on-rank";
+    EXPECT_NEAR(rt.retransmit, 0.01 * wire.commWait(), 1e-12 * rt.retransmit);
+}
+
 TEST(ScalingSimulator, ResilienceOverheadGrowsWithNodeCount) {
     ScalingSimulator::Params p;
     p.modelFailures = true;

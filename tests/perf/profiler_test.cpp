@@ -19,7 +19,7 @@ TEST(TinyProfiler, AccumulatesScopesAndCalls) {
     EXPECT_FALSE(prof.has("other"));
 }
 
-TEST(TinyProfiler, AddTimeForModeledRegions) {
+TEST(TinyProfiler, AddTimeChargesRegionsDirectly) {
     TinyProfiler prof;
     prof.addTime("FillPatch", 1.5, 10);
     prof.addTime("FillPatch", 0.5, 5);

@@ -548,7 +548,7 @@ const std::set<std::string> kBaseHeaders = {
 
 /// module -> modules it may depend on (beyond itself and the base headers).
 const std::map<std::string, std::set<std::string>> kAllowedEdges = {
-    {"amr", {"gpu", "parallel", "perf"}},
+    {"amr", {"gpu", "parallel"}},
     {"check", {}},
     {"chem", {}},
     {"core", {"amr", "gpu", "mesh", "perf", "resilience"}},
@@ -557,7 +557,7 @@ const std::map<std::string, std::set<std::string>> kAllowedEdges = {
     {"machine", {"amr", "core", "gpu"}},
     {"mesh", {"amr"}},
     {"parallel", {}},
-    {"perf", {"gpu"}},
+    {"perf", {}},
     {"problems", {"core", "mesh"}},
     {"resilience", {"amr", "gpu"}},
 };
