@@ -14,10 +14,13 @@
 #include "core/KernelProfiles.hpp"
 #include "core/Viscous.hpp"
 #include "core/Weno.hpp"
+#include "gpu/ThreadPool.hpp"
 #include "mesh/CoordStore.hpp"
 #include "mesh/GridMetrics.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 using namespace crocco;
 using namespace crocco::bench;
@@ -61,15 +64,17 @@ struct KernelSetup {
     }
 };
 
-double timeIt(const std::function<void()>& f, int reps = 3) {
-    double best = 1e30;
+/// Median wall time of `reps` calls of f.
+double timeIt(const std::function<void()>& f, int reps = 7) {
+    std::vector<double> t;
     for (int r = 0; r < reps; ++r) {
         const auto t0 = std::chrono::steady_clock::now();
         f();
         const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+        t.push_back(std::chrono::duration<double>(t1 - t0).count());
     }
-    return best;
+    std::nth_element(t.begin(), t.begin() + reps / 2, t.end());
+    return t[static_cast<std::size_t>(reps / 2)];
 }
 
 } // namespace
@@ -77,7 +82,13 @@ double timeIt(const std::function<void()>& f, int reps = 3) {
 int main() {
     printHeader("Figure 3: WENOx and Viscous kernel time vs problem size");
 
-    std::printf("\n[measured on this host] kernel structure comparison\n");
+    // Both structures on one thread: with the pool at its default the
+    // staged sweep's ParallelFor launches would run on every core while the
+    // pencil loop stays serial, and the ratio would compare thread counts.
+    gpu::setNumThreads(1);
+    std::printf("\n[measured on this host, %d thread, median of 7 calls] "
+                "kernel structure comparison\n",
+                gpu::numThreads());
     std::printf("%10s | %12s %12s %8s | %12s\n", "points", "line-scratch",
                 "staged(GPU)", "ratio", "Viscous");
     for (int n : {16, 24, 32, 48}) {

@@ -49,24 +49,31 @@ struct KernelState {
     }
 };
 
-void BM_WenoX(benchmark::State& state, core::KernelVariant variant) {
+/// One WENO-SYMBO sweep of direction `dir` in the given kernel structure.
+void BM_Weno(benchmark::State& state, int dir, core::KernelVariant variant) {
     KernelState ks(static_cast<int>(state.range(0)));
     for (auto _ : state) {
-        core::wenoFlux(0, ks.S.const_array(), ks.metrics.const_array(),
-                       ks.geom.domain(), ks.dU.array(), ks.geom.cellSize(0),
+        core::wenoFlux(dir, ks.S.const_array(), ks.metrics.const_array(),
+                       ks.geom.domain(), ks.dU.array(), ks.geom.cellSize(dir),
                        ks.gas, core::WenoScheme::Symbo, variant);
-        benchmark::DoNotOptimize(ks.dU);
+        benchmark::DoNotOptimize(ks.dU.array().p);
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * ks.geom.domain().numPts());
 }
 
-void BM_Viscous(benchmark::State& state) {
+/// The viscous sweep: Sutherland viscosity alone, or with the Smagorinsky
+/// eddy viscosity of the LES runs (dmr_steady sets cs = 0.1).
+void BM_Viscous(benchmark::State& state, double cs) {
     KernelState ks(static_cast<int>(state.range(0)));
+    core::SgsModel sgs;
+    sgs.cs = cs;
     for (auto _ : state) {
         core::viscousFlux(ks.S.const_array(), ks.metrics.const_array(),
                           ks.geom.domain(), ks.dU.array(), ks.geom.cellSizeArray(),
-                          ks.gas, core::KernelVariant::Portable);
-        benchmark::DoNotOptimize(ks.dU);
+                          ks.gas, core::KernelVariant::Portable, sgs);
+        benchmark::DoNotOptimize(ks.dU.array().p);
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * ks.geom.domain().numPts());
 }
@@ -123,11 +130,16 @@ const amr::WenoInterp kWenoInterp;
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_WenoX, line_scratch, core::KernelVariant::FortranStyle)
+BENCHMARK_CAPTURE(BM_Weno, x_line_scratch, 0, core::KernelVariant::FortranStyle)
     ->Arg(16)->Arg(32);
-BENCHMARK_CAPTURE(BM_WenoX, staged_gpu_structure, core::KernelVariant::Portable)
+BENCHMARK_CAPTURE(BM_Weno, x_staged_gpu_structure, 0, core::KernelVariant::Portable)
     ->Arg(16)->Arg(32);
-BENCHMARK(BM_Viscous)->Arg(16)->Arg(32);
+BENCHMARK_CAPTURE(BM_Weno, y_staged_gpu_structure, 1, core::KernelVariant::Portable)
+    ->Arg(16)->Arg(32);
+BENCHMARK_CAPTURE(BM_Weno, z_staged_gpu_structure, 2, core::KernelVariant::Portable)
+    ->Arg(16)->Arg(32);
+BENCHMARK_CAPTURE(BM_Viscous, sutherland, 0.0)->Arg(16)->Arg(32);
+BENCHMARK_CAPTURE(BM_Viscous, smagorinsky, 0.1)->Arg(16)->Arg(32);
 BENCHMARK(BM_ComputeDt)->Arg(32);
 BENCHMARK(BM_Metrics)->Arg(16)->Arg(32);
 BENCHMARK_CAPTURE(BM_Interp, trilinear, kTrilinear)->Arg(16);

@@ -6,6 +6,27 @@ namespace crocco::amr {
 
 namespace {
 int ceilDiv(int a, int b) { return (a + b - 1) / b; }
+
+/// The coarse coordinates under every coarsened fine fab of `dst`, grown by
+/// `ngc`, for an interpolator that needs them (an empty MultiFab
+/// otherwise). Stored coordinates are a pure function of level and cell
+/// index, ghost cells included, so every source fab that holds a cell
+/// holds the same value and the gather reads source ghosts instead of
+/// periodic images. It reads them only `ngc` deep: each destination cell
+/// lies within `ngc` of its coarsened fine box, which proper nesting
+/// places inside the coarse level, so a source grown by `ngc` holds it.
+MultiFab gatherCoarseCoords(const Interpolater& interp, const BoxArray& cba,
+                            const MultiFab& dst, int ngc,
+                            [[maybe_unused]] const MultiFab* fineCoords,
+                            const MultiFab* crseCoords) {
+    MultiFab coords;
+    if (!interp.needsCoordinates()) return coords;
+    assert(fineCoords && crseCoords);
+    assert(crseCoords->nGrow() >= ngc);
+    coords.define(cba, dst.distributionMap(), 3, ngc, dst.comm());
+    coords.parallelCopy(*crseCoords, 0, 0, 3, ngc, ngc, "ParallelCopy_interp");
+    return coords;
+}
 } // namespace
 
 std::vector<Box> uncoveredBy(const Box& region, const BoxArray& ba,
@@ -54,16 +75,8 @@ void FillPatchTwoLevels(MultiFab& dst, const MultiFab& fineSrc,
     // Curvilinear interpolation additionally needs coarse physical
     // coordinates under the same regions — the paper's *extra* global
     // ParallelCopy that throttles CRoCCo 2.0's weak scaling (§VI-B).
-    // Stored coordinates are globally continuous including their ghost
-    // cells, so the gather reads source ghosts instead of periodic images.
-    MultiFab ctmpCoords;
-    if (interp.needsCoordinates()) {
-        assert(fineCoords && crseCoords);
-        assert(crseCoords->nGrow() >= ngc);
-        ctmpCoords.define(cba, dst.distributionMap(), 3, ngc, dst.comm());
-        ctmpCoords.parallelCopy(*crseCoords, 0, 0, 3, ngc, crseCoords->nGrow(),
-                                "ParallelCopy_interp");
-    }
+    MultiFab ctmpCoords = gatherCoarseCoords(interp, cba, dst, ngc, fineCoords,
+                                             crseCoords);
 
     // 4. Interpolate coarse data into ghost cells no fine patch covers.
     // Ghost cells beyond non-periodic domain faces are left for fineBC;
@@ -104,14 +117,8 @@ void InterpFromCoarseLevel(MultiFab& dst, const MultiFab& crseSrc,
     ctmp.parallelCopy(crseSrc, 0, 0, ncomp, ngc, 0, "ParallelCopy", &crseGeom);
     if (crseBC) crseBC(ctmp, crseGeom, time);
 
-    MultiFab ctmpCoords;
-    if (interp.needsCoordinates()) {
-        assert(fineCoords && crseCoords);
-        assert(crseCoords->nGrow() >= ngc);
-        ctmpCoords.define(cba, dst.distributionMap(), 3, ngc, dst.comm());
-        ctmpCoords.parallelCopy(*crseCoords, 0, 0, 3, ngc, crseCoords->nGrow(),
-                                "ParallelCopy_interp");
-    }
+    MultiFab ctmpCoords = gatherCoarseCoords(interp, cba, dst, ngc, fineCoords,
+                                             crseCoords);
 
     Box interpDomain = fineGeom.domain();
     for (int d = 0; d < SpaceDim; ++d)

@@ -38,7 +38,10 @@ void FillPatchSingleLevel(MultiFab& dst, const MultiFab& src, const Geometry& ge
 /// `crseCoords` must be the 3-component physical-coordinate MultiFabs of the
 /// two levels. Gathering the coarse coordinates requires the *additional
 /// global ParallelCopy* the paper identifies as CRoCCo 2.0's scaling
-/// bottleneck; it is logged under the tag "ParallelCopy_interp".
+/// bottleneck; it is logged under the tag "ParallelCopy_interp". It reads
+/// `crseCoords` only within the coarse halo the interpolation needs,
+/// ceil(dst.nGrow() / ratio) + interp.nGrowCoarse() cells, so `crseCoords`
+/// must carry at least that many ghost layers.
 void FillPatchTwoLevels(MultiFab& dst, const MultiFab& fineSrc,
                         const MultiFab& crseSrc, const Geometry& fineGeom,
                         const Geometry& crseGeom, const IntVect& ratio,

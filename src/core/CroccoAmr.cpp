@@ -57,9 +57,12 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
     : amr::AmrCore(geom0, cfg.amrInfo, cfg.nranks, comm), cfg_(cfg),
       mapping_(std::move(mapping)) {
     // Coordinates carry 3 extra ghost layers beyond the state. The metric
-    // stencil needs only 2 (see mesh::computeMetrics), but FillPatch and
-    // InterpFromCoarseLevel gather coarse coordinates with their full halo,
-    // so a narrower one would change the ParallelCopy_interp traffic.
+    // stencil needs only 2 of them (see mesh::computeMetrics), and
+    // FillPatch and InterpFromCoarseLevel gather coarse coordinates only
+    // as deep as the interpolation halo (3 cells for the curvilinear
+    // interpolator), so nothing reads the outermost layer. It stays
+    // because dropping it changes what every level stores, and with it the
+    // pinned geometry digest.
     coordStore_ = std::make_unique<mesh::CoordStore>(
         mapping_, geom0, cfg.amrInfo.refRatio, cfg.amrInfo.maxLevel, NGHOST + 3);
     const int nlev = cfg.amrInfo.maxLevel + 1;

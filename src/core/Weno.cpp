@@ -86,6 +86,8 @@ namespace {
 /// one call, so the loop body stays in one function with no call per pair.
 template <WenoScheme Scheme, int N>
 inline void reconstructPairs(const RealPair w[N][6], RealPair r[N]) {
+    static_assert(N <= NCONS, "the unroll pragma below covers N <= 5");
+#pragma GCC unroll 5
     for (int n = 0; n < N; ++n) {
         const RealPair* f = w[n];
         const RealPair q0 = (2.0 * f[0] - 7.0 * f[1] + 11.0 * f[2]) / 6.0;
@@ -155,14 +157,15 @@ struct CellFlux {
 };
 constexpr int kCellFluxComps = NCONS + 4;
 
+template <int Dir>
 inline CellFlux cellFlux(const Array4<const Real>& S,
                          const Array4<const Real>& metrics, int i, int j, int k,
-                         int dir, const GasModel& gas) {
+                         const GasModel& gas) {
     const Prim q = toPrim(S, i, j, k, gas);
     const Real J = jacobian(metrics, i, j, k);
-    const Real jm0 = J * metrics(i, j, k, metric1(dir, 0));
-    const Real jm1 = J * metrics(i, j, k, metric1(dir, 1));
-    const Real jm2 = J * metrics(i, j, k, metric1(dir, 2));
+    const Real jm0 = J * metrics(i, j, k, metric1(Dir, 0));
+    const Real jm1 = J * metrics(i, j, k, metric1(Dir, 1));
+    const Real jm2 = J * metrics(i, j, k, metric1(Dir, 2));
     const Real uhat = jm0 * q.u + jm1 * q.v + jm2 * q.w;
     CellFlux c;
     c.fhat[URHO] = q.rho * uhat;
@@ -193,6 +196,7 @@ inline Prim consToPrim(const Real U[NCONS], const GasModel& gas) {
 inline void splitWindows(const Real f[6], const Real c[6], Real alpha,
                          RealPair w[6]) {
     const RealPair A = {alpha, -alpha};
+#pragma GCC unroll 6
     for (int l = 0; l < 6; ++l) {
         const RealPair F = {f[l], f[5 - l]};
         const RealPair C = {c[l], c[5 - l]};
@@ -210,12 +214,15 @@ template <WenoScheme Scheme, Reconstruction Recon>
 inline void interfaceFlux(const CellFlux cells[6], const Real cons[6][NCONS],
                           const GasModel& gas, Real out[NCONS]) {
     Real alpha = cells[0].s;
+#pragma GCC unroll 5
     for (int l = 1; l < 6; ++l) alpha = std::max(alpha, cells[l].s);
 
     RealPair w[NCONS][6], r[NCONS];
     if constexpr (Recon == Reconstruction::ComponentWise) {
+#pragma GCC unroll 5
         for (int m = 0; m < NCONS; ++m) {
             Real f[6], c[6];
+#pragma GCC unroll 6
             for (int l = 0; l < 6; ++l) {
                 f[l] = cells[l].fhat[m];
                 c[l] = cons[l][m];
@@ -223,23 +230,29 @@ inline void interfaceFlux(const CellFlux cells[6], const Real cons[6][NCONS],
             splitWindows(f, c, alpha, w[m]);
         }
         reconstructPairs<Scheme, NCONS>(w, r);
+#pragma GCC unroll 5
         for (int m = 0; m < NCONS; ++m) out[m] = r[m][0] + r[m][1];
     } else {
         // Characteristic-wise: eigensystem at the interface-averaged state
         // and metric direction (cells 2 and 3 straddle the interface).
         Real avgCons[NCONS], kdir[3];
+#pragma GCC unroll 5
         for (int m = 0; m < NCONS; ++m)
             avgCons[m] = 0.5 * (cons[2][m] + cons[3][m]);
+#pragma GCC unroll 3
         for (int d = 0; d < 3; ++d)
             kdir[d] = 0.5 * (cells[2].jm[d] + cells[3].jm[d]);
         const EigenSystem es =
             eulerEigenvectors(consToPrim(avgCons, gas), kdir, gas);
 
+#pragma GCC unroll 5
         for (int m = 0; m < NCONS; ++m) {
             Real cf[6], cu[6];
+#pragma GCC unroll 6
             for (int l = 0; l < 6; ++l) {
                 cf[l] = 0.0;
                 cu[l] = 0.0;
+#pragma GCC unroll 5
                 for (int c = 0; c < NCONS; ++c) {
                     cf[l] += es.L[m][c] * cells[l].fhat[c];
                     cu[l] += es.L[m][c] * cons[l][c];
@@ -249,89 +262,75 @@ inline void interfaceFlux(const CellFlux cells[6], const Real cons[6][NCONS],
         }
         reconstructPairs<Scheme, NCONS>(w, r);
         Real outChar[NCONS];
+#pragma GCC unroll 5
         for (int m = 0; m < NCONS; ++m) outChar[m] = r[m][0] + r[m][1];
+#pragma GCC unroll 5
         for (int c = 0; c < NCONS; ++c) {
             out[c] = 0.0;
+#pragma GCC unroll 5
             for (int m = 0; m < NCONS; ++m) out[c] += es.R[c][m] * outChar[m];
         }
     }
 }
 
-/// Compile-time (scheme, reconstruction) pair handed to a sweep body.
-template <WenoScheme S, Reconstruction R>
-struct SchemeKind {
-    static constexpr WenoScheme scheme = S;
-    static constexpr Reconstruction recon = R;
-};
-
-/// Calls body(SchemeKind<scheme, recon>{}): one dispatch per sweep, so the
-/// per-face interfaceFlux is specialized and branch-free.
-template <typename Body>
-void dispatchScheme(WenoScheme scheme, Reconstruction recon, Body&& body) {
-    constexpr auto JS5 = WenoScheme::JS5, Symbo = WenoScheme::Symbo;
-    constexpr auto CW = Reconstruction::ComponentWise;
-    constexpr auto Char = Reconstruction::CharacteristicWise;
-    if (recon == CW) {
-        if (scheme == JS5) body(SchemeKind<JS5, CW>{});
-        else body(SchemeKind<Symbo, CW>{});
-    } else {
-        if (scheme == JS5) body(SchemeKind<JS5, Char>{});
-        else body(SchemeKind<Symbo, Char>{});
-    }
-}
-
-/// Stage-A scratch store of one cell. The metric row is stored only when
-/// `row` is set, i.e. for the characteristic projection that reads it.
+/// Stage-A scratch store of one cell. The metric row is stored only for
+/// the characteristic projection, the one reader of it.
+template <Reconstruction Recon>
 inline void storeCellFlux(const Array4<Real>& sc, int i, int j, int k,
-                          const CellFlux& c, bool row) {
+                          const CellFlux& c) {
+#pragma GCC unroll 5
     for (int m = 0; m < NCONS; ++m) sc(i, j, k, m) = c.fhat[m];
     sc(i, j, k, NCONS) = c.s;
-    if (row)
+    if constexpr (Recon == Reconstruction::CharacteristicWise)
+#pragma GCC unroll 3
         for (int d = 0; d < 3; ++d) sc(i, j, k, NCONS + 1 + d) = c.jm[d];
 }
 
-/// Gather the six-cell window of the interface stored at cell p (interface
-/// p + e/2) from the stage-A scratch and the conserved state.
-template <Reconstruction Recon>
+/// Gather the six-cell window of the interface stored at cell (i, j, k)
+/// (interface (i, j, k) + e/2, e the unit vector of Dir) from the stage-A
+/// scratch and the conserved state.
+template <int Dir, Reconstruction Recon>
 inline void gatherWindow(const Array4<const Real>& scc,
-                         const Array4<const Real>& S, const IntVect& p,
-                         const IntVect& e, CellFlux cells[6],
-                         Real cons[6][NCONS]) {
+                         const Array4<const Real>& S, int i, int j, int k,
+                         CellFlux cells[6], Real cons[6][NCONS]) {
+    constexpr IntVect e = IntVect::basis(Dir);
+#pragma GCC unroll 6
     for (int l = 0; l < 6; ++l) {
-        const int ci = p[0] + (l - 2) * e[0];
-        const int cj = p[1] + (l - 2) * e[1];
-        const int ck = p[2] + (l - 2) * e[2];
+        const int ci = i + (l - 2) * e[0];
+        const int cj = j + (l - 2) * e[1];
+        const int ck = k + (l - 2) * e[2];
+#pragma GCC unroll 5
         for (int m = 0; m < NCONS; ++m) {
             cells[l].fhat[m] = scc(ci, cj, ck, m);
             cons[l][m] = S(ci, cj, ck, m);
         }
         cells[l].s = scc(ci, cj, ck, NCONS);
         if constexpr (Recon == Reconstruction::CharacteristicWise)
+#pragma GCC unroll 3
             for (int d = 0; d < 3; ++d)
                 cells[l].jm[d] = scc(ci, cj, ck, NCONS + 1 + d);
     }
 }
 
-void wenoFluxPortable(int dir, const Array4<const Real>& S,
+template <int Dir, WenoScheme Scheme, Reconstruction Recon>
+void wenoFluxPortable(const Array4<const Real>& S,
                       const Array4<const Real>& metrics, const Box& validBox,
-                      const Array4<Real>& dU, Real dxi, const GasModel& gas,
-                      WenoScheme scheme, Reconstruction recon) {
-    const IntVect e = IntVect::basis(dir);
-    const bool row = recon == Reconstruction::CharacteristicWise;
+                      const Array4<Real>& dU, Real dxi, const GasModel& gas) {
+    constexpr IntVect e = IntVect::basis(Dir);
 
     // Scratch lives in (device) global memory, allocated from the host
     // before launch — the paper's fix for both in-kernel allocation and the
     // data races of shared line scratch (§IV-B). Leased from the scratch
     // pool: every cell/face written before read, so recycled storage is
     // safe (and check builds re-poison it on each acquire anyway).
-    const Box cellBox = validBox.grow(dir, 3);
+    const Box cellBox = validBox.grow(Dir, 3);
     auto scratchLease = gpu::ScratchPool::instance().acquire(cellBox, kCellFluxComps);
     FArrayBox& scratch = scratchLease.fab();
     auto sc = scratch.array();
 
     // Kernel 1: per-cell contravariant flux + spectral radius + metric row.
     gpu::ParallelFor(cellBox, [&](int i, int j, int k) {
-        storeCellFlux(sc, i, j, k, cellFlux(S, metrics, i, j, k, dir, gas), row);
+        storeCellFlux<Recon>(sc, i, j, k, cellFlux<Dir>(S, metrics, i, j, k, gas));
     });
 
     // Kernel 2: one thread per interface; interface i+1/2 is stored at cell
@@ -341,22 +340,21 @@ void wenoFluxPortable(int dir, const Array4<const Real>& S,
     FArrayBox& flux = fluxLease.fab();
     auto fx = flux.array();
     auto scc = scratch.const_array();
-    dispatchScheme(scheme, recon, [&](auto kind) {
-        using K = decltype(kind);
-        gpu::ParallelFor(faceBox, [&](int i, int j, int k) {
-            CellFlux cells[6];
-            Real cons[6][NCONS];
-            gatherWindow<K::recon>(scc, S, {i, j, k}, e, cells, cons);
-            Real out[NCONS];
-            interfaceFlux<K::scheme, K::recon>(cells, cons, gas, out);
-            for (int m = 0; m < NCONS; ++m) fx(i, j, k, m) = out[m];
-        });
+    gpu::ParallelFor(faceBox, [&](int i, int j, int k) {
+        CellFlux cells[6];
+        Real cons[6][NCONS];
+        gatherWindow<Dir, Recon>(scc, S, i, j, k, cells, cons);
+        Real out[NCONS];
+        interfaceFlux<Scheme, Recon>(cells, cons, gas, out);
+#pragma GCC unroll 5
+        for (int m = 0; m < NCONS; ++m) fx(i, j, k, m) = out[m];
     });
 
     // Kernel 3: flux difference into dU.
     auto fxc = flux.const_array();
     gpu::ParallelFor(validBox, [&](int i, int j, int k) {
         const Real scale = 1.0 / (dxi * jacobian(metrics, i, j, k));
+#pragma GCC unroll 5
         for (int m = 0; m < NCONS; ++m) {
             dU(i, j, k, m) -=
                 scale * (fxc(i, j, k, m) - fxc(i - e[0], j - e[1], k - e[2], m));
@@ -364,11 +362,11 @@ void wenoFluxPortable(int dir, const Array4<const Real>& S,
     });
 }
 
-void wenoFluxFortranStyle(int dir, const Array4<const Real>& S,
+template <int Dir, WenoScheme Scheme, Reconstruction Recon>
+void wenoFluxFortranStyle(const Array4<const Real>& S,
                           const Array4<const Real>& metrics, const Box& validBox,
-                          const Array4<Real>& dU, Real dxi, const GasModel& gas,
-                          WenoScheme scheme, Reconstruction recon) {
-    const int lo = validBox.smallEnd(dir), hi = validBox.bigEnd(dir);
+                          const Array4<Real>& dU, Real dxi, const GasModel& gas) {
+    const int lo = validBox.smallEnd(Dir), hi = validBox.bigEnd(Dir);
     const int nline = hi - lo + 1;
 
     // 1-D line scratch reused across every pencil — the original Fortran
@@ -389,46 +387,78 @@ void wenoFluxFortranStyle(int dir, const Array4<const Real>& S,
     Real* __restrict__ lc = cons.data();
     Real* __restrict__ fl = flux.data();
 
-    const int d1 = (dir + 1) % 3, d2 = (dir + 2) % 3;
-    dispatchScheme(scheme, recon, [&](auto kind) {
-        using K = decltype(kind);
-        for (int c2 = validBox.smallEnd(d2); c2 <= validBox.bigEnd(d2); ++c2) {
-            for (int c1 = validBox.smallEnd(d1); c1 <= validBox.bigEnd(d1); ++c1) {
-                IntVect p;
-                p[d1] = c1;
-                p[d2] = c2;
-                // Gather the pencil including 3 ghost cells each side.
-                for (int l = 0; l < nline + 6; ++l) {
-                    p[dir] = lo - 3 + l;
-                    lf[l] = cellFlux(S, metrics, p[0], p[1], p[2], dir, gas);
-                    for (int m = 0; m < NCONS; ++m)
-                        lc[l * NCONS + m] = S(p[0], p[1], p[2], m);
-                }
-                // Interface fluxes along the pencil (interface f at line
-                // index f corresponds to cell interface lo-1+f+1/2). The
-                // conserved window is a view into the contiguous line
-                // buffer — row l of the window is lc[(f+l)*NCONS ..], so no
-                // per-face copy.
-                for (int f = 0; f <= nline; ++f) {
-                    const auto* consWin =
-                        reinterpret_cast<const Real(*)[NCONS]>(&lc[f * NCONS]);
-                    interfaceFlux<K::scheme, K::recon>(&lf[f], consWin, gas,
-                                                       &fl[f * NCONS]);
-                }
-                // Difference into dU.
-                for (int c0 = lo; c0 <= hi; ++c0) {
-                    p[dir] = c0;
-                    const Real scale =
-                        1.0 / (dxi * jacobian(metrics, p[0], p[1], p[2]));
-                    const int f = c0 - lo;
-                    for (int m = 0; m < NCONS; ++m) {
-                        dU(p[0], p[1], p[2], m) -=
-                            scale * (fl[(f + 1) * NCONS + m] - fl[f * NCONS + m]);
-                    }
+    constexpr int d1 = (Dir + 1) % 3, d2 = (Dir + 2) % 3;
+    for (int c2 = validBox.smallEnd(d2); c2 <= validBox.bigEnd(d2); ++c2) {
+        for (int c1 = validBox.smallEnd(d1); c1 <= validBox.bigEnd(d1); ++c1) {
+            IntVect p;
+            p[d1] = c1;
+            p[d2] = c2;
+            // Gather the pencil including 3 ghost cells each side.
+            for (int l = 0; l < nline + 6; ++l) {
+                p[Dir] = lo - 3 + l;
+                lf[l] = cellFlux<Dir>(S, metrics, p[0], p[1], p[2], gas);
+#pragma GCC unroll 5
+                for (int m = 0; m < NCONS; ++m)
+                    lc[l * NCONS + m] = S(p[0], p[1], p[2], m);
+            }
+            // Interface fluxes along the pencil (interface f at line index
+            // f corresponds to cell interface lo-1+f+1/2). The conserved
+            // window is a view into the contiguous line buffer — row l of
+            // the window is lc[(f+l)*NCONS ..], so no per-face copy.
+            for (int f = 0; f <= nline; ++f) {
+                const auto* consWin =
+                    reinterpret_cast<const Real(*)[NCONS]>(&lc[f * NCONS]);
+                interfaceFlux<Scheme, Recon>(&lf[f], consWin, gas,
+                                             &fl[f * NCONS]);
+            }
+            // Difference into dU.
+            for (int c0 = lo; c0 <= hi; ++c0) {
+                p[Dir] = c0;
+                const Real scale =
+                    1.0 / (dxi * jacobian(metrics, p[0], p[1], p[2]));
+                const int f = c0 - lo;
+#pragma GCC unroll 5
+                for (int m = 0; m < NCONS; ++m) {
+                    dU(p[0], p[1], p[2], m) -=
+                        scale * (fl[(f + 1) * NCONS + m] - fl[f * NCONS + m]);
                 }
             }
         }
-    });
+    }
+}
+
+/// Compile-time (direction, scheme, reconstruction) triple handed to a
+/// sweep body.
+template <int D, WenoScheme S, Reconstruction R>
+struct SweepKind {
+    static constexpr int dir = D;
+    static constexpr WenoScheme scheme = S;
+    static constexpr Reconstruction recon = R;
+};
+
+/// Calls body(SweepKind<dir, scheme, recon>{}): one dispatch per sweep, so
+/// every stencil offset, metric component and per-face branch of the sweep
+/// is a compile-time constant.
+template <int D, typename Body>
+void dispatchScheme(WenoScheme scheme, Reconstruction recon, Body&& body) {
+    constexpr auto JS5 = WenoScheme::JS5, Symbo = WenoScheme::Symbo;
+    constexpr auto CW = Reconstruction::ComponentWise;
+    constexpr auto Char = Reconstruction::CharacteristicWise;
+    if (recon == CW) {
+        if (scheme == JS5) body(SweepKind<D, JS5, CW>{});
+        else body(SweepKind<D, Symbo, CW>{});
+    } else {
+        if (scheme == JS5) body(SweepKind<D, JS5, Char>{});
+        else body(SweepKind<D, Symbo, Char>{});
+    }
+}
+
+template <typename Body>
+void dispatchSweep(int dir, WenoScheme scheme, Reconstruction recon,
+                   Body&& body) {
+    if (dir == 0) dispatchScheme<0>(scheme, recon, body);
+    else if (dir == 1) dispatchScheme<1>(scheme, recon, body);
+    else dispatchScheme<2>(scheme, recon, body);
 }
 
 } // namespace
@@ -438,12 +468,15 @@ void wenoFlux(int dir, const Array4<const Real>& S,
               const Array4<Real>& dU, Real dxi, const GasModel& gas,
               WenoScheme scheme, KernelVariant variant, Reconstruction recon) {
     assert(dir >= 0 && dir < 3);
-    if (variant == KernelVariant::Portable) {
-        wenoFluxPortable(dir, S, metrics, validBox, dU, dxi, gas, scheme, recon);
-    } else {
-        wenoFluxFortranStyle(dir, S, metrics, validBox, dU, dxi, gas, scheme,
-                             recon);
-    }
+    dispatchSweep(dir, scheme, recon, [&](auto kind) {
+        using K = decltype(kind);
+        if (variant == KernelVariant::Portable)
+            wenoFluxPortable<K::dir, K::scheme, K::recon>(S, metrics, validBox,
+                                                          dU, dxi, gas);
+        else
+            wenoFluxFortranStyle<K::dir, K::scheme, K::recon>(
+                S, metrics, validBox, dU, dxi, gas);
+    });
 }
 
 } // namespace crocco::core

@@ -22,8 +22,10 @@ constexpr int metric1(int d, int j) { return 3 * d + j; }
 /// Jacobian determinant J = det(∂x/∂ξ) recovered from the stored inverse
 /// metrics at one cell (J is not stored; the kernels recompute this cheap
 /// 3x3 determinant, keeping the metrics MultiFab at 9 components).
-/// Inline: every RHS kernel evaluates it per cell.
-inline Real jacobian(const Array4<const Real>& metrics, int i, int j, int k) {
+/// Every RHS kernel evaluates it per cell. Always inlined: with `inline`
+/// alone GCC's -O2 heuristics emit it out of line and call it per cell.
+[[gnu::always_inline]] inline Real jacobian(const Array4<const Real>& metrics,
+                                            int i, int j, int k) {
     // det(M) = 1/J for M = ∂ξ/∂x.
     const Real a00 = metrics(i, j, k, metric1(0, 0));
     const Real a01 = metrics(i, j, k, metric1(0, 1));

@@ -1,8 +1,13 @@
 #include "amr/FillPatch.hpp"
 
+#include "mesh/CoordStore.hpp"
+
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace crocco::amr {
 namespace {
@@ -183,6 +188,84 @@ TEST(FillPatchTwoLevels, CurvilinearInterpolatorLogsGlobalCopy) {
     for (const auto& m : comm.log().messages())
         sawInterpCopy = sawInterpCopy || m.tag == "ParallelCopy_interp";
     EXPECT_TRUE(sawInterpCopy);
+}
+
+TEST(FillPatchTwoLevels, NarrowCoordinateGatherEqualsFullHalo) {
+    // The coarse-coordinate gather reads source ghosts only as deep as the
+    // interpolation halo. Fine boxes touching the physical x-lo and y-lo
+    // faces and both periodic z faces need coarse cells beyond the domain,
+    // which only source ghosts hold; the narrow gather must still fill
+    // every cell, bitwise as the gather over the sources' full halo does.
+    Periodicity per;
+    per.periodic[2] = true;
+    const Box domain0(IntVect::zero(), IntVect(15));
+    const Geometry geom0(domain0, {0, 0, 0}, {1, 1, 1}, per);
+    const Geometry geom1 = geom0.refine(IntVect(2));
+    const BoxArray ba0(tiledBoxes(domain0, 8));
+    const DistributionMapping dm0(ba0, 4);
+    std::vector<Box> fineBoxes = tiledBoxes(Box(IntVect::zero(), IntVect(15)), 8);
+    fineBoxes.emplace_back(IntVect{16, 8, 24}, IntVect{23, 15, 31});
+    const BoxArray ba1(fineBoxes);
+    const DistributionMapping dm1(ba1, 4);
+    parallel::SimComm comm(4);
+
+    // Curvilinear coordinates from the mapping: a pure function of level
+    // and cell index, ghost cells included, as the solver stores them.
+    auto mapping = std::make_shared<mesh::WavyMapping>(
+        std::array<Real, 3>{0, 0, 0}, std::array<Real, 3>{1, 1, 1}, 0.03);
+    const mesh::CoordStore store(mapping, geom0, IntVect(2), 1, 7);
+    MultiFab crseCoords(ba0, dm0, 3, 7, &comm), fineCoords(ba1, dm1, 3, 7, &comm);
+    store.getCoords(crseCoords, 0);
+    store.getCoords(fineCoords, 1);
+
+    // The halo FillPatch gathers for a 4-ghost destination.
+    const CurvilinearInterp interp;
+    const int ngc = 4 / 2 + interp.nGrowCoarse();
+    const BoxArray cba = ba1.coarsen(IntVect(2));
+    const Real nan = std::numeric_limits<Real>::quiet_NaN();
+    MultiFab narrow(cba, dm1, 3, ngc, &comm), full(cba, dm1, 3, ngc, &comm);
+    narrow.setVal(nan);
+    full.setVal(nan);
+    full.parallelCopy(crseCoords, 0, 0, 3, ngc, crseCoords.nGrow(), "full");
+    const std::size_t mark = comm.log().count();
+    narrow.parallelCopy(crseCoords, 0, 0, 3, ngc, ngc, "narrow");
+    const auto narrowTraffic = comm.log().summarize(mark);
+    int unfilled = 0, differing = 0;
+    for (int f = 0; f < narrow.numFabs(); ++f) {
+        auto a = narrow.const_array(f);
+        auto b = full.const_array(f);
+        forEachCell(narrow.grownBox(f), [&](int i, int j, int k) {
+            for (int n = 0; n < 3; ++n) {
+                if (std::isnan(a(i, j, k, n))) ++unfilled;
+                if (std::bit_cast<std::uint64_t>(a(i, j, k, n)) !=
+                    std::bit_cast<std::uint64_t>(b(i, j, k, n)))
+                    ++differing;
+            }
+        });
+    }
+    EXPECT_EQ(unfilled, 0);
+    EXPECT_EQ(differing, 0);
+
+    // FillPatchTwoLevels ships exactly the narrow gather.
+    MultiFab crse(ba0, dm0, 1, 4, &comm), fine(ba1, dm1, 1, 4, &comm);
+    TwoLevelSetup::fillLevel(crse, 0);
+    TwoLevelSetup::fillLevel(fine, 1);
+    MultiFab dst(ba1, dm1, 1, 4, &comm);
+    const std::size_t before = comm.log().count();
+    FillPatchTwoLevels(dst, fine, crse, geom1, geom0, IntVect(2), interp,
+                       extrapolationBC(), extrapolationBC(), 0.0, &fineCoords,
+                       &crseCoords);
+    std::size_t msgs = 0;
+    std::int64_t bytes = 0;
+    const auto& log = comm.log().messages();
+    for (std::size_t m = before; m < log.size(); ++m) {
+        if (log[m].tag != "ParallelCopy_interp") continue;
+        ++msgs;
+        bytes += log[m].bytes;
+    }
+    EXPECT_GT(msgs, 0u);
+    EXPECT_EQ(msgs, narrowTraffic.messages);
+    EXPECT_EQ(bytes, narrowTraffic.bytes);
 }
 
 TEST(InterpFromCoarseLevel, FillsEntireLevel) {

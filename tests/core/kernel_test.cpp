@@ -1,3 +1,4 @@
+#include "core/Viscous.hpp"
 #include "core/Weno.hpp"
 
 #include "amr/FArrayBox.hpp"
@@ -10,6 +11,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <string>
 
 namespace crocco::core {
 namespace {
@@ -165,6 +168,157 @@ TEST(WenoKernel, ConservesOnPeriodicUniformGrid) {
         });
         EXPECT_NEAR(total, 0.0, 1e-9) << "component " << nc;
     }
+}
+
+/// A 12x10x8 fab on a wavy grid whose state carries an oblique Mach-10-like
+/// shock (DMR's pre- and post-shock states) over smooth perturbations of
+/// every component. The jump puts a discontinuity inside the six-cell
+/// window of faces in every direction, so the SYMBO limiter drops the
+/// downwind stencil there.
+struct ShockFab {
+    Geometry geom;
+    FArrayBox coords, metrics, S, dU;
+    GasModel gas;
+
+    ShockFab() {
+        geom = Geometry(Box(IntVect::zero(), IntVect(11, 9, 7)), {0, 0, 0},
+                        {1, 1, 1}, amr::Periodicity::none());
+        mesh::CoordStore store(wavyMap(0.03), geom, IntVect(2), 0, NGHOST + 3);
+        const Box grown = geom.domain().grow(NGHOST);
+        coords = FArrayBox(geom.domain().grow(NGHOST + 3), 3);
+        store.getCoords(coords, 0);
+        metrics = FArrayBox(grown, mesh::MetricComps);
+        mesh::computeMetricsFab(coords.const_array(), metrics.array(), grown,
+                                geom.cellSizeArray());
+        S = FArrayBox(grown, NCONS);
+        auto s = S.array();
+        auto x = coords.const_array();
+        amr::forEachCell(grown, [&](int i, int j, int k) {
+            const Real px = x(i, j, k, 0), py = x(i, j, k, 1), pz = x(i, j, k, 2);
+            const bool post = px + 0.6 * py + 0.3 * pz < 0.7;
+            const Real wig = 0.05 * std::sin(7.0 * px + 3.0 * py - 5.0 * pz);
+            const Real rho = (post ? 8.0 : 1.4) * (1.0 + wig);
+            const Real u = (post ? 7.1 : 0.2) + wig;
+            const Real v = (post ? -4.1 : 0.1) - 0.5 * wig;
+            const Real w = 0.3 * std::cos(4.0 * pz + py);
+            const Real p = (post ? 116.5 : 1.0) * (1.0 + 0.5 * wig);
+            s(i, j, k, URHO) = rho;
+            s(i, j, k, UMX) = rho * u;
+            s(i, j, k, UMY) = rho * v;
+            s(i, j, k, UMZ) = rho * w;
+            s(i, j, k, UEDEN) = gas.totalEnergy(rho, u, v, w, p);
+        });
+        dU = FArrayBox(geom.domain(), NCONS);
+    }
+
+    /// A nonzero dU, so the digest also pins how each kernel accumulates.
+    void resetDU() {
+        auto d = dU.array();
+        amr::forEachCell(geom.domain(), [&](int i, int j, int k) {
+            for (int n = 0; n < NCONS; ++n)
+                d(i, j, k, n) = 1e-3 * std::sin(1.0 + i + 2.0 * j + 3.0 * k + 0.5 * n);
+        });
+    }
+
+    /// 64-bit FNV-1a over the bytes of every valid dU value, cell-major.
+    std::uint64_t digest() const {
+        std::uint64_t h = 14695981039346656037ull;
+        auto d = dU.const_array();
+        amr::forEachCell(geom.domain(), [&](int i, int j, int k) {
+            for (int n = 0; n < NCONS; ++n) {
+                const auto bits = std::bit_cast<std::uint64_t>(d(i, j, k, n));
+                for (int b = 0; b < 8; ++b) {
+                    h ^= (bits >> (8 * b)) & 0xffu;
+                    h *= 1099511628211ull;
+                }
+            }
+        });
+        return h;
+    }
+};
+
+TEST(KernelDigest, KernelOutputDigestsArePinned) {
+    // Every kernel path's dU pinned bit for bit: each WENO direction x
+    // scheme x reconstruction x variant, and the viscous kernel with the
+    // molecular (Sutherland) and subgrid (Smagorinsky) viscosities alone
+    // and together. FortranStyleMatchesPortableBitForBit compares the two
+    // variants only with each other, and eigen_test the characteristic
+    // projection only to a tolerance; these constants catch a change to
+    // the per-cell code they share.
+    ShockFab fab;
+    auto s = fab.S.const_array();
+    int jumps = 0;
+    amr::forEachCell(fab.geom.domain(), [&](int i, int j, int k) {
+        for (int d = 0; d < 3; ++d) {
+            const IntVect e = IntVect::basis(d);
+            const Real a = s(i, j, k, URHO), b = s(i + e[0], j + e[1], k + e[2], URHO);
+            if (std::max(a, b) > 4.0 * std::min(a, b)) ++jumps;
+        }
+    });
+    ASSERT_GT(jumps, 0) << "the fab must carry the shock";
+
+    // The two kernel structures must agree bit for bit, so each WENO
+    // constant pins both.
+    const std::map<std::string, std::uint64_t> pinned{
+        {"viscous/both", 0x7deb37a0dc4c72a1ull},
+        {"viscous/smagorinsky", 0x3110c34bf56aa723ull},
+        {"viscous/sutherland", 0xacbb1cf30a4ec5a9ull},
+        {"weno/x/js5/char", 0x76e80fae0846f652ull},
+        {"weno/x/js5/cw", 0x4ffc716f5d6b6b64ull},
+        {"weno/x/symbo/char", 0x649b0eee98f205cbull},
+        {"weno/x/symbo/cw", 0x4b5900db6089ca65ull},
+        {"weno/y/js5/char", 0x11da4295543f0b04ull},
+        {"weno/y/js5/cw", 0x9d6aeb724cce08d4ull},
+        {"weno/y/symbo/char", 0xb0717eab5b1b8632ull},
+        {"weno/y/symbo/cw", 0x0ec5fc19075ec76bull},
+        {"weno/z/js5/char", 0xbee9b83d1045016eull},
+        {"weno/z/js5/cw", 0xd0f566fa0b513991ull},
+        {"weno/z/symbo/char", 0x03eb55ff39a91680ull},
+        {"weno/z/symbo/cw", 0xeb22749ccf6512b3ull},
+    };
+    int checked = 0;
+    const auto expectPinned = [&](const std::string& name, const char* variant) {
+        const auto it = pinned.find(name);
+        ASSERT_NE(it, pinned.end()) << name;
+        const std::uint64_t value = fab.digest();
+        EXPECT_EQ(value, it->second)
+            << name << variant << " 0x" << std::hex << value << "ull";
+        ++checked;
+    };
+    const char* dirName[3] = {"x", "y", "z"};
+    for (int dir = 0; dir < 3; ++dir)
+        for (auto scheme : {WenoScheme::JS5, WenoScheme::Symbo})
+            for (auto recon : {Reconstruction::ComponentWise,
+                               Reconstruction::CharacteristicWise})
+                for (auto variant : {KernelVariant::Portable,
+                                     KernelVariant::FortranStyle}) {
+                    fab.resetDU();
+                    wenoFlux(dir, s, fab.metrics.const_array(), fab.geom.domain(),
+                             fab.dU.array(), fab.geom.cellSize(dir), fab.gas,
+                             scheme, variant, recon);
+                    expectPinned(
+                        std::string("weno/") + dirName[dir] +
+                            (scheme == WenoScheme::JS5 ? "/js5" : "/symbo") +
+                            (recon == Reconstruction::ComponentWise ? "/cw"
+                                                                    : "/char"),
+                        variant == KernelVariant::Portable ? " (Portable)"
+                                                           : " (FortranStyle)");
+                }
+    const auto viscous = [&](const std::string& name, Real muRef, Real cs) {
+        GasModel gas = fab.gas;
+        gas.muRef = muRef;
+        SgsModel sgs;
+        sgs.cs = cs;
+        fab.resetDU();
+        viscousFlux(s, fab.metrics.const_array(), fab.geom.domain(),
+                    fab.dU.array(), fab.geom.cellSizeArray(), gas,
+                    KernelVariant::Portable, sgs);
+        expectPinned(name, "");
+    };
+    viscous("viscous/sutherland", 0.01, 0.0);
+    viscous("viscous/smagorinsky", 0.0, 0.1);
+    viscous("viscous/both", 0.01, 0.1);
+    EXPECT_EQ(checked, 2 * 12 + 3);
 }
 
 TEST(WenoKernel, AdvectsDensityWaveInRightDirection) {

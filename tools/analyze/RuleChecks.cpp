@@ -124,7 +124,7 @@ void checkR3(const Project& project, std::vector<Finding>& out) {
 void checkR4(const Project& project, std::vector<Finding>& out) {
     static const char* kKernelFiles[] = {
         "src/core/Weno.cpp",  "src/core/Viscous.cpp",
-        "src/core/Sgs.cpp",   "src/core/Rans.cpp",
+        "src/core/Sgs.hpp",   "src/core/Rans.cpp",
         "src/core/SpeciesTransport.cpp",
     };
     for (const SourceFile& sf : project.files) {

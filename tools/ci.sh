@@ -8,7 +8,9 @@
 #   SKIP_SANITIZE=1 tools/ci.sh   # skip the (slow) sanitizer lane
 #
 # Every artifact (the SARIF log) is written under build-ci/, and the last
-# gate checks that the checkout is left as CI found it.
+# gate checks that the checkout is left as CI found it. The tier-1, check
+# and sanitizer suites run JOBS tests at a time: every test writes its
+# files under its own per-process temporary directory (tests/TempDir.hpp).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,7 +32,7 @@ fi
 echo "== tier-1 (Release) =="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "$JOBS" >/dev/null
-(cd build-ci && ctest --output-on-failure)
+(cd build-ci && ctest -j "$JOBS" --output-on-failure)
 
 echo "== benchmark self-test (dmrbench/selftest.py, tiny sizes) =="
 # Every BENCHMARK.json workload at a tiny size: each metric printed with its
@@ -66,14 +68,17 @@ echo "== CroccoCheck (Release + CROCCO_CHECK) =="
 cmake -B build-ci-check -S . -DCMAKE_BUILD_TYPE=Release -DCROCCO_CHECK=ON \
       -DCROCCO_BUILD_BENCH=OFF -DCROCCO_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ci-check -j "$JOBS" >/dev/null
-(cd build-ci-check && ctest -L check --output-on-failure)
+(cd build-ci-check && ctest -j "$JOBS" -L check --output-on-failure)
 
 if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
     echo "== sanitizers (ASan + UBSan) =="
+    # Debug keeps assertions on (no NDEBUG); -O1 instead of Debug's -O0
+    # runs the same tests under the same sanitizers several times faster.
     cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug -DCROCCO_SANITIZE=ON \
+          -DCMAKE_CXX_FLAGS_DEBUG="-g -O1" \
           -DCROCCO_BUILD_BENCH=OFF -DCROCCO_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build build-ci-asan -j "$JOBS" >/dev/null
-    (cd build-ci-asan && ctest -L check --output-on-failure)
+    (cd build-ci-asan && ctest -j "$JOBS" -L check --output-on-failure)
 fi
 
 echo "== clean checkout (git status unchanged) =="
