@@ -51,7 +51,7 @@ int main() {
     std::printf("  \"model\": \"Daly-optimal checkpointing priced twice: "
                 "filesystem dumps + relaunch restore vs interconnect buddy "
                 "mirroring + in-memory shrink recovery "
-                "(CroccoAmr::recoverFromRankDeath)\",\n");
+                "(CroccoAmr::restoreFromBuddy)\",\n");
     std::printf("  \"weak_scaling_points_per_node\": %lld,\n",
                 static_cast<long long>(kPointsPerNode));
     std::printf("  \"comm_fault_rate\": %.4f,\n", p.commFaultRate);

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 namespace crocco::core {
@@ -360,10 +361,8 @@ void CroccoAmr::dualExecuteCheck(int lev, int stage, const MultiFab& Sborder,
         viscousFlux(Sborder.const_array(f), metrics_[lev].const_array(f),
                     dU.validBox(f), ref.array(), dxi, cfg_.gas, cfg_.variant,
                     cfg_.sgs);
-    ++sdcGuard_.stats().dualChecks;
     if (!resilience::FabGuard::bitwiseEqual(ref, dU.fab(f), dU.validBox(f),
                                             NCONS)) {
-        ++sdcGuard_.stats().dualMismatches;
         throw resilience::SdcFault(
             step_, resilience::FaultClass::KernelSdc,
             "dual-execution mismatch: stage " + std::to_string(stage) +
@@ -397,29 +396,6 @@ void CroccoAmr::step() {
     dt_ = computeDtAllLevels();
     if (faultInjector_) dt_ = faultInjector_->perturbDt(step_, dt_);
 
-    if (!cfg_.guard.enabled) {
-        try {
-            rk3Advance();
-        } catch (const resilience::SdcFault& sf) {
-            // Dual execution caught a corrupted stage RHS, but with the
-            // step guard off there is no in-step snapshot to roll back to:
-            // record the unavailable rung and escalate to evolve()'s
-            // buddy/disk rungs.
-            ladder_.log().record(step_, sf.fault(),
-                                 resilience::Rung::StepRollback, false,
-                                 "guard disabled: no in-step snapshot");
-            throw;
-        }
-        if (faultInjector_) faultInjector_->corruptState(step_, U_, finestLevel());
-        time_ += dt_;
-        ++step_;
-        if (cfg_.sdc.guard) {
-            perf::TinyProfiler::Scope scope(prof_, "SdcStamp");
-            sdcGuard_.stamp(U_, finestLevel());
-        }
-        return;
-    }
-
     // Snapshot the conserved state so a corrupted step can be undone. The
     // RK3 accumulator G is annihilated at stage 0 (A[0] = 0), so U_ plus
     // the unadvanced time/step counters are the whole rollback state.
@@ -427,57 +403,45 @@ void CroccoAmr::step() {
     snapshot.reserve(static_cast<std::size_t>(finestLevel()) + 1);
     for (int lev = 0; lev <= finestLevel(); ++lev)
         snapshot.push_back(U_[static_cast<std::size_t>(lev)]);
-    auto restore = [&] {
-        for (int lev = 0; lev <= finestLevel(); ++lev) {
-            U_[static_cast<std::size_t>(lev)] = snapshot[static_cast<std::size_t>(lev)];
-            G_[static_cast<std::size_t>(lev)].setVal(0.0);
-        }
-    };
 
+    // One rollback loop for both faults a step can show: an SdcFault from
+    // the dual execution inside the advance, or a failed health scan after
+    // it. Either restores the snapshot and retries. A health fault usually
+    // means the explicit step outran its CFL limit, so only its retry
+    // shrinks dt; an SDC flip was transient (its one-shot arm is spent),
+    // and the retry replays the identical step, or the repaired trajectory
+    // would diverge bitwise from the fault-free run.
     for (int attempt = 0;; ++attempt) {
+        std::optional<resilience::SdcFault> sdc;
+        resilience::HealthReport rep;
         try {
             rk3Advance();
         } catch (const resilience::SdcFault& sf) {
-            // Dual execution caught a corrupted stage RHS mid-advance. The
-            // flip was transient (its one-shot arm is spent), so the retry
-            // replays the identical step — and dtBackoffApplies says an SDC
-            // rollback keeps dt, or the repaired trajectory would diverge
-            // bitwise from the fault-free run.
-            restore();
-            const bool retry = attempt < cfg_.guard.maxRetries;
-            ladder_.log().record(step_, sf.fault(),
-                                 resilience::Rung::StepRollback, retry,
-                                 sf.what());
-            if (!retry) throw;
-            ++rollbackCount_;
-            if (resilience::RecoveryLadder::dtBackoffApplies(sf.fault()))
-                dt_ *= cfg_.guard.dtBackoff;
-            continue;
+            sdc = sf;
         }
-        if (faultInjector_) faultInjector_->corruptState(step_, U_, finestLevel());
-        resilience::HealthReport rep;
-        {
+        if (!sdc) {
+            if (faultInjector_) faultInjector_->corruptState(step_, U_, finestLevel());
             perf::TinyProfiler::Scope scope(prof_, "HealthCheck");
             rep = resilience::validateHierarchy(U_, finestLevel(), cfg_.gas,
                                                 cfg_.guard.maxFaultsReported);
         }
-        if (rep.healthy()) {
+        if (!sdc && rep.healthy()) {
             lastHealth_ = std::move(rep);
             break;
         }
-        restore();
-        if (attempt >= cfg_.guard.maxRetries) {
-            ladder_.log().record(step_, resilience::FaultClass::HealthFault,
-                                 resilience::Rung::StepRollback, false,
-                                 "retries exhausted");
+        for (int lev = 0; lev <= finestLevel(); ++lev) {
+            U_[static_cast<std::size_t>(lev)] = snapshot[static_cast<std::size_t>(lev)];
+            G_[static_cast<std::size_t>(lev)].setVal(0.0);
+        }
+        const bool retry = attempt < cfg_.guard.maxRetries;
+        log_.record(step_, sdc ? sdc->fault() : resilience::FaultClass::HealthFault,
+                    resilience::Rung::StepRollback, retry,
+                    sdc ? sdc->what() : retry ? "" : "retries exhausted");
+        if (!retry) {
+            if (sdc) throw *sdc;
             throw resilience::SolverDivergence(step_, dt_, std::move(rep));
         }
-        ladder_.log().record(step_, resilience::FaultClass::HealthFault,
-                             resilience::Rung::StepRollback, true);
-        ++rollbackCount_;
-        if (resilience::RecoveryLadder::dtBackoffApplies(
-                resilience::FaultClass::HealthFault))
-            dt_ *= cfg_.guard.dtBackoff;
+        if (!sdc) dt_ *= cfg_.guard.dtBackoff;
     }
     time_ += dt_;
     ++step_;
@@ -487,21 +451,12 @@ void CroccoAmr::step() {
     }
 }
 
-void CroccoAmr::evolve(int nsteps) {
-    // Baseline stamp before the first step (same as the EvolveOptions
-    // overload): upsets that land before the first end-of-step stamp would
-    // otherwise have nothing to verify against and ride silently.
-    if (cfg_.sdc.guard && !sdcGuard_.stamped())
-        sdcGuard_.stamp(U_, finestLevel());
-    for (int n = 0; n < nsteps; ++n) step();
-}
-
 void CroccoAmr::evolve(int nsteps, const EvolveOptions& opts) {
     const int target = step_ + nsteps;
     const bool checkpointing = opts.restart && opts.checkpointEvery > 0;
     const bool buddying = opts.buddy && opts.buddyEvery > 0;
-    // Seed a recovery point before the first step so a divergence early in
-    // the run still has somewhere to fall back to.
+    // Seed a recovery point before the first step so a fault early in the
+    // run still has somewhere to fall back to.
     if (checkpointing && opts.restart->available().empty())
         opts.restart->write(step_,
                             [&](const std::string& d) { writeCheckpoint(d); });
@@ -513,28 +468,6 @@ void CroccoAmr::evolve(int nsteps, const EvolveOptions& opts) {
     if (cfg_.sdc.guard && !sdcGuard_.stamped())
         sdcGuard_.stamp(U_, finestLevel());
     int recoveries = 0;
-    // Post-restore housekeeping of the in-memory rungs: the restored state
-    // is known-good by construction (CRC-verified mirror), so it becomes the
-    // new guard baseline. The disk rungs need none: readCheckpoint re-stamps
-    // the guard stamped above.
-    auto restamp = [&] {
-        if (cfg_.sdc.guard) sdcGuard_.stamp(U_, finestLevel());
-    };
-    // The ladder's last repair rung. False = nothing to restore from; the
-    // caller surfaces the original fault (Abort).
-    auto diskRestore = [&](resilience::FaultClass fault) {
-        if (!opts.restart) {
-            ladder_.log().record(step_, fault, resilience::Rung::Abort, false,
-                                 "no restart manager attached");
-            return false;
-        }
-        ++diskRecoveryCount_;
-        opts.restart->restoreLatest([&](const std::string& d) {
-            readCheckpoint(d, init_, physBC_);
-        });
-        ladder_.log().record(step_, fault, resilience::Rung::DiskRestart, true);
-        return true;
-    };
     while (step_ < target) {
         try {
             step();
@@ -550,161 +483,148 @@ void CroccoAmr::evolve(int nsteps, const EvolveOptions& opts) {
                     step_, [&](const std::string& d) { writeCheckpoint(d); });
             if (doBuddy)
                 opts.buddy->store(U_, finestLevel(), step_, time_, comm());
-        } catch (const resilience::SolverDivergence&) {
-            const bool canRestore =
-                opts.restart && recoveries < opts.maxRecoveries;
-            ladder_.log().record(step_, resilience::FaultClass::HealthFault,
-                                 resilience::Rung::DiskRestart, canRestore,
-                                 canRestore ? "" : "recovery budget exhausted");
-            if (!canRestore) throw;
-            ++recoveries;
-            ++recoveryCount_;
-            opts.restart->restoreLatest([&](const std::string& d) {
-                readCheckpoint(d, init_, physBC_);
-            });
-            continue;
+        } catch (const resilience::SolverDivergence& e) {
+            if (!recover(resilience::FaultClass::HealthFault, e.what(), -1,
+                         opts, recoveries))
+                throw;
         } catch (const resilience::SdcFault& sf) {
-            // The local rungs are spent (fab repair impossible or step
-            // rollback exhausted): climb to the buddy mirror, then disk.
-            if (recoveries >= opts.maxRecoveries) throw;
-            ++recoveries;
-            ++recoveryCount_;
-            if (restoreFromBuddySnapshot(opts)) {
-                ++buddyRecoveryCount_;
-                ladder_.log().record(step_, sf.fault(),
-                                     resilience::Rung::BuddyRestore, true,
-                                     sf.what());
-                restamp();
-            } else {
-                ladder_.log().record(step_, sf.fault(),
-                                     resilience::Rung::BuddyRestore, false,
-                                     "no verified buddy mirror");
-                if (!diskRestore(sf.fault())) throw;
-            }
-            continue;
+            if (!recover(sf.fault(), sf.what(), -1, opts, recoveries)) throw;
         } catch (const parallel::RankFailure& rf) {
-            if (recoveries >= opts.maxRecoveries) throw;
-            ++recoveries;
-            ++recoveryCount_;
-            if (recoverFromRankDeath(rf.deadRank(), opts)) {
-                ++buddyRecoveryCount_;
-                ladder_.log().record(step_, resilience::FaultClass::RankDeath,
-                                     resilience::Rung::BuddyRestore, true,
-                                     "rank " + std::to_string(rf.deadRank()));
-                restamp();
-            } else {
-                // No usable buddy copy (none stored, the replica died with
-                // the rank, or the mirror failed its CRC check): full disk
-                // restore. The communicator is already shrunk;
-                // readCheckpoint rebuilds the mappings over the survivors.
-                ladder_.log().record(step_, resilience::FaultClass::RankDeath,
-                                     resilience::Rung::BuddyRestore, false,
-                                     "no usable buddy copy");
-                if (!diskRestore(resilience::FaultClass::RankDeath)) throw;
-            }
-            continue;
+            if (!recover(resilience::FaultClass::RankDeath,
+                         "rank " + std::to_string(rf.deadRank()), rf.deadRank(),
+                         opts, recoveries))
+                throw;
         }
     }
 }
 
-bool CroccoAmr::recoverFromRankDeath(int deadRank, const EvolveOptions& opts) {
-    auto* c = comm();
-    assert(c && !c->rankAlive(deadRank));
-    // Decide the restore source *before* the shrink: the buddy partner must
-    // have survived, judged under the snapshot's (pre-death) numbering.
-    bool useBuddy =
-        opts.buddy && opts.buddy->canRecover(deadRank) &&
-        opts.buddy->nranks() == c->size() &&
-        c->rankAlive(
-            resilience::BuddyCheckpoint::partnerOf(deadRank, c->size()));
-    // The mirror sat in partner memory since its store() — exactly the
-    // long-idle state SDC hits. Verify every mirrored fab's CRC *before*
-    // any byte of it overwrites live state; a corrupted mirror falls
-    // through to the disk rung instead of being trusted.
-    if (useBuddy && !opts.buddy->verifyMirror()) {
-        ladder_.log().record(step_, resilience::FaultClass::CheckpointCorrupt,
-                             resilience::Rung::BuddyRestore, false,
-                             "buddy mirror failed CRC verification");
-        useBuddy = false;
+bool CroccoAmr::recover(resilience::FaultClass fault, const std::string& detail,
+                        int deadRank, const EvolveOptions& opts,
+                        int& recoveries) {
+    using resilience::Rung;
+    const int faultStep = step_;
+    if (recoveries >= opts.maxRecoveries) {
+        log_.record(faultStep, fault, Rung::Abort, false, "recovery budget spent");
+        return false;
     }
-    // ULFM-style shrink: survivors are renumbered densely, and every layer
-    // tracking the communicator size follows suit.
-    c->shrink();
-    setNumRanks(c->size());
-    amr::CommCache::instance().noteCommSize(c->size());
-    if (!useBuddy) return false;
+    ++recoveries;
+    if (restoreFromBuddy(opts.buddy, deadRank)) {
+        log_.record(faultStep, fault, Rung::BuddyRestore, true, detail);
+        // The mirror passed its CRC check, so the restored state is the
+        // guard's new baseline. The disk rung needs no stamp here:
+        // readCheckpoint re-stamps a stamped guard itself.
+        if (cfg_.sdc.guard) sdcGuard_.stamp(U_, finestLevel());
+        return true;
+    }
+    log_.record(faultStep, fault, Rung::BuddyRestore, false,
+                "no usable buddy mirror");
+    if (!opts.restart) {
+        log_.record(faultStep, fault, Rung::Abort, false,
+                    "no restart manager attached");
+        return false;
+    }
+    // After a rank death the communicator has already shrunk, and
+    // readCheckpoint rebuilds the mappings over the survivors.
+    try {
+        opts.restart->restoreLatest([&](const std::string& d) {
+            readCheckpoint(d, init_, physBC_);
+        });
+    } catch (const std::runtime_error& e) {
+        log_.record(faultStep, fault, Rung::DiskRestart, false, e.what());
+        return false;
+    }
+    log_.record(faultStep, fault, Rung::DiskRestart, true, detail);
+    return true;
+}
 
-    const resilience::BuddyCheckpoint& snap = *opts.buddy;
-    time_ = static_cast<Real>(snap.time());
-    step_ = snap.step();
-    // Levels above the snapshot's finest (possible when a regrid between
-    // the snapshot and the death added a level) still hold pre-shrink
-    // mappings; drop them before they can be touched.
-    for (int lev = snap.finestLevel() + 1; lev <= finestLevel(); ++lev)
-        clearLevel(lev);
+bool CroccoAmr::restoreFromBuddy(resilience::BuddyCheckpoint* buddy,
+                                 int deadRank) {
+    auto* c = comm();
+    assert(deadRank < 0 || (c && !c->rankAlive(deadRank)));
+    // The snapshot's DistributionMappings mean something only under the
+    // communicator size they were taken with; after a death, the replica
+    // must also have survived, judged under that pre-death numbering.
+    bool usable = buddy && buddy->valid() && (!c || buddy->nranks() == c->size());
+    if (usable && deadRank >= 0)
+        usable = buddy->canRecover(deadRank) &&
+                 c->rankAlive(resilience::BuddyCheckpoint::partnerOf(
+                     deadRank, c->size()));
+    // The mirror sat in partner memory since its store() — exactly the
+    // long-idle state SDC hits. A mirror failing its CRC check falls
+    // through to the disk rung instead of being trusted.
+    if (usable && !buddy->verifyMirror()) {
+        log_.record(step_, resilience::FaultClass::CheckpointCorrupt,
+                    resilience::Rung::BuddyRestore, false,
+                    "buddy mirror failed CRC verification");
+        usable = false;
+    }
+    if (deadRank >= 0) {
+        // ULFM-style shrink: survivors are renumbered densely, and every
+        // layer tracking the communicator size follows suit.
+        c->shrink();
+        setNumRanks(c->size());
+        amr::CommCache::instance().noteCommSize(c->size());
+    }
+    if (!usable) return false;
+
+    const resilience::BuddyCheckpoint& snap = *buddy;
+    std::vector<BoxArray> bas;
+    std::vector<DistributionMapping> dms;
     for (int lev = 0; lev <= snap.finestLevel(); ++lev) {
-        const amr::MultiFab& s = snap.level(lev);
-        const BoxArray ba = s.boxArray();
+        const MultiFab& s = snap.level(lev);
+        bas.push_back(s.boxArray());
         // Survivors keep their boxes; the dead rank's boxes are poured onto
         // the least-loaded survivors — only that data crosses the network.
-        const DistributionMapping dm =
-            s.distributionMap().excludeRank(deadRank, ba);
-        setLevel(lev, ba, dm);
-        setFinestLevel(lev);
-        defineLevelData(lev, ba, dm);
+        dms.push_back(deadRank >= 0
+                          ? s.distributionMap().excludeRank(deadRank, bas.back())
+                          : s.distributionMap());
+    }
+    adoptLayout(bas, dms);
+    time_ = static_cast<Real>(snap.time());
+    step_ = snap.step();
+    for (int lev = 0; lev <= snap.finestLevel(); ++lev) {
+        const MultiFab& s = snap.level(lev);
+        const BoxArray& ba = bas[static_cast<std::size_t>(lev)];
         for (int f = 0; f < s.numFabs(); ++f) {
             U_[lev].fab(f).copyFrom(s.fab(f), ba[f], 0, 0, NCONS);
-            if (s.distributionMap()[f] != deadRank) continue;
+            if (deadRank < 0 || s.distributionMap()[f] != deadRank) continue;
             // This box's owner died: its replica streams from the buddy
             // partner to the new owner (both in post-shrink numbering).
-            const int partnerOld = resilience::BuddyCheckpoint::partnerOf(
-                deadRank, snap.nranks());
+            const int partnerOld =
+                resilience::BuddyCheckpoint::partnerOf(deadRank, snap.nranks());
             const int partnerNew =
                 partnerOld > deadRank ? partnerOld - 1 : partnerOld;
             const std::int64_t bytes =
-                ba[f].numPts() * NCONS *
-                static_cast<std::int64_t>(sizeof(Real));
-            c->recordP2P(partnerNew, dm[f], bytes, "RankRecovery");
+                ba[f].numPts() * NCONS * static_cast<std::int64_t>(sizeof(Real));
+            c->recordP2P(partnerNew, dms[static_cast<std::size_t>(lev)][f],
+                         bytes, "RankRecovery");
         }
     }
-    // The snapshot's rank numbering predates the shrink; it has served its
-    // purpose. evolve() re-seeds a fresh snapshot at the next interval, and
-    // a second death before then falls back to disk.
-    opts.buddy->invalidate();
+    // A rank-death restore consumed a snapshot whose rank numbering
+    // predates the shrink; evolve() re-seeds a fresh one at the next
+    // interval, and a second death before then falls back to disk. Without
+    // a shrink the numbering is still current, so the mirror stays for the
+    // next fault.
+    if (deadRank >= 0) buddy->invalidate();
     return true;
 }
 
-bool CroccoAmr::restoreFromBuddySnapshot(const EvolveOptions& opts) {
-    if (!opts.buddy || !opts.buddy->valid()) return false;
-    // Same policy as the rank-death path: no mirror byte overwrites live
-    // state before the whole mirror passes its CRC check.
-    if (!opts.buddy->verifyMirror()) {
-        ladder_.log().record(step_, resilience::FaultClass::CheckpointCorrupt,
-                             resilience::Rung::BuddyRestore, false,
-                             "buddy mirror failed CRC verification");
-        return false;
-    }
-    const resilience::BuddyCheckpoint& snap = *opts.buddy;
-    // The snapshot's DistributionMappings are only meaningful under the
-    // communicator size they were taken with.
-    if (comm() && snap.nranks() != comm()->size()) return false;
-    time_ = static_cast<Real>(snap.time());
-    step_ = snap.step();
-    for (int lev = snap.finestLevel() + 1; lev <= finestLevel(); ++lev)
+void CroccoAmr::adoptLayout(const std::vector<BoxArray>& bas,
+                            const std::vector<DistributionMapping>& dms) {
+    const int finest = static_cast<int>(bas.size()) - 1;
+    // Levels the restored hierarchy does not have go, as in
+    // AmrCore::regrid; the empty layout also retires their comm patterns.
+    for (int lev = maxLevel(); lev > finest; --lev) {
+        if (boxArray(lev).empty()) continue;
         clearLevel(lev);
-    for (int lev = 0; lev <= snap.finestLevel(); ++lev) {
-        const amr::MultiFab& s = snap.level(lev);
-        const BoxArray ba = s.boxArray();
-        const DistributionMapping dm = s.distributionMap();
-        setLevel(lev, ba, dm);
-        setFinestLevel(lev);
-        defineLevelData(lev, ba, dm);
-        for (int f = 0; f < s.numFabs(); ++f)
-            U_[lev].fab(f).copyFrom(s.fab(f), ba[f], 0, 0, NCONS);
+        setLevel(lev, BoxArray(), DistributionMapping());
     }
-    // Unlike a rank-death recovery the communicator did not shrink, so the
-    // mirror's numbering is still current — keep it for the next fault.
-    return true;
+    for (int lev = 0; lev <= finest; ++lev) {
+        const auto l = static_cast<std::size_t>(lev);
+        setLevel(lev, bas[l], dms[l]);
+        setFinestLevel(lev);
+        defineLevelData(lev, bas[l], dms[l]);
+    }
 }
 
 void CroccoAmr::sdcVerifyAndRepair(const char* context) {
@@ -721,17 +641,16 @@ void CroccoAmr::sdcVerifyAndRepair(const char* context) {
                                   std::to_string(gf.level) + " fab " +
                                   std::to_string(gf.fab);
         if (sdcGuard_.restoreFab(U_, gf.level, gf.fab)) {
-            ++fabRestoreCount_;
-            ladder_.log().record(step_, resilience::FaultClass::ColdSdc,
-                                 resilience::Rung::FabRestore, true, where);
+            log_.record(step_, resilience::FaultClass::ColdSdc,
+                        resilience::Rung::FabRestore, true, where);
         } else {
             // The retained restore source is itself corrupt — a double
             // fault. StepRollback is skipped for cold SDC (the in-step
             // snapshot would replay the corruption); evolve() climbs to
             // the buddy mirror and disk rungs.
-            ladder_.log().record(step_, resilience::FaultClass::ColdSdc,
-                                 resilience::Rung::FabRestore, false,
-                                 where + " (retained copy corrupt)");
+            log_.record(step_, resilience::FaultClass::ColdSdc,
+                        resilience::Rung::FabRestore, false,
+                        where + " (retained copy corrupt)");
             throw resilience::SdcFault(
                 step_, resilience::FaultClass::ColdSdc,
                 "cold SDC at " + where +
@@ -832,7 +751,7 @@ void CroccoAmr::readCheckpoint(const std::string& dir, InitFunct ic,
     std::string magic;
     int version = 0;
     hdr >> magic >> version;
-    if (magic != "crocco-checkpoint" || version < 1 || version > 2)
+    if (magic != "crocco-checkpoint" || version != 2)
         throw std::runtime_error("bad checkpoint header in " + dir);
     Real ckTime = 0.0;
     int ckStep = 0, finest = 0;
@@ -856,8 +775,7 @@ void CroccoAmr::readCheckpoint(const std::string& dir, InitFunct ic,
         int nboxes = 0;
         std::uint32_t wantCrc = 0;
         std::uint64_t wantBytes = 0;
-        hdr >> nboxes;
-        if (version >= 2) hdr >> wantCrc >> wantBytes;
+        hdr >> nboxes >> wantCrc >> wantBytes;
         if (!hdr || nboxes <= 0)
             throw resilience::CheckpointCorruption(
                 "malformed level " + std::to_string(lev) + " record in " + dir +
@@ -885,12 +803,11 @@ void CroccoAmr::readCheckpoint(const std::string& dir, InitFunct ic,
         bin.seekg(0, std::ios::end);
         const auto actualBytes = static_cast<std::uint64_t>(bin.tellg());
         bin.seekg(0, std::ios::beg);
-        if (actualBytes < expectBytes ||
-            (version >= 2 && actualBytes != wantBytes))
+        if (actualBytes < expectBytes || actualBytes != wantBytes)
             throw resilience::CheckpointCorruption(
                 "checkpoint level file " + path + " truncated: expected " +
-                std::to_string(version >= 2 ? wantBytes : expectBytes) +
-                " bytes, found " + std::to_string(actualBytes));
+                std::to_string(wantBytes) + " bytes, found " +
+                std::to_string(actualBytes));
         in.vals.resize(expectBytes / sizeof(Real));
         bin.read(reinterpret_cast<char*>(in.vals.data()),
                  static_cast<std::streamsize>(expectBytes));
@@ -899,8 +816,7 @@ void CroccoAmr::readCheckpoint(const std::string& dir, InitFunct ic,
                 "short read in checkpoint level file " + path + ": got " +
                 std::to_string(bin.gcount()) + " of " +
                 std::to_string(expectBytes) + " bytes");
-        if (version >= 2 &&
-            resilience::crc32(in.vals.data(), expectBytes) != wantCrc)
+        if (resilience::crc32(in.vals.data(), expectBytes) != wantCrc)
             throw resilience::CheckpointCorruption(
                 "CRC32 mismatch in checkpoint level file " + path);
     }
@@ -910,9 +826,10 @@ void CroccoAmr::readCheckpoint(const std::string& dir, InitFunct ic,
     physBC_ = std::move(bc);
     time_ = ckTime;
     step_ = ckStep;
-    for (int lev = 0; lev <= finest; ++lev) {
-        LevelIn& in = input[static_cast<std::size_t>(lev)];
-        const BoxArray ba(std::move(in.boxes));
+    std::vector<BoxArray> bas;
+    std::vector<DistributionMapping> dms;
+    for (LevelIn& in : input) {
+        bas.emplace_back(std::move(in.boxes));
         // Stored ownership can reference ranks the communicator no longer
         // has (the checkpoint predates a rank death + shrink); rebuild the
         // mapping from scratch over the survivors in that case. The data
@@ -921,13 +838,14 @@ void CroccoAmr::readCheckpoint(const std::string& dir, InitFunct ic,
         const bool ownersFit = std::all_of(
             in.owners.begin(), in.owners.end(),
             [this](int o) { return o >= 0 && o < numRanks(); });
-        const DistributionMapping dm =
-            ownersFit ? DistributionMapping(std::move(in.owners), numRanks())
-                      : DistributionMapping(ba, numRanks(),
-                                            cfg_.amrInfo.strategy);
-        setLevel(lev, ba, dm);
-        setFinestLevel(lev);
-        defineLevelData(lev, ba, dm);
+        dms.push_back(ownersFit
+                          ? DistributionMapping(std::move(in.owners), numRanks())
+                          : DistributionMapping(bas.back(), numRanks(),
+                                                cfg_.amrInfo.strategy));
+    }
+    adoptLayout(bas, dms);
+    for (int lev = 0; lev <= finest; ++lev) {
+        const LevelIn& in = input[static_cast<std::size_t>(lev)];
         std::size_t idx = 0;
         for (int f = 0; f < U_[lev].numFabs(); ++f) {
             auto a = U_[lev].array(f);
@@ -936,19 +854,12 @@ void CroccoAmr::readCheckpoint(const std::string& dir, InitFunct ic,
             });
         }
     }
-    // Levels the checkpoint does not have go, as in AmrCore::regrid; the
-    // empty layout also retires their comm patterns.
-    for (int lev = maxLevel(); lev > finest; --lev) {
-        if (boxArray(lev).empty()) continue;
-        clearLevel(lev);
-        setLevel(lev, BoxArray(), DistributionMapping());
-    }
-    // Phase 1 verified a v2 payload's CRCs or accepted a v1 payload, which
-    // carries none; either way a guard holding a baseline takes the
-    // restored state as its new one: stamps of the pre-read state would
-    // otherwise match a frozen layout and "repair" the restore away at the
-    // next verify. A guard with no baseline yet (a freshly constructed
-    // solver) stays unstamped, as after init(), and copies no state here.
+    // Phase 1 verified every payload's CRC, so a guard holding a baseline
+    // takes the restored state as its new one: stamps of the pre-read state
+    // would otherwise match a frozen layout and "repair" the restore away
+    // at the next verify. A guard with no baseline yet (a freshly
+    // constructed solver) stays unstamped, as after init(), and copies no
+    // state here.
     if (sdcGuard_.stamped()) sdcGuard_.stamp(U_, finestLevel());
 }
 

@@ -42,6 +42,22 @@ enum class InterpChoice { Curvilinear, Trilinear, Weno, ConservativeLinear };
 /// Initial condition: conserved state as a function of physical position.
 using InitFunct = std::function<std::array<Real, NCONS>(Real x, Real y, Real z)>;
 
+/// Resilience policy of CroccoAmr::evolve(): periodic disk checkpoints
+/// through a RestartManager and in-memory buddy snapshots, the recovery
+/// sources evolve() restores from when a fault escapes step(). (Declared at
+/// namespace scope so evolve() can default it.)
+struct EvolveOptions {
+    resilience::RestartManager* restart = nullptr;
+    int checkpointEvery = 0; ///< steps between checkpoints (0 = off)
+    int maxRecoveries = 1;   ///< restore attempts before rethrowing
+    /// In-memory buddy checkpointing: snapshot every `buddyEvery` steps
+    /// into `buddy`; every recovery tries it before `restart` (a rank
+    /// death adds a communicator shrink and box redistribution), and
+    /// falls back to `restart` when the copy is unusable or lost.
+    resilience::BuddyCheckpoint* buddy = nullptr;
+    int buddyEvery = 0; ///< steps between buddy snapshots (0 = off)
+};
+
 /// CRoCCo v2.0: the curvilinear compressible solver on the block-structured
 /// AMR hierarchy — Algorithm 1 (main loop) and Algorithm 2 (RK3 advance).
 class CroccoAmr : public amr::AmrCore {
@@ -89,21 +105,6 @@ public:
         static Config forVersion(CodeVersion v);
     };
 
-    /// Resilience policy of evolve(): periodic checkpoints through a
-    /// RestartManager and automatic recovery from SolverDivergence by
-    /// restoring the newest good checkpoint and replaying.
-    struct EvolveOptions {
-        resilience::RestartManager* restart = nullptr;
-        int checkpointEvery = 0; ///< steps between checkpoints (0 = off)
-        int maxRecoveries = 1;   ///< restore attempts before rethrowing
-        /// In-memory buddy checkpointing: snapshot every `buddyEvery` steps
-        /// into `buddy`; a rank death restores from it (communicator shrink
-        /// + box redistribution) without touching disk, falling back to
-        /// `restart` when the buddy copy is unavailable or also lost.
-        resilience::BuddyCheckpoint* buddy = nullptr;
-        int buddyEvery = 0; ///< steps between buddy snapshots (0 = off)
-    };
-
     CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
               std::shared_ptr<const mesh::Mapping> mapping,
               parallel::SimComm* comm = nullptr);
@@ -112,14 +113,18 @@ public:
     void init(InitFunct initialCondition, amr::PhysBCFunct physBC);
 
     /// One pass of Algorithm 1's loop body: (maybe) Regrid, ComputeDt, RK3.
-    /// With Config::guard enabled, the advanced state is health-checked and
-    /// the step rolled back and retried with dt * guard.dtBackoff on
-    /// corruption, up to guard.maxRetries; exhaustion restores the pre-step
-    /// state and throws resilience::SolverDivergence.
+    /// The advanced state is health-checked, and a failed scan or an
+    /// SdcFault from the dual execution rolls the step back and retries
+    /// it, up to guard.maxRetries times; only a health fault retries with
+    /// dt * guard.dtBackoff. Exhaustion restores the pre-step state and
+    /// throws resilience::SolverDivergence (or rethrows the SdcFault).
     void step();
-    void evolve(int nsteps);
-    /// evolve with periodic checkpointing and divergence auto-recovery.
-    void evolve(int nsteps, const EvolveOptions& opts);
+    /// Advance `nsteps` steps, writing the recovery sources `opts` names.
+    /// A SolverDivergence, SdcFault or RankFailure that leaves step() is
+    /// recovered the same way: within opts.maxRecoveries, restore the
+    /// buddy mirror, else the newest disk checkpoint, and replay; else
+    /// rethrow it.
+    void evolve(int nsteps, const EvolveOptions& opts = {});
 
     /// Attach a (test) fault injector; non-owning, nullptr detaches.
     void setFaultInjector(resilience::FaultInjector* injector) {
@@ -133,31 +138,20 @@ public:
         sdcInjector_ = injector;
     }
 
-    /// The unified recovery-ladder policy + structured log. Every recovery
-    /// path — fab repair, step rollback, buddy rebuild, disk restart —
-    /// records the rung it climbed here.
-    resilience::RecoveryLadder& ladder() { return ladder_; }
-    const resilience::RecoveryLog& recoveryLog() const { return ladder_.log(); }
+    /// Every rung any recovery tried — fab repair, step rollback, buddy
+    /// rebuild, disk restart, abort — and the one count of recoveries.
+    const resilience::RecoveryLog& recoveryLog() const { return log_; }
 
-    /// The SDC detection layer (stamps, digests, dual-execution stats).
+    /// The SDC detection layer (stamps, digests, retained copies).
     const resilience::FabGuard& sdcGuard() const { return sdcGuard_; }
     resilience::FabGuard& sdcGuard() { return sdcGuard_; }
 
     /// Health report of the last completed (healthy) step.
     const resilience::HealthReport& lastHealth() const { return lastHealth_; }
-    /// Rollback/retry attempts performed over the solver's lifetime.
-    int rollbackCount() const { return rollbackCount_; }
-    /// Checkpoint-restore recoveries performed by evolve() overloads.
-    int recoveryCount() const { return recoveryCount_; }
-    /// Rank-death recoveries performed by evolve() (subset of the above),
-    /// split by restore source.
-    int rankRecoveryCount() const {
-        return buddyRecoveryCount_ + diskRecoveryCount_;
+    /// Step rollbacks that were retried, over the solver's lifetime.
+    int rollbackCount() const {
+        return log_.successes(resilience::Rung::StepRollback);
     }
-    int buddyRecoveryCount() const { return buddyRecoveryCount_; }
-    int diskRecoveryCount() const { return diskRecoveryCount_; }
-    /// Fab-granular in-place repairs served by the guard (ladder rung 0).
-    int fabRestoreCount() const { return fabRestoreCount_; }
 
     Real time() const { return time_; }
     int stepCount() const { return step_; }
@@ -197,8 +191,8 @@ public:
     /// Restore a checkpoint into a freshly constructed solver (same Config,
     /// geometry and mapping; do not call init() first). `ic`/`bc` supply the
     /// initial-condition and boundary functors the continued run needs.
-    /// Reads both format v2 (CRC-verified) and legacy v1. All level files
-    /// are read and verified *before* any solver state is mutated; a
+    /// Reads format v2 only, so every payload is CRC-verified. All level
+    /// files are read and verified *before* any solver state is mutated; a
     /// truncated or corrupt file throws resilience::CheckpointCorruption
     /// naming the offending level file. Levels above the checkpoint's
     /// finest are dropped. A stamped SDC guard is re-stamped: the restored
@@ -235,17 +229,27 @@ private:
     void computeRhs(int lev, const amr::MultiFab& Sborder, amr::MultiFab& dU);
     const amr::Interpolater& interpolater() const;
     Real computeDtAllLevels();
-    /// ULFM-style rank-death recovery: shrink the communicator, rebuild
-    /// every DistributionMapping without the dead rank, and restore the
-    /// hierarchy from the buddy snapshot. Returns false when no usable
-    /// buddy copy exists — the communicator is still shrunk, and the
-    /// caller must restore from disk instead.
-    bool recoverFromRankDeath(int deadRank, const EvolveOptions& opts);
-    /// Ladder rung: rebuild the whole hierarchy from the buddy mirror
-    /// *without* a rank death (SDC escalation path). The mirror CRC is
-    /// verified before any byte overwrites live state; returns false when
-    /// no verified, same-sized snapshot exists — fall through to disk.
-    bool restoreFromBuddySnapshot(const EvolveOptions& opts);
+    /// evolve()'s one recovery routine for a fault that left step() at
+    /// the current step: check the budget, try the buddy mirror, then the
+    /// disk checkpoint. Every attempt is logged at the fault's step. False
+    /// means nothing restored and the caller rethrows the fault.
+    bool recover(resilience::FaultClass fault, const std::string& detail,
+                 int deadRank, const EvolveOptions& opts, int& recoveries);
+    /// The BuddyRestore rung: rebuild the hierarchy from `buddy`. A usable
+    /// snapshot was taken under the current communicator size and passes
+    /// its mirror CRC check before any byte of it overwrites live state.
+    /// With `deadRank` >= 0 this is ULFM-style rank-death recovery: the
+    /// replica must have survived, the communicator shrinks (whether or
+    /// not the mirror is usable), the dead rank's boxes move to survivors
+    /// and their replicas stream in as RankRecovery traffic, and the
+    /// consumed snapshot is invalidated. False = fall through to disk.
+    bool restoreFromBuddy(resilience::BuddyCheckpoint* buddy, int deadRank);
+    /// Make `bas`/`dms` the hierarchy's layout, with freshly defined level
+    /// data whose state the caller fills: every restore's level rebuild.
+    /// Levels above the restored finest are dropped as AmrCore::regrid
+    /// drops them.
+    void adoptLayout(const std::vector<amr::BoxArray>& bas,
+                     const std::vector<amr::DistributionMapping>& dms);
     /// Guard verify + rung-0 repair: CRC-scan the stamped state, restore
     /// corrupted fabs in place from the retained copy, and throw SdcFault
     /// when a fab's restore source is itself corrupt (evolve() climbs the
@@ -279,13 +283,8 @@ private:
     resilience::FaultInjector* faultInjector_ = nullptr;
     resilience::SdcInjector* sdcInjector_ = nullptr;
     resilience::FabGuard sdcGuard_;
-    resilience::RecoveryLadder ladder_;
+    resilience::RecoveryLog log_;
     resilience::HealthReport lastHealth_;
-    int rollbackCount_ = 0;
-    int recoveryCount_ = 0;
-    int buddyRecoveryCount_ = 0;
-    int diskRecoveryCount_ = 0;
-    int fabRestoreCount_ = 0;
 };
 
 } // namespace crocco::core

@@ -217,7 +217,6 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     if (cfg.gpuNumThreads < 0)
         throw std::runtime_error("gpu.num_threads: must be >= 0 (0 = auto)");
 
-    query("resilience.health_checks", cfg.guard.enabled);
     query("resilience.max_retries", cfg.guard.maxRetries);
     query("resilience.dt_backoff", cfg.guard.dtBackoff);
     query("resilience.max_faults_reported", cfg.guard.maxFaultsReported);

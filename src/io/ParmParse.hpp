@@ -56,11 +56,11 @@ public:
     ///   crocco.tagging (density|momentum|vorticity), crocco.tag_threshold,
     ///   crocco.les_cs, gas.gamma, gas.r, gas.mu_ref, gas.prandtl,
     ///   gpu.num_threads (0 = auto; the GPU_NUM_THREADS environment
-    ///   variable overrides the deck), resilience.health_checks,
-    ///   resilience.max_retries (>= 0), resilience.dt_backoff (in (0,1)),
-    ///   resilience.max_faults_reported, resilience.sdc_guard,
-    ///   resilience.sdc_interval (>= 1), resilience.sdc_sample (>= 0),
-    ///   comm.timeout (>= 0), comm.verify, comm.max_retransmits (>= 0).
+    ///   variable overrides the deck), resilience.max_retries (>= 0),
+    ///   resilience.dt_backoff (in (0,1)), resilience.max_faults_reported,
+    ///   resilience.sdc_guard, resilience.sdc_interval (>= 1),
+    ///   resilience.sdc_sample (>= 0), comm.timeout (>= 0), comm.verify,
+    ///   comm.max_retransmits (>= 0).
     /// Unset keys keep the passed-in defaults; docs/deck-keys.md lists every
     /// key with its query site.
     core::CroccoAmr::Config makeConfig(core::CroccoAmr::Config defaults = {}) const;

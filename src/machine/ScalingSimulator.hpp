@@ -78,7 +78,7 @@ struct ResilienceStats {
 /// Disk-vs-buddy recovery economics of one scaling case: the same Daly
 /// machinery priced twice, once with filesystem checkpoints + job-relaunch
 /// restore and once with interconnect buddy mirroring + in-memory shrink
-/// recovery (what CroccoAmr::recoverFromRankDeath implements).
+/// recovery (what CroccoAmr::restoreFromBuddy implements).
 struct RecoveryComparison {
     ResilienceStats disk;    ///< filesystem dumps, relaunch + re-read restore
     ResilienceStats buddy;   ///< partner mirroring, in-memory redistribution

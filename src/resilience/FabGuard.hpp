@@ -40,9 +40,9 @@ std::uint32_t crcOfFabValidRegion(const amr::MultiFab& mf, int fab);
 /// ABFT digests, both taken while the state is known-good (end of step,
 /// post-regrid, post-restore), and verified before long-idle state is read
 /// again. A verify runs the cheap digest screen first, then the CRC scan,
-/// which localizes corruption to a fab so the RecoveryLadder's first rung
-/// can repair it in place from the retained copy instead of rolling the
-/// whole step back.
+/// which localizes corruption to a fab so the first recovery rung
+/// (FabRestore) can repair it in place from the retained copy instead of
+/// rolling the whole step back.
 ///
 /// The guard also retains a verified copy of the stamped hierarchy — the
 /// restore source for fab-granular repair. The copy is itself CRC-checked
@@ -57,8 +57,6 @@ public:
         std::int64_t digestMismatches = 0;  ///< levels failing the ABFT screen
         std::int64_t crcMismatches = 0;     ///< fabs failing the CRC scan
         std::int64_t fabRestores = 0;       ///< fab-granular repairs served
-        std::int64_t dualChecks = 0;        ///< sampled dual executions run
-        std::int64_t dualMismatches = 0;    ///< kernel outputs caught corrupt
     };
 
     /// Stamp levels 0..finestLevel: per-fab CRC32 + per-level conserved
@@ -95,7 +93,6 @@ public:
     std::int64_t guardedBytes() const { return guardedBytes_; }
 
     const Stats& stats() const { return stats_; }
-    Stats& stats() { return stats_; }
 
     /// Which fab the dual-execution pass re-runs for (step, stage, level):
     /// a fixed pseudo-rotation so every fab is eventually sampled and tests

@@ -11,9 +11,9 @@ namespace crocco::resilience {
 
 /// Per-step guard policy of the solver driver (see docs/resilience.md):
 /// after every RK3 step the conserved state is scanned for corruption and,
-/// on failure, the step is rolled back and retried with a smaller dt.
+/// on failure, the step is rolled back and retried with a smaller dt. The
+/// guard is always on; these are its budgets.
 struct GuardConfig {
-    bool enabled = true;       ///< scan state + snapshot/rollback every step
     int maxRetries = 3;        ///< rollback/retry attempts before giving up
     double dtBackoff = 0.5;    ///< dt multiplier applied on each retry
     int maxFaultsReported = 8; ///< offending cells kept in a HealthReport

@@ -56,44 +56,4 @@ std::string RecoveryLog::describeAll() const {
     return ss.str();
 }
 
-Rung RecoveryLadder::entryRung(FaultClass fault) {
-    switch (fault) {
-    case FaultClass::ColdSdc:
-        // Localized by the CRC scan; the state has not been consumed yet,
-        // so one fab restored bitwise repairs the run in place.
-        return Rung::FabRestore;
-    case FaultClass::KernelSdc:
-    case FaultClass::HealthFault:
-        // The step's outputs are suspect wholesale: replay it.
-        return Rung::StepRollback;
-    case FaultClass::RankDeath:
-        // Local repair is meaningless — the data is gone with the rank.
-        return Rung::BuddyRestore;
-    case FaultClass::CheckpointCorrupt:
-        // The mirror/copy failed its CRC: only the disk dump is left.
-        return Rung::DiskRestart;
-    }
-    return Rung::Abort;
-}
-
-Rung RecoveryLadder::escalate(Rung rung, FaultClass fault) {
-    switch (rung) {
-    case Rung::FabRestore:
-        // The in-step snapshot was taken from the same already-corrupt
-        // state a cold-SDC fab restore just failed to repair — replaying
-        // the step replays the corruption, so skip straight past it.
-        return fault == FaultClass::ColdSdc ? Rung::BuddyRestore
-                                            : Rung::StepRollback;
-    case Rung::StepRollback: return Rung::BuddyRestore;
-    case Rung::BuddyRestore: return Rung::DiskRestart;
-    case Rung::DiskRestart: return Rung::Abort;
-    case Rung::Abort: return Rung::Abort;
-    }
-    return Rung::Abort;
-}
-
-bool RecoveryLadder::dtBackoffApplies(FaultClass fault) {
-    return fault == FaultClass::HealthFault;
-}
-
 } // namespace crocco::resilience

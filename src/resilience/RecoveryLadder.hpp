@@ -6,7 +6,13 @@
 
 namespace crocco::resilience {
 
-/// What went wrong — the ladder picks its entry rung from this.
+// The vocabulary and the record of recovery (docs/resilience.md §6). No
+// policy object lives here: core::CroccoAmr's code is the one statement of
+// the escalation order. FabRestore runs in its guard verify, StepRollback
+// in step(), and BuddyRestore, DiskRestart and Abort in evolve()'s one
+// recovery routine, each recording what it tried in the RecoveryLog.
+
+/// What went wrong: a fault's class decides the rung it enters at.
 enum class FaultClass {
     ColdSdc,          ///< guard verify found corrupted cold fab(s)
     KernelSdc,        ///< dual execution caught a corrupted stage RHS
@@ -20,8 +26,8 @@ enum class FaultClass {
 /// from the buddy mirror, reload the disk checkpoint, give up.
 enum class Rung {
     FabRestore,   ///< bitwise repair of one fab from the retained copy
-    StepRollback, ///< PR 1: restore the in-step snapshot and retry
-    BuddyRestore, ///< PR 6: rebuild state from the partner mirror
+    StepRollback, ///< restore the in-step snapshot and retry
+    BuddyRestore, ///< rebuild state from the partner mirror
     DiskRestart,  ///< reload the newest verified disk checkpoint
     Abort         ///< nothing left — surface the failure
 };
@@ -29,7 +35,8 @@ enum class Rung {
 const char* describe(FaultClass c);
 const char* describe(Rung r);
 
-/// One escalation decision, as the ladder made it.
+/// One rung tried for one fault. `step` is the step at which the fault
+/// surfaced, also when the rung restored an older step.
 struct RecoveryEvent {
     int step = 0;
     FaultClass fault = FaultClass::HealthFault;
@@ -38,9 +45,8 @@ struct RecoveryEvent {
     std::string detail;
 };
 
-/// Append-only record of every rung the ladder tried. The soak tests
-/// assert against this log (every rung exercised, every attempt resolved),
-/// and evolve() surfaces it next to the health report on failure.
+/// Append-only record of every rung tried, and the solver's only count of
+/// recoveries: the soak tests and dmrbench read their counts from it.
 class RecoveryLog {
 public:
     void record(int step, FaultClass fault, Rung rung, bool success,
@@ -58,45 +64,9 @@ private:
     std::vector<RecoveryEvent> events_;
 };
 
-/// Unified recovery policy (docs/resilience.md §6): every detector in the
-/// solver reports its fault class here, and the ladder answers with the
-/// cheapest applicable rung; a failed rung escalates to the next. The
-/// ladder itself performs no repair — CroccoAmr owns the mechanisms (guard
-/// restore, snapshot rollback, buddy rebuild, RestartManager) and routes
-/// each ad-hoc call site through this policy so escalation order and
-/// bookkeeping live in exactly one place.
-///
-/// dt backoff is a property of the *fault*, not the rung: a health fault
-/// usually means the explicit step outran its CFL limit, so its retry
-/// shrinks dt; an SDC retry replays the identical step (the flip was
-/// transient) and must NOT change dt, or the repaired run would diverge
-/// bitwise from the fault-free one.
-class RecoveryLadder {
-public:
-    /// Cheapest rung applicable to a fault class: fab repair only works
-    /// for localized cold corruption; a corrupted kernel output needs the
-    /// whole step replayed; rank death starts at the buddy mirror.
-    static Rung entryRung(FaultClass fault);
-
-    /// Next-bigger hammer after `rung` failed for `fault`. Mostly the next
-    /// chain link, with one exception: cold SDC skips StepRollback (the
-    /// corruption predates the in-step snapshot, so replaying the step
-    /// would replay the corruption) and goes straight to the buddy mirror.
-    static Rung escalate(Rung rung, FaultClass fault);
-
-    /// Whether a StepRollback retry of this fault class shrinks dt.
-    static bool dtBackoffApplies(FaultClass fault);
-
-    RecoveryLog& log() { return log_; }
-    const RecoveryLog& log() const { return log_; }
-
-private:
-    RecoveryLog log_;
-};
-
 /// Raised when SDC is detected but the local rungs (fab restore, step
 /// rollback) cannot repair it — evolve() climbs the remaining rungs
-/// (buddy mirror, disk restart) exactly as it does for a rank death.
+/// (buddy mirror, disk restart) as it does for every other fault.
 class SdcFault : public std::runtime_error {
 public:
     SdcFault(int step, FaultClass fault, const std::string& what)

@@ -82,13 +82,12 @@ bool RestartManager::verify(const std::string& dir, std::string* why) {
     std::string magic;
     int version = 0;
     hdr >> magic >> version;
-    if (magic != "crocco-checkpoint" || version < 1 || version > 2)
+    if (magic != "crocco-checkpoint" || version != 2)
         return fail("unrecognized header magic/version");
     double time = 0;
     int step = 0, finest = 0;
     hdr >> time >> step >> finest;
     if (!hdr || finest < 0) return fail("malformed header");
-    if (version < 2) return true; // v1 has no checksums to verify against
     for (int lev = 0; lev <= finest; ++lev) {
         int nboxes = 0;
         std::uint32_t crc = 0;

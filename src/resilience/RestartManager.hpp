@@ -38,11 +38,10 @@ public:
     /// Step number encoded in a checkpoint directory name, or -1.
     static int stepOf(const std::string& dir);
 
-    /// Fast integrity check of one checkpoint: the header parses and every
-    /// recorded per-level CRC32/length matches the level file on disk.
-    /// Version-1 checkpoints carry no checksums and pass vacuously (their
-    /// structural checks happen at read time). Never throws; on failure
-    /// returns false and, when `why` is non-null, explains.
+    /// Fast integrity check of one checkpoint: the header is format v2 and
+    /// parses, and every recorded per-level CRC32/length matches the level
+    /// file on disk. Never throws; on failure returns false and, when
+    /// `why` is non-null, explains.
     static bool verify(const std::string& dir, std::string* why = nullptr);
 
     /// Restore the newest checkpoint that passes verify() *and* loads

@@ -18,10 +18,10 @@ namespace crocco::resilience {
 /// streams of the other injectors (see FaultRng).
 ///
 /// The injector only flips; detection and repair are FabGuard's and the
-/// RecoveryLadder's business. Cold flips land in the *valid* region, the
-/// state FabGuard stamps; ghost flips model upsets in unguarded scratch
-/// (refilled before use, so they are the harmless-undetected category the
-/// SDC bench counts).
+/// solver's recovery path's business. Cold flips land in the *valid*
+/// region, the state FabGuard stamps; ghost flips model upsets in
+/// unguarded scratch (refilled before use, so they are the
+/// harmless-undetected category the SDC bench counts).
 class SdcInjector {
 public:
     explicit SdcInjector(std::uint64_t seed = 0x5DC0DE10ull);

@@ -10,6 +10,7 @@
 #include "problems/Dmr.hpp"
 #include "resilience/RestartManager.hpp"
 
+#include "RecoveryTrace.hpp"
 #include "TempDir.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@ using amr::BoxArray;
 using amr::DistributionMapping;
 using amr::IntVect;
 using amr::MultiFab;
+using testing::Climb;
+using testing::climbs;
 
 // ---------------------------------------------------------- BuddyCheckpoint
 
@@ -169,13 +172,16 @@ TEST(RankRecovery, BuddyRestoreAfterMidRunRankDeathIsBitwiseIdentical) {
     auto solver = makeSolver(soakConfig(4), &comm);
 
     BuddyCheckpoint buddy;
-    core::CroccoAmr::EvolveOptions opts;
+    core::EvolveOptions opts;
     opts.buddy = &buddy;
     opts.buddyEvery = 2;
     solver->evolve(nsteps, opts);
 
-    EXPECT_EQ(solver->buddyRecoveryCount(), 1);
-    EXPECT_EQ(solver->diskRecoveryCount(), 0);
+    EXPECT_EQ(solver->recoveryLog().successes(Rung::BuddyRestore), 1);
+    EXPECT_EQ(solver->recoveryLog().successes(Rung::DiskRestart), 0);
+    EXPECT_EQ(climbs(solver->recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::RankDeath, Rung::BuddyRestore, true}}));
     EXPECT_EQ(comm.size(), 3); // shrunk over the survivors
     EXPECT_EQ(faults.stats().rankDeaths, 1);
     // The dead rank's boxes were adopted from the partner copy.
@@ -205,14 +211,19 @@ TEST(RankRecovery, WithoutABuddyCopyRecoveryFallsBackToDisk) {
     auto solver = makeSolver(soakConfig(4), &comm);
 
     RestartManager restart(root.path);
-    core::CroccoAmr::EvolveOptions opts;
+    core::EvolveOptions opts;
     opts.restart = &restart;
     opts.checkpointEvery = 2;
     solver->evolve(nsteps, opts);
 
-    EXPECT_EQ(solver->buddyRecoveryCount(), 0);
-    EXPECT_EQ(solver->diskRecoveryCount(), 1);
-    EXPECT_EQ(solver->rankRecoveryCount(), 1);
+    EXPECT_EQ(solver->recoveryLog().successes(Rung::BuddyRestore), 0);
+    EXPECT_EQ(solver->recoveryLog().successes(Rung::DiskRestart), 1);
+    EXPECT_EQ(testing::count(solver->recoveryLog(), FaultClass::RankDeath, true),
+              1);
+    EXPECT_EQ(climbs(solver->recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::RankDeath, Rung::BuddyRestore, false},
+                  {FaultClass::RankDeath, Rung::DiskRestart, true}}));
     EXPECT_EQ(comm.size(), 3);
     // The disk checkpoint stores exact binary state, so the replay is
     // bitwise-identical too (the restored mappings exclude the dead rank).
@@ -225,9 +236,12 @@ TEST(RankRecovery, DeathWithNoRecoveryPathPropagatesRankFailure) {
     faults.armRankDeath(1, 0);
     comm.attachFaults(&faults);
     auto solver = makeSolver(soakConfig(2), &comm);
-    core::CroccoAmr::EvolveOptions opts; // no buddy, no restart
+    core::EvolveOptions opts; // no buddy, no restart
     opts.maxRecoveries = 0;
     EXPECT_THROW(solver->evolve(4, opts), parallel::RankFailure);
+    // The spent budget refuses the escalation before any rung is tried.
+    EXPECT_EQ(climbs(solver->recoveryLog()),
+              (std::vector<Climb>{{FaultClass::RankDeath, Rung::Abort, false}}));
 }
 
 // ------------------------------------------------------------ the full soak
@@ -258,7 +272,7 @@ TEST(CommFaultSoak, SeededCampaignWithRegridsEndsBitwiseIdentical) {
     const testing::TempDir root("crocco_comm_recovery_soak");
     RestartManager restart(root.path);
     BuddyCheckpoint buddy;
-    core::CroccoAmr::EvolveOptions opts;
+    core::EvolveOptions opts;
     opts.restart = &restart;
     opts.checkpointEvery = 4;
     opts.buddy = &buddy;
@@ -268,7 +282,10 @@ TEST(CommFaultSoak, SeededCampaignWithRegridsEndsBitwiseIdentical) {
     // The campaign actually fired, message faults and the death included.
     EXPECT_GT(faults.stats().fired(), faults.stats().rankDeaths);
     EXPECT_EQ(faults.stats().rankDeaths, 1);
-    EXPECT_EQ(solver->buddyRecoveryCount(), 1);
+    EXPECT_EQ(solver->recoveryLog().successes(Rung::BuddyRestore), 1);
+    EXPECT_EQ(climbs(solver->recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::RankDeath, Rung::BuddyRestore, true}}));
     const auto& fs = comm.faultStats();
     EXPECT_GT(fs.verified, 0);
     EXPECT_EQ(fs.crcFailures, fs.nacks);

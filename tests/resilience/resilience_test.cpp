@@ -5,6 +5,8 @@
 #include "core/CroccoAmr.hpp"
 #include "problems/Dmr.hpp"
 
+#include "RecoveryTrace.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +21,8 @@ using amr::DistributionMapping;
 using amr::IntVect;
 using amr::MultiFab;
 using core::GasModel;
+using testing::Climb;
+using testing::climbs;
 
 // ------------------------------------------------------------------ CRC32
 
@@ -211,7 +215,6 @@ TEST(Rollback, TransientCorruptionIsRetriedAndRunCompletes) {
     // conserved totals.
     auto dmr = smallDmr();
     auto cfg = dmr.solverConfig(core::CodeVersion::V20);
-    ASSERT_TRUE(cfg.guard.enabled); // guard is on by default
     core::CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
     solver.init(dmr.initialCondition(), dmr.boundaryConditions());
 
@@ -223,6 +226,9 @@ TEST(Rollback, TransientCorruptionIsRetriedAndRunCompletes) {
     EXPECT_EQ(solver.stepCount(), 4);
     EXPECT_EQ(inj.faultsFired(), 1);
     EXPECT_GE(solver.rollbackCount(), 1);
+    EXPECT_EQ(climbs(solver.recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::HealthFault, Rung::StepRollback, true}}));
     EXPECT_TRUE(solver.lastHealth().healthy());
     for (const double t : solver.conservedTotals()) EXPECT_TRUE(std::isfinite(t));
 }
@@ -248,6 +254,10 @@ TEST(Rollback, DtInflationIsWalkedBackByBackoff) {
 
     EXPECT_EQ(solver.stepCount(), 3);
     EXPECT_GE(solver.rollbackCount(), 1);
+    // Four halvings take the 64x inflation back under the CFL limit.
+    EXPECT_EQ(climbs(solver.recoveryLog()),
+              std::vector<Climb>(
+                  4, {FaultClass::HealthFault, Rung::StepRollback, true}));
     // The accepted dt of the poisoned step is 64 * 0.5^k of the stable dt;
     // by completion dt must be back at a stable magnitude.
     EXPECT_LT(solver.lastDt(), 4.0 * stableDt);
@@ -283,23 +293,11 @@ TEST(Rollback, PersistentCorruptionThrowsSolverDivergence) {
     for (int n = 0; n < core::NCONS; ++n) EXPECT_EQ(after[n], before[n]);
     // It fired on the first attempt plus each of the 2 retries.
     EXPECT_EQ(inj.faultsFired(), 3);
-}
-
-TEST(Rollback, GuardDisabledLetsCorruptionThrough) {
-    auto dmr = smallDmr();
-    auto cfg = dmr.solverConfig(core::CodeVersion::V20);
-    cfg.guard.enabled = false;
-    core::CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
-    solver.init(dmr.initialCondition(), dmr.boundaryConditions());
-    FaultInjector inj(11);
-    inj.armCellCorruption(0, FaultInjector::Corruption::QuietNaN);
-    solver.setFaultInjector(&inj);
-    solver.evolve(2);
-    EXPECT_EQ(solver.rollbackCount(), 0);
-    bool anyNaN = false;
-    for (const double t : solver.conservedTotals())
-        anyNaN = anyNaN || std::isnan(t);
-    EXPECT_TRUE(anyNaN);
+    EXPECT_EQ(climbs(solver.recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::HealthFault, Rung::StepRollback, true},
+                  {FaultClass::HealthFault, Rung::StepRollback, true},
+                  {FaultClass::HealthFault, Rung::StepRollback, false}}));
 }
 
 } // namespace

@@ -1,3 +1,4 @@
+#include "resilience/BuddyCheckpoint.hpp"
 #include "resilience/FaultInjector.hpp"
 #include "resilience/Health.hpp"
 #include "resilience/RestartManager.hpp"
@@ -5,6 +6,7 @@
 #include "core/CroccoAmr.hpp"
 #include "problems/Dmr.hpp"
 
+#include "RecoveryTrace.hpp"
 #include "TempDir.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,40 @@ namespace {
 
 namespace fs = std::filesystem;
 using core::CroccoAmr;
+using testing::Climb;
+using testing::climbs;
+
+/// Rewrite a checkpoint's header as format v1, which has no CRC and byte
+/// count columns in its level records and is not read any more.
+void rewriteHeaderAsV1(const std::string& dir) {
+    std::ifstream in(dir + "/header.txt");
+    std::ostringstream v1;
+    std::string line;
+    std::getline(in, line); // magic + version
+    v1 << "crocco-checkpoint 1\n";
+    std::getline(in, line); // time step finest
+    v1 << line << '\n';
+    int finest = 0;
+    {
+        std::istringstream ls(line);
+        double t;
+        int s;
+        ls >> t >> s >> finest;
+    }
+    for (int lev = 0; lev <= finest; ++lev) {
+        std::getline(in, line); // nboxes crc nbytes  ->  nboxes
+        std::istringstream ls(line);
+        int nboxes = 0;
+        ls >> nboxes;
+        v1 << nboxes << '\n';
+        for (int i = 0; i < nboxes; ++i) {
+            std::getline(in, line);
+            v1 << line << '\n';
+        }
+    }
+    in.close();
+    std::ofstream(dir + "/header.txt") << v1.str();
+}
 
 // --------------------------------------------------- manager housekeeping
 
@@ -114,6 +150,12 @@ TEST(RestartManager, VerifyNamesFlippedByteAndTruncation) {
     fs::resize_file(bin, fs::file_size(bin) - 8);
     EXPECT_FALSE(RestartManager::verify(root.path + "/chk", &why));
     EXPECT_NE(why.find("level0.bin"), std::string::npos);
+
+    // A format-v1 header carries no checksums to verify against: rejected.
+    solver.writeCheckpoint(root.path + "/chk1");
+    rewriteHeaderAsV1(root.path + "/chk1");
+    EXPECT_FALSE(RestartManager::verify(root.path + "/chk1", &why));
+    EXPECT_NE(why.find("version"), std::string::npos) << why;
 }
 
 TEST(Checkpoint, TruncatedLevelFileThrowsNamingLevelAndFile) {
@@ -142,52 +184,18 @@ TEST(Checkpoint, TruncatedLevelFileThrowsNamingLevelAndFile) {
     }
     // Phase-1 verification failed, so no solver state was touched.
     EXPECT_EQ(b.stepCount(), 0);
-}
 
-TEST(Checkpoint, ReadsLegacyV1Format) {
-    // Strip the v2 CRC/length columns out of a fresh checkpoint's header and
-    // mark it version 1: readCheckpoint must still restore it bit-exactly.
-    const testing::TempDir root("crocco_ckpt_v1");
-    auto dmr = testDmr(1);
-    const auto cfg = dmr.solverConfig(core::CodeVersion::V20);
-    CroccoAmr a(dmr.geometry(), cfg, dmr.mapping());
-    a.init(dmr.initialCondition(), dmr.boundaryConditions());
-    a.evolve(2);
-    const std::string dir = root.path + "/chk";
-    a.writeCheckpoint(dir);
-
-    std::ifstream in(dir + "/header.txt");
-    std::ostringstream v1;
-    std::string line;
-    std::getline(in, line); // magic + version
-    v1 << "crocco-checkpoint 1\n";
-    std::getline(in, line); // time step finest
-    v1 << line << '\n';
-    int finest = 0;
-    {
-        std::istringstream ls(line);
-        double t;
-        int s;
-        ls >> t >> s >> finest;
-    }
-    for (int lev = 0; lev <= finest; ++lev) {
-        std::getline(in, line); // nboxes crc nbytes  ->  nboxes
-        std::istringstream ls(line);
-        int nboxes = 0;
-        ls >> nboxes;
-        v1 << nboxes << '\n';
-        for (int i = 0; i < nboxes; ++i) {
-            std::getline(in, line);
-            v1 << line << '\n';
-        }
-    }
-    in.close();
-    std::ofstream(dir + "/header.txt") << v1.str();
-
-    ASSERT_TRUE(RestartManager::verify(dir)); // v1 passes vacuously
-    CroccoAmr b(dmr.geometry(), cfg, dmr.mapping());
-    b.readCheckpoint(dir, dmr.initialCondition(), dmr.boundaryConditions());
-    expectBitwiseEqual(a, b);
+    // An intact payload under a format-v1 header is refused the same way:
+    // it carries no CRCs, so nothing would check it before it is trusted.
+    const std::string v1 = root.path + "/chk_v1";
+    a.writeCheckpoint(v1);
+    rewriteHeaderAsV1(v1);
+    EXPECT_THROW(
+        b.readCheckpoint(v1, dmr.initialCondition(), dmr.boundaryConditions()),
+        std::runtime_error);
+    EXPECT_EQ(b.stepCount(), 0);
+    EXPECT_EQ(b.finestLevel(), 0);
+    EXPECT_TRUE(b.boxArray(0).empty());
 }
 
 TEST(RestartManager, FallsBackToPreviousGoodCheckpointOnByteFlip) {
@@ -332,14 +340,20 @@ TEST(Evolve, AutoRecoversFromDivergenceViaCheckpoint) {
     solver.setFaultInjector(&inj);
 
     RestartManager rm(root.path, 2);
-    CroccoAmr::EvolveOptions opts;
+    core::EvolveOptions opts;
     opts.restart = &rm;
     opts.checkpointEvery = 2;
     solver.evolve(4, opts);
 
     EXPECT_EQ(solver.stepCount(), 4);
-    EXPECT_EQ(solver.recoveryCount(), 1);
+    EXPECT_EQ(solver.recoveryLog().successes(Rung::DiskRestart), 1);
     EXPECT_EQ(solver.rollbackCount(), 0); // guard had no retry budget
+    // The buddy rung, tried first, has no mirror to restore from.
+    EXPECT_EQ(climbs(solver.recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::HealthFault, Rung::StepRollback, false},
+                  {FaultClass::HealthFault, Rung::BuddyRestore, false},
+                  {FaultClass::HealthFault, Rung::DiskRestart, true}}));
     EXPECT_EQ(inj.faultsFired(), 1);
     // Matches a run that never failed at all.
     CroccoAmr clean(dmr.geometry(), cfg, dmr.mapping());
@@ -361,13 +375,83 @@ TEST(Evolve, RethrowsWhenRecoveryBudgetExhausted) {
     solver.setFaultInjector(&inj);
 
     RestartManager rm(root.path, 2);
-    CroccoAmr::EvolveOptions opts;
+    core::EvolveOptions opts;
     opts.restart = &rm;
     opts.checkpointEvery = 1;
     opts.maxRecoveries = 2;
     EXPECT_THROW(solver.evolve(4, opts), SolverDivergence);
-    EXPECT_EQ(solver.recoveryCount(), 2);
+    EXPECT_EQ(solver.recoveryLog().successes(Rung::DiskRestart), 2);
     EXPECT_EQ(solver.stepCount(), 2); // rolled back to the pre-step snapshot
+    // Two restores and replays, then the spent budget ends the escalation.
+    const Climb rollback{FaultClass::HealthFault, Rung::StepRollback, false};
+    const Climb noMirror{FaultClass::HealthFault, Rung::BuddyRestore, false};
+    const Climb disk{FaultClass::HealthFault, Rung::DiskRestart, true};
+    EXPECT_EQ(climbs(solver.recoveryLog()),
+              (std::vector<Climb>{rollback, noMirror, disk, rollback, noMirror,
+                                  disk, rollback,
+                                  {FaultClass::HealthFault, Rung::Abort, false}}));
+}
+
+TEST(Evolve, UnrestorableDiskCheckpointRethrowsTheFault) {
+    // The disk rung is tried and fails (no checkpoint was ever written):
+    // the failure is logged and the caller gets the fault itself back,
+    // not the restart manager's error.
+    const testing::TempDir root("crocco_rm_unrestorable");
+    auto dmr = testDmr(0);
+    auto cfg = dmr.solverConfig(core::CodeVersion::V20);
+    cfg.guard.maxRetries = 0;
+    CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
+    solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+
+    FaultInjector inj(77);
+    inj.armCellCorruption(3, FaultInjector::Corruption::Infinity);
+    solver.setFaultInjector(&inj);
+
+    RestartManager rm(root.path, 2);
+    core::EvolveOptions opts;
+    opts.restart = &rm; // checkpointEvery 0: nothing to restore
+    EXPECT_THROW(solver.evolve(5, opts), SolverDivergence);
+    EXPECT_EQ(solver.stepCount(), 3);
+    EXPECT_EQ(climbs(solver.recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::HealthFault, Rung::StepRollback, false},
+                  {FaultClass::HealthFault, Rung::BuddyRestore, false},
+                  {FaultClass::HealthFault, Rung::DiskRestart, false}}));
+    EXPECT_NE(solver.recoveryLog().events().back().detail.find(
+                  "no restorable checkpoint"),
+              std::string::npos);
+}
+
+TEST(Evolve, HealthFaultRecoversFromTheBuddyMirror) {
+    // A fault that leaves step() climbs to the buddy mirror before disk,
+    // whatever its class: here a health fault with no retry budget and no
+    // restart manager attached restores the verified mirror and replays.
+    auto dmr = testDmr(0);
+    auto cfg = dmr.solverConfig(core::CodeVersion::V20);
+    cfg.guard.maxRetries = 0;
+    CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
+    solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+
+    FaultInjector inj(77);
+    inj.armCellCorruption(3, FaultInjector::Corruption::Infinity);
+    solver.setFaultInjector(&inj);
+
+    BuddyCheckpoint buddy;
+    core::EvolveOptions opts;
+    opts.buddy = &buddy;
+    opts.buddyEvery = 1;
+    solver.evolve(5, opts);
+
+    EXPECT_EQ(solver.stepCount(), 5);
+    EXPECT_EQ(inj.faultsFired(), 1);
+    EXPECT_EQ(climbs(solver.recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::HealthFault, Rung::StepRollback, false},
+                  {FaultClass::HealthFault, Rung::BuddyRestore, true}}));
+    CroccoAmr clean(dmr.geometry(), cfg, dmr.mapping());
+    clean.init(dmr.initialCondition(), dmr.boundaryConditions());
+    clean.evolve(5);
+    expectBitwiseEqual(clean, solver);
 }
 
 } // namespace

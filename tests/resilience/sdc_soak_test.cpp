@@ -2,7 +2,9 @@
 // over a DMR run with regrids, one per ladder rung — fab-granular repair,
 // step rollback via dual execution, buddy-mirror escalation, and the
 // corrupted-mirror fall-through to disk — plus the combined chaos soak
-// (SDC + message faults + rank death). Every repaired run must end
+// (SDC + message faults + rank death), and two checks of the recovery path
+// itself: a buddy restore drops deeper live levels, and every RecoveryLog
+// event carries the step its fault surfaced at. Every repaired run must end
 // bitwise-identical to the fault-free run; with the guard off, the guard
 // machinery must be bitwise-transparent. CROCCO_SDC_SEED varies the
 // campaign seed (tools/ci.sh sweeps a small matrix; default 2026).
@@ -13,9 +15,11 @@
 #include "problems/Dmr.hpp"
 #include "resilience/BuddyCheckpoint.hpp"
 #include "resilience/FabGuard.hpp"
+#include "resilience/FaultInjector.hpp"
 #include "resilience/RecoveryLadder.hpp"
 #include "resilience/RestartManager.hpp"
 
+#include "RecoveryTrace.hpp"
 #include "TempDir.hpp"
 
 #include <gtest/gtest.h>
@@ -30,6 +34,8 @@ namespace crocco::resilience {
 namespace {
 
 using amr::MultiFab;
+using testing::Climb;
+using testing::climbs;
 
 std::uint64_t campaignSeed() {
     if (const char* env = std::getenv("CROCCO_SDC_SEED"))
@@ -98,7 +104,8 @@ TEST(SdcTransparency, GuardOnWithoutFaultsIsBitwiseIdenticalToGuardOff) {
     off->evolve(nsteps);
     EXPECT_EQ(off->sdcGuard().stats().stamps, 0);
     EXPECT_EQ(off->sdcGuard().stats().verifies, 0);
-    EXPECT_EQ(off->sdcGuard().stats().dualChecks, 0);
+    EXPECT_EQ(off->profiler().calls("SdcDualExec"), 0);
+    EXPECT_TRUE(off->recoveryLog().events().empty());
 
     auto cfg = soakConfig(1, true);
     cfg.sdc.sample = 2; // dual-execute too: it must also be transparent
@@ -106,9 +113,10 @@ TEST(SdcTransparency, GuardOnWithoutFaultsIsBitwiseIdenticalToGuardOff) {
     on->evolve(nsteps);
     EXPECT_GT(on->sdcGuard().stats().stamps, 0);
     EXPECT_GT(on->sdcGuard().stats().verifies, 0);
-    EXPECT_GT(on->sdcGuard().stats().dualChecks, 0);
+    EXPECT_GT(on->profiler().calls("SdcDualExec"), 0);
     EXPECT_EQ(on->sdcGuard().stats().crcMismatches, 0);
-    EXPECT_EQ(on->sdcGuard().stats().dualMismatches, 0);
+    // No dual-execution mismatch, nor any other fault, was recorded.
+    EXPECT_TRUE(on->recoveryLog().events().empty());
     expectBitwiseIdentical(*on, *off);
 }
 
@@ -128,10 +136,11 @@ TEST(SdcSoak, ColdFlipIsRepairedInPlace) {
     solver->evolve(nsteps);
 
     EXPECT_EQ(inj.stats().coldFlips, 1);
-    EXPECT_EQ(solver->fabRestoreCount(), 1);
+    EXPECT_EQ(solver->recoveryLog().successes(Rung::FabRestore), 1);
     EXPECT_EQ(solver->rollbackCount(), 0);
     EXPECT_EQ(solver->sdcGuard().stats().crcMismatches, 1);
-    EXPECT_EQ(solver->recoveryLog().successes(Rung::FabRestore), 1);
+    EXPECT_EQ(climbs(solver->recoveryLog()),
+              (std::vector<Climb>{{FaultClass::ColdSdc, Rung::FabRestore, true}}));
     expectBitwiseIdentical(*solver, *reference);
 }
 
@@ -159,8 +168,10 @@ TEST(SdcSoak, StageFlipIsCaughtByDualExecutionAndRolledBack) {
 
     EXPECT_EQ(inj.stats().stageFlips, 1);
     EXPECT_EQ(solver->rollbackCount(), 1);
-    EXPECT_EQ(solver->sdcGuard().stats().dualMismatches, 1);
-    EXPECT_GE(solver->recoveryLog().successes(Rung::StepRollback), 1);
+    // One dual-execution mismatch: one KernelSdc rollback in the log.
+    EXPECT_EQ(climbs(solver->recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::KernelSdc, Rung::StepRollback, true}}));
     expectBitwiseIdentical(*solver, *reference);
 }
 
@@ -177,7 +188,7 @@ TEST(SdcSoak, CorruptRetainedCopyEscalatesToBuddyMirror) {
     parallel::SimComm comm(2);
     auto solver = makeSolver(soakConfig(2, true), &comm);
     BuddyCheckpoint buddy;
-    core::CroccoAmr::EvolveOptions opts;
+    core::EvolveOptions opts;
     opts.buddy = &buddy;
     opts.buddyEvery = 1;
 
@@ -189,11 +200,14 @@ TEST(SdcSoak, CorruptRetainedCopyEscalatesToBuddyMirror) {
     solver->sdcGuard().corruptRetained(0, 0);
     solver->evolve(nsteps - faultStep, opts);
 
-    EXPECT_EQ(solver->fabRestoreCount(), 0);
-    EXPECT_EQ(solver->buddyRecoveryCount(), 1);
+    EXPECT_EQ(solver->recoveryLog().successes(Rung::FabRestore), 0);
     EXPECT_EQ(solver->recoveryLog().failures(Rung::FabRestore), 1);
     EXPECT_EQ(solver->recoveryLog().successes(Rung::BuddyRestore), 1);
     EXPECT_EQ(solver->recoveryLog().successes(Rung::StepRollback), 0);
+    EXPECT_EQ(climbs(solver->recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::ColdSdc, Rung::FabRestore, false},
+                  {FaultClass::ColdSdc, Rung::BuddyRestore, true}}));
     expectBitwiseIdentical(*solver, *reference);
 }
 
@@ -217,7 +231,7 @@ TEST(SdcSoak, CorruptBuddyMirrorFallsThroughToDiskRestart) {
 
     RestartManager restart(root.path);
     BuddyCheckpoint buddy;
-    core::CroccoAmr::EvolveOptions opts;
+    core::EvolveOptions opts;
     opts.restart = &restart;
     opts.checkpointEvery = 2;
     opts.buddy = &buddy;
@@ -230,17 +244,17 @@ TEST(SdcSoak, CorruptBuddyMirrorFallsThroughToDiskRestart) {
     ASSERT_FALSE(buddy.verifyMirror());
     solver->evolve(nsteps - 4, opts);
 
-    EXPECT_EQ(solver->buddyRecoveryCount(), 0);
-    EXPECT_EQ(solver->rankRecoveryCount(), 1);
+    EXPECT_EQ(solver->recoveryLog().successes(Rung::BuddyRestore), 0);
+    EXPECT_EQ(testing::count(solver->recoveryLog(), FaultClass::RankDeath, true),
+              1);
     EXPECT_EQ(comm.size(), 3);
     // The refusal is recorded as a corrupt-restore-source event before the
     // disk rung runs.
-    int corruptMirrorEvents = 0;
-    for (const auto& e : solver->recoveryLog().events())
-        if (e.fault == FaultClass::CheckpointCorrupt &&
-            e.rung == Rung::BuddyRestore && !e.success)
-            ++corruptMirrorEvents;
-    EXPECT_EQ(corruptMirrorEvents, 1);
+    EXPECT_EQ(climbs(solver->recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::CheckpointCorrupt, Rung::BuddyRestore, false},
+                  {FaultClass::RankDeath, Rung::BuddyRestore, false},
+                  {FaultClass::RankDeath, Rung::DiskRestart, true}}));
     expectBitwiseIdentical(*solver, *reference);
 }
 
@@ -275,7 +289,6 @@ TEST(SdcSoak, ReadCheckpointBecomesTheGuardBaseline) {
     fresh.step();
 
     EXPECT_EQ(solver->sdcGuard().stats().crcMismatches, 0);
-    EXPECT_EQ(solver->fabRestoreCount(), 0);
     EXPECT_TRUE(solver->recoveryLog().events().empty());
     EXPECT_EQ(fresh.sdcGuard().stats().crcMismatches, 0);
     expectBitwiseIdentical(*solver, fresh);
@@ -314,7 +327,7 @@ TEST(SdcSoak, CombinedChaosCampaignEndsBitwiseIdentical) {
     solver->setSdcInjector(&inj);
 
     BuddyCheckpoint buddy;
-    core::CroccoAmr::EvolveOptions opts;
+    core::EvolveOptions opts;
     opts.buddy = &buddy;
     opts.buddyEvery = 2;
     solver->evolve(nsteps, opts);
@@ -324,15 +337,119 @@ TEST(SdcSoak, CombinedChaosCampaignEndsBitwiseIdentical) {
     EXPECT_EQ(inj.stats().stageFlips, 1);
     EXPECT_EQ(faults.stats().rankDeaths, 1);
     EXPECT_GT(faults.stats().fired(), 1);
-    EXPECT_EQ(solver->fabRestoreCount(), 1);
     EXPECT_EQ(solver->rollbackCount(), 1);
-    EXPECT_EQ(solver->buddyRecoveryCount(), 1);
     const RecoveryLog& log = solver->recoveryLog();
     EXPECT_EQ(log.successes(Rung::FabRestore), 1);
     EXPECT_GE(log.successes(Rung::StepRollback), 1);
     EXPECT_EQ(log.successes(Rung::BuddyRestore), 1);
+    EXPECT_EQ(climbs(log),
+              (std::vector<Climb>{
+                  {FaultClass::ColdSdc, Rung::FabRestore, true},
+                  {FaultClass::KernelSdc, Rung::StepRollback, true},
+                  {FaultClass::RankDeath, Rung::BuddyRestore, true}}));
     // Message faults were absorbed by the verified-exchange path.
     EXPECT_EQ(comm.faultStats().crcFailures, comm.faultStats().nacks);
+    EXPECT_EQ(comm.size(), 3);
+    expectBitwiseIdentical(*solver, *reference);
+}
+
+// A buddy restore adopts the snapshot's hierarchy whole: a live level
+// above the snapshot's finest goes, layout included, as it does after a
+// regrid or a readCheckpoint — a stale BoxArray left behind would still
+// be read by anything walking boxArray(lev) up to maxLevel.
+TEST(SdcSoak, BuddyRestoreLeavesNoLevelAboveTheSnapshotsFinest) {
+    problems::Dmr::Options o;
+    o.nx = 32;
+    o.ny = 8;
+    o.nz = 8;
+    o.maxLevel = 2;
+    const problems::Dmr dmr(o);
+    auto cfg = dmr.solverConfig(core::CodeVersion::V20);
+    cfg.regridFreq = std::numeric_limits<int>::max(); // only step 0 regrids
+    cfg.sdc.guard = true;
+    cfg.sdc.interval = 1;
+    core::CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
+    solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+    solver.evolve(2);
+    ASSERT_EQ(solver.finestLevel(), 2);
+
+    // A two-level mirror of the three-level hierarchy.
+    BuddyCheckpoint buddy;
+    buddy.store({solver.state(0), solver.state(1)}, 1, solver.stepCount(),
+                solver.time(), nullptr);
+    // A cold flip whose retained copy is corrupt too escalates to it.
+    SdcInjector inj{FaultRng(campaignSeed())};
+    inj.setEnabled(true);
+    inj.armColdFlip(2, 0, 0);
+    solver.setSdcInjector(&inj);
+    solver.sdcGuard().corruptRetained(0, 0);
+    core::EvolveOptions opts;
+    opts.buddy = &buddy; // buddyEvery 0: evolve() keeps this mirror
+    solver.evolve(1, opts);
+
+    EXPECT_EQ(climbs(solver.recoveryLog()),
+              (std::vector<Climb>{
+                  {FaultClass::ColdSdc, Rung::FabRestore, false},
+                  {FaultClass::ColdSdc, Rung::BuddyRestore, true}}));
+    EXPECT_EQ(solver.stepCount(), 3);
+    EXPECT_EQ(solver.finestLevel(), 1);
+    EXPECT_TRUE(solver.boxArray(2).empty());
+    EXPECT_EQ(solver.state(2).numFabs(), 0);
+    EXPECT_EQ(solver.coords(2).numFabs(), 0);
+    EXPECT_EQ(solver.metrics(2).numFabs(), 0);
+}
+
+// Every recovery event carries the step at which its fault surfaced, also
+// when the rung restores an older step: a health fault restored from an
+// older buddy snapshot, a rank death restored from the same snapshot, and
+// a health fault that finds the mirror corrupt and falls through to an
+// older disk checkpoint. The run still ends bitwise-identical.
+TEST(SdcSoak, RecoveryEventsCarryTheStepTheirFaultSurfacedAt) {
+    const testing::TempDir root("crocco_sdc_event_steps");
+    const int nsteps = 10;
+    parallel::SimComm cleanComm(4);
+    auto reference = makeSolver(soakConfig(4, false), &cleanComm);
+    reference->evolve(nsteps);
+
+    parallel::SimComm comm(4);
+    parallel::CommFaults faults;
+    faults.armRankDeath(7, 2);
+    comm.attachFaults(&faults);
+    auto cfg = soakConfig(4, true);
+    cfg.guard.maxRetries = 0; // health faults leave step() at once
+    auto solver = makeSolver(cfg, &comm);
+    FaultInjector cells(31);
+    cells.armCellCorruption(5, FaultInjector::Corruption::Infinity);
+    cells.armCellCorruption(9, FaultInjector::Corruption::Infinity);
+    solver->setFaultInjector(&cells);
+
+    RestartManager restart(root.path);
+    BuddyCheckpoint buddy;
+    core::EvolveOptions opts;
+    opts.restart = &restart;
+    opts.checkpointEvery = 4;
+    opts.buddy = &buddy;
+    opts.buddyEvery = 4;
+    opts.maxRecoveries = 3;
+    solver->evolve(8, opts); // faults at 5 and 7; both restore step 4
+    ASSERT_TRUE(buddy.valid()); // stored again at step 8
+    buddy.corruptMirror(0, 0);
+    solver->evolve(nsteps - 8, opts); // fault at 9 restores step 8 from disk
+
+    using F = FaultClass;
+    EXPECT_EQ(climbs(solver->recoveryLog()),
+              (std::vector<Climb>{{F::HealthFault, Rung::StepRollback, false},
+                                  {F::HealthFault, Rung::BuddyRestore, true},
+                                  {F::RankDeath, Rung::BuddyRestore, true},
+                                  {F::HealthFault, Rung::StepRollback, false},
+                                  {F::CheckpointCorrupt, Rung::BuddyRestore, false},
+                                  {F::HealthFault, Rung::BuddyRestore, false},
+                                  {F::HealthFault, Rung::DiskRestart, true}}));
+    std::vector<int> steps;
+    for (const RecoveryEvent& e : solver->recoveryLog().events())
+        steps.push_back(e.step);
+    EXPECT_EQ(steps, (std::vector<int>{5, 5, 7, 9, 9, 9, 9}));
+    EXPECT_EQ(cells.faultsFired(), 2);
     EXPECT_EQ(comm.size(), 3);
     expectBitwiseIdentical(*solver, *reference);
 }

@@ -1,6 +1,7 @@
 // Unit coverage of the SDC subsystem (docs/resilience.md §6): the unified
 // fault RNG, the seeded bit-flip injector, the FabGuard stamp/verify/repair
-// cycle, the allocation canaries, and the recovery-ladder policy table.
+// cycle, the allocation canaries, and the RecoveryLog. Which rung each fault
+// climbs to is pinned end to end by the soaks (sdc_soak_test).
 #include "resilience/FabGuard.hpp"
 
 #include "check/Check.hpp"
@@ -314,46 +315,7 @@ TEST(ArenaCanary, ScratchPoolDiscardsTrippedBuffersAndCountsThem) {
     pool.resetStats();
 }
 
-// ------------------------------------------------------- RecoveryLadder
-
-TEST(RecoveryLadder, EntryRungMatchesTheFaultClass) {
-    EXPECT_EQ(RecoveryLadder::entryRung(FaultClass::ColdSdc), Rung::FabRestore);
-    EXPECT_EQ(RecoveryLadder::entryRung(FaultClass::KernelSdc),
-              Rung::StepRollback);
-    EXPECT_EQ(RecoveryLadder::entryRung(FaultClass::HealthFault),
-              Rung::StepRollback);
-    EXPECT_EQ(RecoveryLadder::entryRung(FaultClass::RankDeath),
-              Rung::BuddyRestore);
-    EXPECT_EQ(RecoveryLadder::entryRung(FaultClass::CheckpointCorrupt),
-              Rung::DiskRestart);
-}
-
-TEST(RecoveryLadder, EscalationClimbsAndColdSdcSkipsRollback) {
-    // Rolling the step back replays a corruption that predates the in-step
-    // snapshot, so cold SDC escalates straight to the buddy mirror.
-    EXPECT_EQ(RecoveryLadder::escalate(Rung::FabRestore, FaultClass::ColdSdc),
-              Rung::BuddyRestore);
-    EXPECT_EQ(
-        RecoveryLadder::escalate(Rung::StepRollback, FaultClass::KernelSdc),
-        Rung::BuddyRestore);
-    EXPECT_EQ(
-        RecoveryLadder::escalate(Rung::BuddyRestore, FaultClass::RankDeath),
-        Rung::DiskRestart);
-    EXPECT_EQ(
-        RecoveryLadder::escalate(Rung::DiskRestart, FaultClass::RankDeath),
-        Rung::Abort);
-    EXPECT_EQ(RecoveryLadder::escalate(Rung::Abort, FaultClass::RankDeath),
-              Rung::Abort);
-}
-
-TEST(RecoveryLadder, DtBackoffIsAHealthFaultProperty) {
-    // An SDC retry replays the identical step — changing dt would diverge
-    // the repaired run bitwise from the fault-free one.
-    EXPECT_TRUE(RecoveryLadder::dtBackoffApplies(FaultClass::HealthFault));
-    EXPECT_FALSE(RecoveryLadder::dtBackoffApplies(FaultClass::ColdSdc));
-    EXPECT_FALSE(RecoveryLadder::dtBackoffApplies(FaultClass::KernelSdc));
-    EXPECT_FALSE(RecoveryLadder::dtBackoffApplies(FaultClass::RankDeath));
-}
+// ------------------------------------------------------------ RecoveryLog
 
 TEST(RecoveryLog, RecordsAndCountsEscalationDecisions) {
     RecoveryLog log;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full CI sweep: the crocco-analyze lane (static analysis + deck-key
 # registry drift), the Release tier-1 suite, the benchmark self-test, the
-# CROCCO_CHECK instrumentation suite, and the sanitizer suite — each in its
-# own build tree so configurations never contaminate each other.
+# SDC seed matrix, the CROCCO_CHECK instrumentation suite, and the
+# sanitizer suite — each in its own build tree so configurations never
+# contaminate each other.
 #
 #   tools/ci.sh            # run everything
 #   SKIP_SANITIZE=1 tools/ci.sh   # skip the (slow) sanitizer lane
@@ -30,6 +31,17 @@ if ! git diff --exit-code -- docs/deck-keys.md; then
 fi
 
 echo "== tier-1 (Release) =="
+# Every ctest entry, the fault-injection soaks and the self-checking gates
+# included, so no lane below re-runs a label of it:
+#   resilience — the seeded comm-fault campaign (every fault kind injected
+#     and recovered), the mid-run rank-death soak with regrids
+#     (comm_recovery_test), and the SDC soaks at 1 and 8 threads;
+#   perf — the modeled gates (recovery_bench: buddy beats disk at 4096
+#     nodes; sdc_bench: zero undetected flips at interval 1, no false
+#     positives, < 5% detection overhead, monotone ladder waste), the
+#     comm-cache and thread-pool suites, and the tier-1 suites re-run at
+#     GPU_NUM_THREADS=4. Measured performance is dmrbench's (BENCHMARK.json).
+# `ctest -L resilience` and `ctest -L perf` select these for local runs.
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "$JOBS" >/dev/null
 (cd build-ci && ctest -j "$JOBS" --output-on-failure)
@@ -41,28 +53,15 @@ echo "== benchmark self-test (dmrbench/selftest.py, tiny sizes) =="
 # deliberately corrupted result counted as a failed operation.
 python3 dmrbench/selftest.py
 
-echo "== fault-injection soak (ctest -L resilience) =="
-# The seeded comm-fault campaign: every fault kind injected and recovered,
-# plus the mid-run rank-death soak with regrids (comm_recovery_test).
-(cd build-ci && ctest -L resilience --output-on-failure)
-
 echo "== SDC chaos lane (seed matrix over ctest -R sdc_soak) =="
 # The combined chaos soak (SDC + message faults + rank death) re-run under
-# several campaign seeds: every seed must drive the recovery ladder back to
+# several campaign seeds: every seed must drive the recovery path back to
 # a bitwise-identical trajectory. The default seed (2026) already ran in
-# the resilience lane above.
+# tier-1 above.
 for seed in 7 1234 90210; do
     echo "-- CROCCO_SDC_SEED=$seed"
     (cd build-ci && CROCCO_SDC_SEED=$seed ctest -R sdc_soak --output-on-failure)
 done
-
-echo "== perf lane (ctest -L perf) =="
-# The self-checking modeled gates (recovery_bench: buddy beats disk at 4096
-# nodes; sdc_bench: zero undetected flips at interval 1, no false positives,
-# < 5% detection overhead, monotone ladder waste), the comm-cache and
-# thread-pool suites, and the tier-1 suites re-run at GPU_NUM_THREADS=4.
-# Measured performance is dmrbench's (BENCHMARK.json).
-(cd build-ci && ctest -L perf --output-on-failure)
 
 echo "== CroccoCheck (Release + CROCCO_CHECK) =="
 cmake -B build-ci-check -S . -DCMAKE_BUILD_TYPE=Release -DCROCCO_CHECK=ON \
