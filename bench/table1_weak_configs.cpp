@@ -4,7 +4,7 @@
 // reduction, and the per-V100 memory footprint against the 16 GB budget.
 #include "bench_util.hpp"
 
-#include "gpu/Arena.hpp"
+#include "gpu/DeviceModel.hpp"
 
 using namespace crocco;
 using namespace crocco::bench;
@@ -13,7 +13,6 @@ using core::CodeVersion;
 int main() {
     printHeader("Table I: weak scaling configurations (code versions 1.1/1.2/2.0)");
     machine::ScalingSimulator sim;
-    const auto v100 = gpu::Arena::v100();
     std::printf("%8s %8s %14s %14s %10s %14s %6s\n", "nodes", "GPUs",
                 "equiv points", "active (AMR)", "reduction", "GB per V100",
                 "fits?");
@@ -28,7 +27,7 @@ int main() {
                     c.nodes * 6, static_cast<double>(c.equivalentPoints),
                     static_cast<double>(active), reduction,
                     static_cast<double>(bytes) / (1 << 30),
-                    bytes < v100.capacity() ? "yes" : "NO");
+                    bytes < gpu::V100Model::kMemoryBytes ? "yes" : "NO");
     }
     std::printf("\nPaper reference: 8 rows from 4 nodes/24 GPUs/1.64e8 points to\n");
     std::printf("1024 nodes/6144 GPUs/4.19e10 points; AMR reduces active points\n");

@@ -124,7 +124,8 @@ void MultiFab::replay(const CommPattern& pattern, const MultiFab& src,
     // never writes (valid cells of siblings / a const source MultiFab), so
     // descriptor order is free — but SimComm recording must match the build
     // order byte for byte, so the replay stays serial and in order.
-    const bool verified = comm_ && comm_->exchangeVerification();
+    // An attached fault injector is the one switch for the verified path.
+    const bool verified = comm_ && comm_->faults();
     for (const CopyDescriptor& d : pattern.copies) {
         const int srcRank = src.distributionMap()[d.srcFab];
         const int dstRank = dm_[d.dstFab];

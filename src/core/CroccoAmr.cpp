@@ -90,15 +90,6 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
     // process usage of every driver.
     gpu::setNumThreads(cfg.gpuNumThreads > 0 ? cfg.gpuNumThreads
                                              : gpu::ThreadPool::defaultNumThreads());
-    if (auto* c = this->comm()) {
-        // Hardened-exchange policy from the deck (comm.* keys). Zero-valued
-        // knobs keep SimComm's defaults so decks without the keys are
-        // byte-identical to the seed.
-        if (cfg.commTimeout > 0.0) c->setTimeout(cfg.commTimeout);
-        if (cfg.commMaxRetransmits > 0)
-            c->setMaxRetransmits(cfg.commMaxRetransmits);
-        if (cfg.commVerify) c->setVerifyExchanges(true);
-    }
 }
 
 const amr::Interpolater& CroccoAmr::interpolater() const { return *interp_; }

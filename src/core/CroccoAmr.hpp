@@ -90,17 +90,6 @@ public:
         /// stamping, verifying and repair are bitwise-transparent no-ops
         /// until sdc.guard is set.
         resilience::SdcConfig sdc;
-        /// Receive timeout in modeled seconds for the hardened exchange
-        /// (`comm.timeout`), the base of its retransmit backoff; 0 keeps
-        /// the SimComm default.
-        double commTimeout = 0.0;
-        /// CRC-verify every ghost/ParallelCopy payload (`comm.verify`).
-        /// Off by default: the verified path records CRC-stamped messages,
-        /// so the seed's byte-identical log contract requires opt-in.
-        bool commVerify = false;
-        /// Retransmit budget per message before the exchange raises a
-        /// located error (`comm.max_retransmits`); 0 keeps the default.
-        int commMaxRetransmits = 0;
 
         static Config forVersion(CodeVersion v);
     };

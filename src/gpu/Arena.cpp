@@ -4,37 +4,9 @@
 #include "check/Check.hpp"
 #endif
 
-#include <algorithm>
-#include <cassert>
 #include <cstring>
-#include <stdexcept>
 
 namespace crocco::gpu {
-
-void Arena::allocate(std::int64_t bytes) {
-    assert(bytes >= 0);
-    if (capacity_ != 0 && inUse_ + bytes > capacity_) {
-        throw OutOfDeviceMemory("device arena overflow: in use " +
-                                std::to_string(inUse_) + " B + request " +
-                                std::to_string(bytes) + " B > capacity " +
-                                std::to_string(capacity_) + " B");
-    }
-    inUse_ += bytes;
-    highWater_ = std::max(highWater_, inUse_);
-}
-
-void Arena::release(std::int64_t bytes) {
-    // An assert would compile out under NDEBUG and let the accounting go
-    // silently negative (making every later wouldFit() lie); over-release
-    // is a double-free-class bug and must be loud in release builds too.
-    if (bytes < 0 || bytes > inUse_) {
-        throw std::logic_error(
-            "Arena::release of " + std::to_string(bytes) + " B with only " +
-            std::to_string(inUse_) +
-            " B in use (double release or mismatched allocation accounting)");
-    }
-    inUse_ -= bytes;
-}
 
 double Arena::canaryValue() {
     double v;

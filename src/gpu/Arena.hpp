@@ -8,52 +8,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
 namespace crocco::gpu {
 
-/// Thrown when an allocation would exceed device capacity — the condition
-/// the paper hit at >2.0e5 points per V100 (16 GB), which dictated both
-/// scaling problem sizes.
-class OutOfDeviceMemory : public std::runtime_error {
-public:
-    explicit OutOfDeviceMemory(const std::string& what) : std::runtime_error(what) {}
-};
-
-/// Accounting model of a GPU memory arena (mirrors amrex::Arena). Tracks
-/// live bytes and the high-water mark against a fixed capacity; used by the
-/// solver to pre-allocate kernel scratch from host code (the paper's fix for
-/// in-kernel dynamic allocation) and by the machine model to validate that
-/// scaling configurations fit in 16 GB per V100.
+/// The allocation guards of device-modeled storage (the role amrex::Arena
+/// plays for allocations): the trailing canary every FArrayBox carries, and
+/// the NaN poison that check builds stamp into fresh storage. Nothing
+/// allocates through this class; FArrayBox calls its helpers. The V100's
+/// memory ceiling is V100Model::kMemoryBytes.
 class Arena {
 public:
-    /// capacityBytes == 0 means unlimited (host arena).
-    explicit Arena(std::int64_t capacityBytes = 0) : capacity_(capacityBytes) {}
-
-    /// Register an allocation; throws OutOfDeviceMemory on overflow.
-    void allocate(std::int64_t bytes);
-    /// Release a prior allocation; throws std::logic_error on over-release
-    /// (releasing more than is in use, or a negative size) so accounting
-    /// bugs surface in release builds instead of corrupting inUse().
-    void release(std::int64_t bytes);
-
-    std::int64_t inUse() const { return inUse_; }
-    std::int64_t highWater() const { return highWater_; }
-    std::int64_t capacity() const { return capacity_; }
-
-    /// Would `bytes` more fit right now?
-    bool wouldFit(std::int64_t bytes) const {
-        return capacity_ == 0 || inUse_ + bytes <= capacity_;
-    }
-
-    void reset() { inUse_ = highWater_ = 0; }
-
-    /// The 16 GB HBM2 arena of a Summit V100.
-    static Arena v100() { return Arena(16ll * 1024 * 1024 * 1024); }
-
     /// Allocation-header canary (docs/resilience.md §6): every FArrayBox
     /// over-allocates one trailing element stamped with this pattern, so a
     /// kernel overrun past the allocated box — or an SDC hit on the
@@ -73,11 +39,6 @@ public:
     /// reads that escape the shadow validity map still blow up the first
     /// time arithmetic touches them. No-op in unchecked builds.
     static void poisonFresh(double* p, std::size_t n);
-
-private:
-    std::int64_t capacity_;
-    std::int64_t inUse_ = 0;
-    std::int64_t highWater_ = 0;
 };
 
 /// Reusing free-list of kernel-scratch FArrayBoxes, keyed by
@@ -152,29 +113,6 @@ private:
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t canaryTrips_ = 0;
-};
-
-/// RAII registration of one allocation against an Arena.
-class DeviceAllocation {
-public:
-    DeviceAllocation(Arena& arena, std::int64_t bytes) : arena_(&arena), bytes_(bytes) {
-        arena_->allocate(bytes_);
-    }
-    ~DeviceAllocation() {
-        if (arena_) arena_->release(bytes_);
-    }
-    DeviceAllocation(const DeviceAllocation&) = delete;
-    DeviceAllocation& operator=(const DeviceAllocation&) = delete;
-    DeviceAllocation(DeviceAllocation&& o) noexcept : arena_(o.arena_), bytes_(o.bytes_) {
-        o.arena_ = nullptr;
-    }
-    DeviceAllocation& operator=(DeviceAllocation&&) = delete;
-
-    std::int64_t bytes() const { return bytes_; }
-
-private:
-    Arena* arena_;
-    std::int64_t bytes_;
 };
 
 } // namespace crocco::gpu

@@ -35,6 +35,10 @@ struct KernelProfile {
 /// saturate until enough threads are resident), which produces the paper's
 /// size-dependent speedup band of 2.5x-15.8x (Fig. 3).
 struct V100Model {
+    /// HBM2 capacity, 16 GB: the ceiling the paper sized every scaling
+    /// case to fit (>2.0e5 points per V100 did not).
+    static constexpr std::int64_t kMemoryBytes = 16ll * 1024 * 1024 * 1024;
+
     double peakFlops = 7.8e12;   ///< DP peak the paper quotes
     double bwDram = 900e9;       ///< HBM2 STREAM-like ceiling
     double bwL2 = 2.5e12;

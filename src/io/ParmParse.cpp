@@ -231,15 +231,6 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
         throw std::runtime_error("resilience.sdc_interval: must be >= 1");
     if (cfg.sdc.sample < 0)
         throw std::runtime_error("resilience.sdc_sample: must be >= 0 (0 = off)");
-
-    query("comm.timeout", cfg.commTimeout);
-    query("comm.verify", cfg.commVerify);
-    query("comm.max_retransmits", cfg.commMaxRetransmits);
-    if (cfg.commTimeout < 0.0)
-        throw std::runtime_error("comm.timeout: must be >= 0 (0 = default)");
-    if (cfg.commMaxRetransmits < 0)
-        throw std::runtime_error(
-            "comm.max_retransmits: must be >= 0 (0 = default)");
     return cfg;
 }
 

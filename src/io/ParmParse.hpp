@@ -59,8 +59,7 @@ public:
     ///   variable overrides the deck), resilience.max_retries (>= 0),
     ///   resilience.dt_backoff (in (0,1)), resilience.max_faults_reported,
     ///   resilience.sdc_guard, resilience.sdc_interval (>= 1),
-    ///   resilience.sdc_sample (>= 0), comm.timeout (>= 0), comm.verify,
-    ///   comm.max_retransmits (>= 0).
+    ///   resilience.sdc_sample (>= 0).
     /// Unset keys keep the passed-in defaults; docs/deck-keys.md lists every
     /// key with its query site.
     core::CroccoAmr::Config makeConfig(core::CroccoAmr::Config defaults = {}) const;

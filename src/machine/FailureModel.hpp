@@ -28,7 +28,7 @@ struct FailureModel {
     double interconnectBandwidth = 23.0e9;
     /// Time from a rank dying to its peers raising the failure at their
     /// next exchange and agreeing on the shrink (ULFM detection + consensus),
-    /// seconds. Calibrated against SimComm::setTimeout.
+    /// seconds.
     double detectionLatency = 5.0;
     /// Silent-data-corruption rate: upsets per GB of resident state per
     /// hour that flip bits without any machine-check (the ECC-escape rate,

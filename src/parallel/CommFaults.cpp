@@ -45,9 +45,7 @@ std::optional<int> CommFaults::takeRankDeath(int step) {
     return std::nullopt;
 }
 
-std::optional<MessageFault> CommFaults::decide(int /*src*/, int /*dst*/,
-                                               std::int64_t /*bytes*/,
-                                               const std::string& /*tag*/) {
+std::optional<MessageFault> CommFaults::decide() {
     if (!enabled_) return std::nullopt;
     const std::int64_t n = messageCounter_++;
     ++stats_.decisions;

@@ -47,7 +47,8 @@ private:
 ///
 /// The injector only decides; SimComm::sendVerified applies the decision
 /// to the actual payload copy and runs the detect/NACK/retransmit
-/// machinery.
+/// machinery. stats() is the account of what was injected; what crossed
+/// the wire as a result is the SimComm's CommLog.
 class CommFaults {
 public:
     /// Per-message fault probabilities, in [0, 1]; applied in the fixed
@@ -81,14 +82,12 @@ public:
         : CommFaults(rng.seedFor(resilience::FaultRng::kCommStream)) {}
 
     void setRates(const Rates& r);
-    const Rates& rates() const { return rates_; }
 
     /// Master switch: a disabled injector never faults (decide() returns
     /// nullopt without consuming randomness, so enabling mid-run does not
     /// shift the decision stream of later messages relative to a run that
     /// was enabled from the same point).
     void setEnabled(bool e) { enabled_ = e; }
-    bool enabled() const { return enabled_; }
 
     /// Persistent mode: retransmitted payloads are faulted again through
     /// the same decision stream (models a broken link rather than a
@@ -110,18 +109,16 @@ public:
     /// Consume a scheduled rank death for `step`, if any.
     std::optional<int> takeRankDeath(int step);
 
-    /// Decide the fate of one off-rank message. Consumes one uniform draw
-    /// when enabled and any rate is set; armed one-shot faults take
+    /// Decide the fate of the next off-rank message. Consumes one uniform
+    /// draw when enabled and any rate is set; armed one-shot faults take
     /// precedence over rate faults.
-    std::optional<MessageFault> decide(int src, int dst, std::int64_t bytes,
-                                       const std::string& tag);
+    std::optional<MessageFault> decide();
 
     /// Pseudo-random 64-bit word used to pick which payload bit a Corrupt
     /// fault flips; deterministic continuation of the seeded stream.
     std::uint64_t corruptionWord();
 
     const Stats& stats() const { return stats_; }
-    void resetStats() { stats_ = {}; }
 
 private:
     struct MessageArm {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace crocco::parallel {
@@ -22,30 +23,22 @@ struct Message {
     MessageKind kind = MessageKind::PointToPoint;
     std::string tag;
     /// CRC32 of the payload when the message went through the verified
-    /// exchange path; 0 on the plain (unverified) path, so the recorded
-    /// stream of a verification-off run is unchanged from the seed.
+    /// exchange path; 0 on the plain path, so the recorded stream of a run
+    /// with no fault injector attached is unchanged from the seed.
     std::uint32_t crc = 0;
 };
 
 /// Record of every inter-rank message generated by the in-process MPI
-/// simulation. The machine model replays these against the Summit network
-/// model; tests use the aggregate queries.
+/// simulation: what crossed the wire, fault traffic included. Tests and
+/// dmrbench read it through summarize(); the machine model does not read
+/// it (ScalingSimulator derives its message counts from BoxArrays).
 class CommLog {
 public:
-    void record(Message m);
+    void record(Message m) { messages_.push_back(std::move(m)); }
     void clear() { messages_.clear(); }
-    void setEnabled(bool e) { enabled_ = e; }
-    bool enabled() const { return enabled_; }
 
     const std::vector<Message>& messages() const { return messages_; }
     std::size_t count() const { return messages_.size(); }
-    std::size_t count(MessageKind k) const;
-    std::int64_t totalBytes() const;
-    std::int64_t totalBytes(MessageKind k) const;
-
-    /// Bytes sent+received per rank (size nranks); the per-iteration
-    /// communication time is governed by the busiest rank.
-    std::vector<std::int64_t> bytesPerRank(int nranks) const;
 
     /// Aggregate view of one slice of the log (messages [fromIndex, end)),
     /// e.g. one step's traffic from a count() mark taken before it. Fault
@@ -68,7 +61,6 @@ public:
 
 private:
     std::vector<Message> messages_;
-    bool enabled_ = true;
 };
 
 /// In-process stand-in for an MPI communicator.
@@ -81,17 +73,23 @@ private:
 /// for the performance model.
 ///
 /// Fault tolerance (docs/resilience.md §5): an attached CommFaults injector
-/// drops, duplicates, delays or bit-flips verified transfers, and schedules
-/// rank deaths. The hardened exchange (sendVerified) checksums every
-/// payload with CRC32, NACKs corruption, and retransmits with exponential
-/// backoff until the payload lands intact — or raises a located error
-/// after maxRetransmits(). Dead ranks are detected at the first operation
-/// touching them as RankFailure; shrink() then rebuilds the communicator
-/// over the survivors, ULFM-style. With no injector attached and
-/// verification off, every code path below is byte-identical to the
-/// unhardened implementation.
+/// drops, duplicates, delays or bit-flips transfers, and schedules rank
+/// deaths. Attaching one is the only switch: exactly while an injector is
+/// attached, MultiFab routes every off-rank FillBoundary and ParallelCopy
+/// payload through the hardened exchange (sendVerified), which checksums
+/// it with CRC32, NACKs corruption, and retransmits until the payload
+/// lands intact — or raises a located error after kMaxRetransmits. Dead
+/// ranks are detected at the first operation touching them as
+/// RankFailure; shrink() then rebuilds the communicator over the
+/// survivors, ULFM-style. What crossed the wire is read from log(), what
+/// was injected from CommFaults::stats(). With no injector attached, the
+/// recorded stream is byte-identical to the unhardened implementation.
 class SimComm {
 public:
+    /// Retransmits attempted per message before the hardened exchange
+    /// gives up and throws.
+    static constexpr int kMaxRetransmits = 4;
+
     explicit SimComm(int nranks = 1);
 
     int size() const { return nranks_; }
@@ -108,36 +106,15 @@ public:
     /// Global min-reduction over one value per rank; logs the collective.
     /// Mirrors amrex::ParallelDescriptor::ReduceRealMin used by ComputeDt.
     /// `perRank` must hold exactly size() entries; throws
-    /// std::invalid_argument otherwise (as do the Max/Sum variants).
+    /// std::invalid_argument otherwise.
     double reduceRealMin(const std::vector<double>& perRank, const std::string& tag);
-    double reduceRealMax(const std::vector<double>& perRank, const std::string& tag);
-    double reduceRealSum(const std::vector<double>& perRank, const std::string& tag);
 
     /// --- Fault-tolerant exchange (hardened path) -----------------------
 
-    /// Attach a message-fault injector; non-owning, nullptr detaches.
+    /// Attach a message-fault injector; non-owning, nullptr detaches. An
+    /// attached injector turns the verified exchange on.
     void attachFaults(CommFaults* f) { faults_ = f; }
     CommFaults* faults() const { return faults_; }
-
-    /// Receive timeout in (modeled) seconds: how long a receiver waits for
-    /// a payload before declaring it lost and requesting a retransmit.
-    /// Deck key `comm.timeout`; also the base of the exponential backoff
-    /// charged to FaultStats::modeledDelaySeconds.
-    void setTimeout(double seconds);
-    double timeout() const { return timeoutSeconds_; }
-
-    /// Retransmits attempted per message before the exchange gives up and
-    /// throws (deck key `comm.max_retransmits`).
-    void setMaxRetransmits(int n);
-    int maxRetransmits() const { return maxRetransmits_; }
-
-    /// CRC-verify every transfer routed through the hardened entry points
-    /// even without an injector attached (deck key `comm.verify`). An
-    /// attached injector implies verification.
-    void setVerifyExchanges(bool v) { verifyExchanges_ = v; }
-    bool exchangeVerification() const {
-        return verifyExchanges_ || faults_ != nullptr;
-    }
 
     /// One verified payload transfer: the callbacks give SimComm access to
     /// the real data movement so injected faults damage (and recovery
@@ -160,31 +137,12 @@ public:
     };
 
     /// Blocking verified transfer: record the message (CRC-stamped),
-    /// deliver the payload through the fault injector, verify, and NACK +
-    /// retransmit with exponential backoff until the payload arrives
+    /// deliver the payload through the fault injector (if one is
+    /// attached), verify, and NACK + retransmit until the payload arrives
     /// intact. Throws RankFailure on a dead endpoint and std::runtime_error
-    /// (located: src, dst, tag) when maxRetransmits() is exhausted.
+    /// (located: src, dst, tag, retransmits tried) when kMaxRetransmits is
+    /// exhausted.
     void sendVerified(const Transfer& t);
-
-    /// Counters of the hardened exchange (process of docs/resilience.md §5).
-    struct FaultStats {
-        std::int64_t verified = 0;      ///< transfers through the hardened path
-        std::int64_t delivered = 0;     ///< payloads accepted intact
-        std::int64_t dropped = 0;       ///< payloads lost in flight
-        std::int64_t duplicated = 0;    ///< payloads delivered twice
-        std::int64_t delayed = 0;       ///< payloads late past the timeout
-        std::int64_t corrupted = 0;     ///< payload bit flips injected
-        std::int64_t crcFailures = 0;   ///< CRC mismatches detected
-        std::int64_t nacks = 0;         ///< corruption NACKs sent
-        std::int64_t timeouts = 0;      ///< receive timeouts fired
-        std::int64_t retransmits = 0;   ///< retransmissions performed
-        std::int64_t duplicateDiscards = 0; ///< sequence-number discards
-        /// Modeled seconds lost to detection latency (timeout waits plus
-        /// exponential backoff); feeds machine/FailureModel calibration.
-        double modeledDelaySeconds = 0.0;
-    };
-    const FaultStats& faultStats() const { return fstats_; }
-    void resetFaultStats() { fstats_ = {}; }
 
     /// --- Rank failure and recovery (ULFM-style) ------------------------
 
@@ -205,10 +163,9 @@ public:
 
 private:
     void checkAlive(int rank, const char* what) const;
-    /// sendVerified's detect-and-retransmit loop: charges the timeout
-    /// backoff, records the retransmit messages, and re-delivers until the
-    /// CRC matches. `delivered` tells whether the first transmission
-    /// already landed payload bytes.
+    /// sendVerified's detect-and-retransmit loop: records the retransmit
+    /// messages and re-delivers until the CRC matches. `delivered` tells
+    /// whether the first transmission already landed payload bytes.
     void recoverTransfer(const Transfer& t, std::uint32_t wantCrc,
                          bool delivered);
 
@@ -216,10 +173,6 @@ private:
     CommLog log_;
 
     CommFaults* faults_ = nullptr;
-    bool verifyExchanges_ = false;
-    double timeoutSeconds_ = 30.0;
-    int maxRetransmits_ = 4;
-    FaultStats fstats_;
     std::vector<bool> alive_;
     bool anyDead_ = false;
 };

@@ -73,7 +73,7 @@ TEST_P(FillBoundaryTest, GhostsMatchGlobalField) {
             });
     }
     // Off-rank ghost exchanges were logged as point-to-point messages.
-    EXPECT_GT(comm.log().count(parallel::MessageKind::PointToPoint), 0u);
+    EXPECT_GT(comm.log().summarize().p2p, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -146,7 +146,7 @@ TEST(MultiFab, ParallelCopyAcrossLayouts) {
     forEachCell(dst.grownBox(0), [&](int i, int j, int k) {
         EXPECT_DOUBLE_EQ(a(i, j, k, 0), field({i, j, k}, domain, {}, 0));
     });
-    EXPECT_GT(comm.log().count(parallel::MessageKind::ParallelCopy), 0u);
+    EXPECT_GT(comm.log().summarize().parallelCopy, 0u);
 }
 
 TEST(MultiFab, ParallelCopyPeriodicImages) {

@@ -275,8 +275,8 @@ TEST(CroccoAmr, CommLogCapturesPaperCommunicationStructure) {
     // One iteration produces: point-to-point FillBoundary traffic, the
     // FillPatch coarse gather, the curvilinear interpolator's coordinate
     // gather (the paper's bottleneck), and the ComputeDt reduction.
-    EXPECT_GT(comm.log().count(parallel::MessageKind::PointToPoint), 0u);
-    EXPECT_GT(comm.log().count(parallel::MessageKind::Reduction), 0u);
+    EXPECT_GT(comm.log().summarize().p2p, 0u);
+    EXPECT_GT(comm.log().summarize().reductions, 0u);
     bool sawState = false, sawCoords = false;
     for (const auto& m : comm.log().messages()) {
         sawState = sawState || m.tag == "ParallelCopy";
@@ -317,7 +317,7 @@ TEST(CroccoAmr, ProfilerTimesOnlyItsOwnSolversRegions) {
     CroccoAmr idle(dmr.geometry(), cfg, dmr.mapping(), &idleComm);
     stepped.init(dmr.initialCondition(), dmr.boundaryConditions());
     stepped.evolve(2);
-    ASSERT_GT(comm.log().count(parallel::MessageKind::PointToPoint), 0u);
+    ASSERT_GT(comm.log().summarize().p2p, 0u);
 
     EXPECT_TRUE(idle.profiler().report().empty()) << idle.profiler().table();
     const std::set<std::string> solverRegions{

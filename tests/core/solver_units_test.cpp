@@ -122,7 +122,7 @@ TEST(ComputeDt, LogsGlobalReduction) {
     MultiFab U2(ba, DistributionMapping(ba, 4), NCONS, NGHOST, &comm);
     MultiFab::copy(U2, fx.U, 0, 0, NCONS, 0);
     computeDt(U2, fx.metrics, fx.geom, fx.gas, 0.5);
-    EXPECT_EQ(comm.log().count(parallel::MessageKind::Reduction), 3u);
+    EXPECT_EQ(comm.log().summarize().reductions, 3u);
 }
 
 // ----------------------------------------------------------------- BCFill

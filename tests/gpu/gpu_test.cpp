@@ -1,4 +1,3 @@
-#include "gpu/Arena.hpp"
 #include "gpu/DeviceModel.hpp"
 #include "gpu/Gpu.hpp"
 
@@ -44,58 +43,8 @@ TEST(Reduce, MinAndMax) {
     EXPECT_EQ(mx, 64.0);
 }
 
-TEST(Arena, TracksUsageAndHighWater) {
-    Arena arena(1000);
-    arena.allocate(400);
-    arena.allocate(500);
-    EXPECT_EQ(arena.inUse(), 900);
-    arena.release(500);
-    EXPECT_EQ(arena.inUse(), 400);
-    EXPECT_EQ(arena.highWater(), 900);
-    EXPECT_TRUE(arena.wouldFit(600));
-    EXPECT_FALSE(arena.wouldFit(601));
-}
-
-TEST(Arena, ThrowsOnOverflow) {
-    Arena arena(100);
-    arena.allocate(90);
-    EXPECT_THROW(arena.allocate(20), OutOfDeviceMemory);
-    EXPECT_EQ(arena.inUse(), 90); // failed allocation does not count
-}
-
-TEST(Arena, RaiiAllocation) {
-    Arena arena(100);
-    {
-        DeviceAllocation a(arena, 60);
-        EXPECT_EQ(arena.inUse(), 60);
-    }
-    EXPECT_EQ(arena.inUse(), 0);
-    EXPECT_EQ(arena.highWater(), 60);
-}
-
-TEST(Arena, OverReleaseThrowsDescriptiveLogicError) {
-    // A plain assert would compile out under NDEBUG and let the accounting
-    // go silently negative; over-release must be loud in release builds.
-    Arena arena(100);
-    arena.allocate(40);
-    try {
-        arena.release(50);
-        FAIL() << "expected std::logic_error";
-    } catch (const std::logic_error& e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("50"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("40"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("double release"), std::string::npos) << msg;
-    }
-    EXPECT_THROW(arena.release(-1), std::logic_error);
-    // The failed release left the books intact.
-    EXPECT_EQ(arena.inUse(), 40);
-    arena.release(40);
-    EXPECT_EQ(arena.inUse(), 0);
-}
-
-TEST(Arena, V100CapacityIs16GB) {
-    EXPECT_EQ(Arena::v100().capacity(), 16ll * 1024 * 1024 * 1024);
+TEST(V100Model, V100CapacityIs16GB) {
+    EXPECT_EQ(V100Model::kMemoryBytes, 16ll * 1024 * 1024 * 1024);
 }
 
 TEST(V100Model, OccupancyMatchesPaperForWenoProfile) {

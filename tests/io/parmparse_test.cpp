@@ -130,33 +130,6 @@ TEST(ParmParse, MakeConfigKeepsDefaultsForUnsetKeys) {
     EXPECT_DOUBLE_EQ(cfg.cfl, 0.3);
 }
 
-TEST(ParmParse, MakeConfigAppliesAndValidatesCommKeys) {
-    ParmParse pp;
-    pp.parseText(R"(
-comm.timeout = 12.5
-comm.verify = true
-comm.max_retransmits = 6
-)");
-    const auto cfg = pp.makeConfig();
-    EXPECT_DOUBLE_EQ(cfg.commTimeout, 12.5);
-    EXPECT_TRUE(cfg.commVerify);
-    EXPECT_EQ(cfg.commMaxRetransmits, 6);
-
-    // Defaults: 0 / off, meaning "keep SimComm's built-in policy".
-    ParmParse empty;
-    const auto dflt = empty.makeConfig();
-    EXPECT_DOUBLE_EQ(dflt.commTimeout, 0.0);
-    EXPECT_FALSE(dflt.commVerify);
-    EXPECT_EQ(dflt.commMaxRetransmits, 0);
-
-    ParmParse badTimeout;
-    badTimeout.parseText("comm.timeout = -1.0\n");
-    EXPECT_THROW(badTimeout.makeConfig(), std::runtime_error);
-    ParmParse badRtx;
-    badRtx.parseText("comm.max_retransmits = -2\n");
-    EXPECT_THROW(badRtx.makeConfig(), std::runtime_error);
-}
-
 /// makeConfig on a one-line deck must throw a runtime_error naming `key`
 /// (each of these values used to crash or stall the solver instead).
 void expectRejected(const std::string& line, const std::string& key) {

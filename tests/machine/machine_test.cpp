@@ -3,7 +3,7 @@
 #include "machine/SummitMachine.hpp"
 
 #include "core/KernelProfiles.hpp"
-#include "gpu/Arena.hpp"
+#include "gpu/DeviceModel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -159,9 +159,8 @@ TEST(ScalingSimulator, GpuMemoryFitsTableOneCases) {
     // §V-C: weak scaling sizes were chosen to maximize GPU utilization
     // without exceeding the 16 GB V100 memory.
     auto sim = makeSim();
-    const gpu::Arena v100 = gpu::Arena::v100();
     const ScalingCase c{CodeVersion::V20, 4, 164000000};
-    EXPECT_LT(sim.gpuBytesPerRank(c), v100.capacity());
+    EXPECT_LT(sim.gpuBytesPerRank(c), gpu::V100Model::kMemoryBytes);
     // And the strong-scaling problem without AMR does NOT fit at low node
     // counts — the paper's reason for omitting GPU runs with AMR disabled
     // (Sec. V-C: "the non-AMR cases will not fit into the GPU memory ...
@@ -169,7 +168,7 @@ TEST(ScalingSimulator, GpuMemoryFitsTableOneCases) {
     const std::int64_t strongPts = 1270000000;
     const std::int64_t fullBytesPerGpu =
         strongPts / 24 * 61 * static_cast<std::int64_t>(sizeof(double));
-    EXPECT_GT(fullBytesPerGpu, v100.capacity());
+    EXPECT_GT(fullBytesPerGpu, gpu::V100Model::kMemoryBytes);
 }
 
 TEST(ScalingSimulator, RegionTimesArePositiveAndComplete) {

@@ -19,12 +19,12 @@
 #include "resilience/RecoveryLadder.hpp"
 #include "resilience/RestartManager.hpp"
 
+#include "FaultCampaign.hpp"
 #include "RecoveryTrace.hpp"
 #include "TempDir.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -35,13 +35,8 @@ namespace {
 
 using amr::MultiFab;
 using testing::Climb;
+using testing::campaignSeed;
 using testing::climbs;
-
-std::uint64_t campaignSeed() {
-    if (const char* env = std::getenv("CROCCO_SDC_SEED"))
-        return std::strtoull(env, nullptr, 10);
-    return 2026;
-}
 
 problems::Dmr smallDmr() {
     problems::Dmr::Options o;
@@ -348,7 +343,7 @@ TEST(SdcSoak, CombinedChaosCampaignEndsBitwiseIdentical) {
                   {FaultClass::KernelSdc, Rung::StepRollback, true},
                   {FaultClass::RankDeath, Rung::BuddyRestore, true}}));
     // Message faults were absorbed by the verified-exchange path.
-    EXPECT_EQ(comm.faultStats().crcFailures, comm.faultStats().nacks);
+    testing::expectWireAccountsForInjectedFaults(comm.log(), faults.stats());
     EXPECT_EQ(comm.size(), 3);
     expectBitwiseIdentical(*solver, *reference);
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full CI sweep: the crocco-analyze lane (static analysis + deck-key
 # registry drift), the Release tier-1 suite, the benchmark self-test, the
-# SDC seed matrix, the CROCCO_CHECK instrumentation suite, and the
+# fault-campaign seed matrix, the CROCCO_CHECK instrumentation suite, and the
 # sanitizer suite — each in its own build tree so configurations never
 # contaminate each other.
 #
@@ -53,14 +53,17 @@ echo "== benchmark self-test (dmrbench/selftest.py, tiny sizes) =="
 # deliberately corrupted result counted as a failed operation.
 python3 dmrbench/selftest.py
 
-echo "== SDC chaos lane (seed matrix over ctest -R sdc_soak) =="
-# The combined chaos soak (SDC + message faults + rank death) re-run under
-# several campaign seeds: every seed must drive the recovery path back to
-# a bitwise-identical trajectory. The default seed (2026) already ran in
+echo "== fault-campaign seed matrix (ctest -R 'sdc_soak|comm_recovery') =="
+# The SDC soaks, the combined chaos soak (SDC + message faults + rank
+# death) and the comm-fault soak (CommFaultSoak) re-run under several
+# campaign seeds: every seed must drive the recovery path back to a
+# bitwise-identical trajectory, with wire traffic that accounts exactly
+# for the injected message faults. The default seed (2026) already ran in
 # tier-1 above.
 for seed in 7 1234 90210; do
     echo "-- CROCCO_SDC_SEED=$seed"
-    (cd build-ci && CROCCO_SDC_SEED=$seed ctest -R sdc_soak --output-on-failure)
+    (cd build-ci && CROCCO_SDC_SEED=$seed \
+        ctest -R 'sdc_soak|comm_recovery' --output-on-failure)
 done
 
 echo "== CroccoCheck (Release + CROCCO_CHECK) =="
