@@ -10,12 +10,15 @@
 //    stripe schedule gpu::ThreadPool executes (task t -> thread t % T).
 //    One step is run with ThreadPool schedule tracing on, which records the
 //    serial duration of every task of every pooled launch (WENO/viscous
-//    drivers, MultiFab setVal/mult/saxpy/reductions); the model then
+//    drivers, MultiFab setVal/mult/saxpy/copy/reductions, and FillPatch's
+//    data movement: the fillBoundary/parallelCopy replay copies, the
+//    coarse-fine interpolation, the BC fills, AverageDown); the model then
 //    replaces each launch's serial total with its slowest stripe at T
-//    threads. Everything not pooled (FillBoundary replay copies, FillPatch
-//    interpolation, regrid, health checks) stays serial in the model. This
-//    is the repo's standard methodology: execute the real structure, model
-//    the time (gpu::DeviceModel, parallel::SimComm).
+//    threads. Everything not pooled (the exchanges' message recording,
+//    pattern builds on a cache miss, regrid, health checks) stays serial
+//    in the model. This is the repo's standard methodology: execute the
+//    real structure, model the time (gpu::DeviceModel, parallel::SimComm).
+//    docs/performance.md §12 records the numbers.
 //
 // modeled(T) = wall(1) - sum_L serial(L) + sum_L criticalPath(L, T) over
 // all pooled launches L of one step.

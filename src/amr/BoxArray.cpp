@@ -32,11 +32,13 @@ std::uint64_t BoxArray::deriveId(std::uint64_t parent, std::uint32_t op,
 }
 
 BoxArray::BoxArray(std::vector<Box> boxes)
-    : boxes_(std::move(boxes)), id_(nextId()) {
+    : boxes_(std::move(boxes)), id_(nextId()),
+      hash_(std::make_shared<HashSlot>()) {
     for ([[maybe_unused]] const Box& b : boxes_) assert(b.ok());
 }
 
-BoxArray::BoxArray(const Box& single) : boxes_{single}, id_(nextId()) {
+BoxArray::BoxArray(const Box& single)
+    : boxes_{single}, id_(nextId()), hash_(std::make_shared<HashSlot>()) {
     assert(single.ok());
 }
 
@@ -49,23 +51,22 @@ Box BoxArray::minimalBox() const {
 }
 
 const BoxArray::Hash& BoxArray::hash() const {
-    if (!hash_) {
-        auto h = std::make_shared<Hash>();
+    std::call_once(hash_->once, [this] {
+        Hash& h = hash_->hash;
         IntVect maxSize(1);
         for (const Box& b : boxes_)
             maxSize = IntVect::componentMax(maxSize, b.size());
-        h->bucketSize = maxSize;
+        h.bucketSize = maxSize;
         for (int i = 0; i < size(); ++i) {
             // A box spans at most 2 buckets per dimension when buckets are
             // at least as large as the box.
             const Box cb = boxes_[i].coarsen(maxSize);
             forEachCell(cb, [&](int bi, int bj, int bk) {
-                h->buckets[IntVect{bi, bj, bk}].push_back(i);
+                h.buckets[IntVect{bi, bj, bk}].push_back(i);
             });
         }
-        hash_ = std::move(h);
-    }
-    return *hash_;
+    });
+    return hash_->hash;
 }
 
 std::vector<std::pair<int, Box>> BoxArray::intersections(const Box& b) const {

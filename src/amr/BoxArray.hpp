@@ -4,6 +4,7 @@
 #include "amr/BoxList.hpp"
 
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -15,7 +16,9 @@ namespace crocco::amr {
 /// Intersection queries are the hot path of ghost-cell exchange: they are
 /// served by a spatial hash binning boxes into buckets the size of the
 /// largest box, giving O(1) expected lookups independent of box count. The
-/// hash is built lazily and shared between copies.
+/// hash is built lazily, once, on the first query of any copy (copies share
+/// it), and is published through std::call_once, so concurrent first
+/// queries from pool tasks are safe.
 ///
 /// Every non-empty BoxArray carries a cheap identity id: copies share it,
 /// coarsen/refine derive it deterministically from the parent's, and two
@@ -72,6 +75,13 @@ private:
         IntVect bucketSize{1, 1, 1};
         std::unordered_map<IntVect, std::vector<int>> buckets;
     };
+    /// The hash slot every copy of one constructed array shares: `once`
+    /// guards the single build, and its completion publishes `hash` to
+    /// every thread that later passes through it.
+    struct HashSlot {
+        std::once_flag once;
+        Hash hash;
+    };
     const Hash& hash() const;
     static std::uint64_t nextId();
     static std::uint64_t deriveId(std::uint64_t parent, std::uint32_t op,
@@ -79,7 +89,7 @@ private:
 
     std::vector<Box> boxes_;
     std::uint64_t id_ = 0;
-    mutable std::shared_ptr<const Hash> hash_; // built lazily, shared by copies
+    std::shared_ptr<HashSlot> hash_; // made by the constructors, shared by copies
 };
 
 } // namespace crocco::amr

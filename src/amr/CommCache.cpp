@@ -1,5 +1,7 @@
 #include "amr/CommCache.hpp"
 
+#include <cassert>
+
 namespace crocco::amr {
 
 namespace {
@@ -19,6 +21,16 @@ std::uint64_t hashShifts(const std::vector<IntVect>& shifts) {
             h = mix64(h, static_cast<std::uint64_t>(
                              static_cast<std::int64_t>(s[d]) + (1ll << 32)));
     return h;
+}
+
+void CommPattern::indexByDst() {
+    dstStart.assign(static_cast<std::size_t>(dstSize) + 1, 0);
+    for (std::size_t c = 0; c < copies.size(); ++c) {
+        assert(c == 0 || copies[c - 1].dstFab <= copies[c].dstFab);
+        ++dstStart[static_cast<std::size_t>(copies[c].dstFab) + 1];
+    }
+    for (std::size_t f = 1; f < dstStart.size(); ++f)
+        dstStart[f] += dstStart[f - 1];
 }
 
 std::size_t CommCache::KeyHash::operator()(const Key& k) const {

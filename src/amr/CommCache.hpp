@@ -29,10 +29,20 @@ struct CopyDescriptor {
 
 /// A full communication pattern plus cheap validation fields (guards the
 /// astronomically unlikely collision of two derived BoxArray ids).
+///
+/// The builders emit `copies` grouped by ascending dstFab, in build order
+/// within each group; `dstStart` indexes the groups once per pattern, so a
+/// replay runs dst fab f's descriptors copies[dstStart[f], dstStart[f+1])
+/// as one pool task without re-scanning the list on every call.
 struct CommPattern {
     std::vector<CopyDescriptor> copies;
+    std::vector<int> dstStart; ///< dstSize + 1 group offsets into copies
     int srcSize = 0; ///< boxes in the source BoxArray when built
     int dstSize = 0; ///< boxes in the destination BoxArray when built
+
+    /// Fill dstStart from copies, which must already be grouped by
+    /// ascending dstFab (asserted) and dstSize set.
+    void indexByDst();
 
     bool operator==(const CommPattern&) const = default;
 };

@@ -4,6 +4,10 @@
 
 #include "gpu/Arena.hpp"
 
+#ifdef CROCCO_CHECK
+#include "check/RaceDetector.hpp"
+#endif
+
 #include <cassert>
 #include <cmath>
 
@@ -100,11 +104,18 @@ void FArrayBox::copyFrom(const FArrayBox& src, const Box& region, int srcComp,
     assert(srcComp + numComp <= src.nComp() && destComp + numComp <= ncomp_);
     auto d = array();
     auto s = src.const_array();
+#ifdef CROCCO_CHECK
+    // One race-detector record per copy region (see check::TaskLog).
+    check::sealTaskLog();
+#endif
     for (int n = 0; n < numComp; ++n)
         forEachCell(r, [&](int i, int j, int k) {
             d(i, j, k, destComp + n) =
                 s(i + srcShift[0], j + srcShift[1], k + srcShift[2], srcComp + n);
         });
+#ifdef CROCCO_CHECK
+    check::sealTaskLog();
+#endif
 }
 
 void FArrayBox::saxpy(Real a, const FArrayBox& src, const Box& region, int srcComp,

@@ -1,5 +1,7 @@
 #include "amr/FillPatch.hpp"
 
+#include "gpu/Gpu.hpp"
+
 #include <cassert>
 
 namespace crocco::amr {
@@ -26,6 +28,37 @@ MultiFab gatherCoarseCoords(const Interpolater& interp, const BoxArray& cba,
     coords.define(cba, dst.distributionMap(), 3, ngc, dst.comm());
     coords.parallelCopy(*crseCoords, 0, 0, 3, ngc, ngc, "ParallelCopy_interp");
     return coords;
+}
+
+/// Fine cells interpolation may fill: the domain, widened by the ghost
+/// width across periodic faces (cells there hold periodic-image data and
+/// interpolate like interior cells). Ghost cells beyond non-periodic faces
+/// are left for the fine BC.
+Box interpDomain(const Geometry& fineGeom, int ng) {
+    Box d = fineGeom.domain();
+    for (int dim = 0; dim < SpaceDim; ++dim)
+        if (fineGeom.isPeriodic(dim)) d = d.grow(dim, ng);
+    return d;
+}
+
+/// Interpolate every fab of `dst` from its coarse scratch fab over the
+/// boxes `pieces(i)` returns, one pool task per fab: a task writes dst fab
+/// i alone and reads only fab i of the const coarse and coordinate fabs.
+template <typename Pieces>
+void interpolateFabs(MultiFab& dst, const MultiFab& ctmp,
+                     const MultiFab& ctmpCoords, const MultiFab* fineCoords,
+                     const Interpolater& interp, const IntVect& ratio,
+                     Pieces&& pieces) {
+    gpu::ParallelForIndex(dst.numFabs(), [&](int i) {
+        InterpContext ctx;
+        if (interp.needsCoordinates()) {
+            ctx.crseCoords = &ctmpCoords.fab(i);
+            ctx.fineCoords = &fineCoords->fab(i);
+        }
+        for (const Box& piece : pieces(i))
+            interp.interp(ctmp.fab(i), dst.fab(i), piece, 0, 0, dst.nComp(),
+                          ratio, ctx);
+    });
 }
 } // namespace
 
@@ -79,25 +112,10 @@ void FillPatchTwoLevels(MultiFab& dst, const MultiFab& fineSrc,
                                              crseCoords);
 
     // 4. Interpolate coarse data into ghost cells no fine patch covers.
-    // Ghost cells beyond non-periodic domain faces are left for fineBC;
-    // cells beyond periodic faces hold periodic-image data and interpolate
-    // like interior cells.
-    Box interpDomain = fineGeom.domain();
-    for (int d = 0; d < SpaceDim; ++d)
-        if (fineGeom.isPeriodic(d)) interpDomain = interpDomain.grow(d, ng);
-
-    for (int i = 0; i < dst.numFabs(); ++i) {
-        InterpContext ctx;
-        if (interp.needsCoordinates()) {
-            ctx.crseCoords = &ctmpCoords.fab(i);
-            ctx.fineCoords = &fineCoords->fab(i);
-        }
-        for (const Box& piece :
-             uncoveredBy(dst.grownBox(i) & interpDomain, dst.boxArray(),
-                         fineGeom)) {
-            interp.interp(ctmp.fab(i), dst.fab(i), piece, 0, 0, ncomp, ratio, ctx);
-        }
-    }
+    const Box domain = interpDomain(fineGeom, ng);
+    interpolateFabs(dst, ctmp, ctmpCoords, fineCoords, interp, ratio, [&](int i) {
+        return uncoveredBy(dst.grownBox(i) & domain, dst.boxArray(), fineGeom);
+    });
 
     // 5. Physical boundary conditions.
     if (fineBC) fineBC(dst, fineGeom, time);
@@ -120,19 +138,10 @@ void InterpFromCoarseLevel(MultiFab& dst, const MultiFab& crseSrc,
     MultiFab ctmpCoords = gatherCoarseCoords(interp, cba, dst, ngc, fineCoords,
                                              crseCoords);
 
-    Box interpDomain = fineGeom.domain();
-    for (int d = 0; d < SpaceDim; ++d)
-        if (fineGeom.isPeriodic(d)) interpDomain = interpDomain.grow(d, ng);
-
-    for (int i = 0; i < dst.numFabs(); ++i) {
-        InterpContext ctx;
-        if (interp.needsCoordinates()) {
-            ctx.crseCoords = &ctmpCoords.fab(i);
-            ctx.fineCoords = &fineCoords->fab(i);
-        }
-        interp.interp(ctmp.fab(i), dst.fab(i), dst.grownBox(i) & interpDomain, 0,
-                      0, ncomp, ratio, ctx);
-    }
+    const Box domain = interpDomain(fineGeom, ng);
+    interpolateFabs(dst, ctmp, ctmpCoords, fineCoords, interp, ratio, [&](int i) {
+        return std::vector<Box>{dst.grownBox(i) & domain};
+    });
     if (fineBC) fineBC(dst, fineGeom, time);
 }
 
@@ -181,7 +190,9 @@ void linearExtrapolateGhost(FArrayBox& fab, const Box& interior, int srcComp,
 void AverageDown(const MultiFab& fine, MultiFab& crse, const IntVect& ratio,
                  int srcComp, int destComp, int numComp) {
     const double volRatio = 1.0 / static_cast<double>(ratio.product());
-    for (int ci = 0; ci < crse.numFabs(); ++ci) {
+    // One pool task per coarse fab: it writes only that fab's valid cells
+    // and reads only the const fine level.
+    gpu::ParallelForIndex(crse.numFabs(), [&](int ci) {
         auto c = crse.array(ci);
         for (int fj = 0; fj < fine.numFabs(); ++fj) {
             const Box overlap = crse.validBox(ci) & fine.validBox(fj).coarsen(ratio);
@@ -198,15 +209,20 @@ void AverageDown(const MultiFab& fine, MultiFab& crse, const IntVect& ratio,
                     c(i, j, k, destComp + n) = s * volRatio;
                 });
             }
-            if (auto* comm = crse.comm()) {
-                const int srcRank = fine.distributionMap()[fj];
-                const int dstRank = crse.distributionMap()[ci];
-                if (srcRank != dstRank) {
-                    comm->recordP2P(srcRank, dstRank,
-                                    overlap.numPts() * numComp *
-                                        static_cast<std::int64_t>(sizeof(Real)),
-                                    "AverageDown");
-                }
+        }
+    });
+    // The messages, recorded serially in (coarse, fine) order.
+    if (auto* comm = crse.comm()) {
+        for (int ci = 0; ci < crse.numFabs(); ++ci) {
+            for (int fj = 0; fj < fine.numFabs(); ++fj) {
+                const Box overlap =
+                    crse.validBox(ci) & fine.validBox(fj).coarsen(ratio);
+                if (!overlap.ok()) continue;
+                comm->recordP2P(fine.distributionMap()[fj],
+                                crse.distributionMap()[ci],
+                                overlap.numPts() * numComp *
+                                    static_cast<std::int64_t>(sizeof(Real)),
+                                "AverageDown");
             }
         }
     }

@@ -5,6 +5,7 @@
 #include "gpu/Gpu.hpp"
 #include "resilience/Crc32.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -12,24 +13,30 @@
 
 namespace crocco::amr {
 
-namespace {
-
-/// CRC32 of one fab rectangle (the payload of a single copy descriptor):
-/// cells in forEachCell (Fortran) order, components outermost, chained per
-/// Real. Sender and receiver checksum the same region shape in the same
-/// order, so equal data ⟺ equal checksum.
 std::uint32_t regionCrc(const FArrayBox& f, const Box& region, int comp,
                         int ncomp) {
-    auto a = f.const_array();
+    // crc32 chains, crc32(a‖b) = crc32(b, crc32(a)), so one call per
+    // contiguous i-run gives the per-Real chain's value. Each run is read
+    // through the Array4 view (check builds validate every cell) into a
+    // small local buffer, in pieces when it is longer than the buffer.
+    constexpr int kRun = 64;
+    Real run[kRun];
+    const auto a = f.const_array();
+    const IntVect lo = region.smallEnd(), hi = region.bigEnd();
     std::uint32_t crc = 0;
-    for (int n = comp; n < comp + ncomp; ++n) {
-        forEachCell(region, [&](int i, int j, int k) {
-            const Real v = a(i, j, k, n);
-            crc = resilience::crc32(&v, sizeof(Real), crc);
-        });
-    }
+    for (int n = comp; n < comp + ncomp; ++n)
+        for (int k = lo[2]; k <= hi[2]; ++k)
+            for (int j = lo[1]; j <= hi[1]; ++j)
+                for (int i0 = lo[0]; i0 <= hi[0]; i0 += kRun) {
+                    const int len = std::min(kRun, hi[0] - i0 + 1);
+                    for (int m = 0; m < len; ++m) run[m] = a(i0 + m, j, k, n);
+                    crc = resilience::crc32(
+                        run, static_cast<std::size_t>(len) * sizeof(Real), crc);
+                }
     return crc;
 }
+
+namespace {
 
 /// Flip one bit of one Real inside a fab rectangle — the payload damage a
 /// Corrupt fault does in flight. `word` deterministically selects the cell,
@@ -55,6 +62,47 @@ void scrambleRegionBit(FArrayBox& f, const Box& region, int comp, int ncomp,
             a(i, j, k, n) = v;
             done = true;
         });
+    }
+}
+
+/// The CRC-verified replay: descriptor by descriptor in build order, each
+/// off-rank payload delivered through SimComm::sendVerified (CRC stamp,
+/// fault injector, NACK + retransmit). The recorded stream matches the
+/// plain path (one message per off-rank descriptor, in build order), with
+/// fault traffic (retransmits, NACKs) appended where faults strike.
+void replayVerified(MultiFab& dst, const CommPattern& pattern,
+                    const MultiFab& src, int srcComp, int destComp,
+                    int numComp, const std::string& tag, bool p2p) {
+    for (const CopyDescriptor& d : pattern.copies) {
+        FArrayBox& to = dst.fab(d.dstFab);
+        const FArrayBox& from = src.fab(d.srcFab);
+        const int srcRank = src.distributionMap()[d.srcFab];
+        const int dstRank = dst.distributionMap()[d.dstFab];
+        if (srcRank == dstRank) {
+            to.copyFrom(from, d.region, srcComp, destComp, numComp, d.shift);
+            continue;
+        }
+        const Box srcRegion = d.region.shift(d.shift);
+        parallel::SimComm::Transfer t;
+        t.src = srcRank;
+        t.dst = dstRank;
+        t.bytes = d.npts * numComp * static_cast<std::int64_t>(sizeof(Real));
+        t.kind = p2p ? parallel::MessageKind::PointToPoint
+                     : parallel::MessageKind::ParallelCopy;
+        t.tag = tag;
+        t.deliver = [&] {
+            to.copyFrom(from, d.region, srcComp, destComp, numComp, d.shift);
+        };
+        t.payloadCrc = [&] {
+            return regionCrc(from, srcRegion, srcComp, numComp);
+        };
+        t.deliveredCrc = [&] {
+            return regionCrc(to, d.region, destComp, numComp);
+        };
+        t.scramble = [&](std::uint64_t w) {
+            scrambleRegionBit(to, d.region, destComp, numComp, w);
+        };
+        dst.comm()->sendVerified(t);
     }
 }
 
@@ -120,58 +168,43 @@ void MultiFab::setVal(Real v, int comp, int ncomp) {
 void MultiFab::replay(const CommPattern& pattern, const MultiFab& src,
                       int srcComp, int destComp, int numComp,
                       const std::string& tag, bool p2p) {
-    // Copies target disjoint dst regions and read only src cells fillBoundary
-    // never writes (valid cells of siblings / a const source MultiFab), so
-    // descriptor order is free — but SimComm recording must match the build
-    // order byte for byte, so the replay stays serial and in order.
     // An attached fault injector is the one switch for the verified path.
-    const bool verified = comm_ && comm_->faults();
+    // It stays serial: the injector draws its decisions in message order.
+    if (comm_ && comm_->faults()) {
+        replayVerified(*this, pattern, src, srcComp, destComp, numComp, tag,
+                       p2p);
+        return;
+    }
+    // One pool task per dst fab runs that fab's descriptors in build order.
+    // A task writes only its own fab, and reads only src cells no task
+    // writes (valid cells of siblings for fillBoundary, a different const
+    // MultiFab for parallelCopy), so the copies are thread-count
+    // independent; where grown sources overlap (the coordinate gather)
+    // the later descriptor still lands last.
+    assert(pattern.dstSize == numFabs() &&
+           static_cast<int>(pattern.dstStart.size()) == numFabs() + 1);
+    gpu::ParallelForIndex(numFabs(), [&](int f) {
+        const auto fi = static_cast<std::size_t>(f);
+        for (int c = pattern.dstStart[fi]; c < pattern.dstStart[fi + 1]; ++c) {
+            const CopyDescriptor& d = pattern.copies[static_cast<std::size_t>(c)];
+            fabs_[fi].copyFrom(src.fab(d.srcFab), d.region, srcComp, destComp,
+                               numComp, d.shift);
+        }
+    });
+    if (!comm_) return;
+    // The record is written in one serial pass in build order, so SimComm
+    // sees the message stream a serial replay would send, byte for byte
+    // (a dead rank raises RankFailure at the same message).
+    const auto kind = p2p ? parallel::MessageKind::PointToPoint
+                          : parallel::MessageKind::ParallelCopy;
     for (const CopyDescriptor& d : pattern.copies) {
         const int srcRank = src.distributionMap()[d.srcFab];
         const int dstRank = dm_[d.dstFab];
-        if (verified && srcRank != dstRank) {
-            // Hardened path: the descriptor's copy is the payload delivery,
-            // wrapped in CRC verification + the fault injector. Byte order
-            // of the recorded stream matches the plain path (one message
-            // per off-rank descriptor, in build order), with fault traffic
-            // (retransmits, NACKs) appended where faults strike.
-            const std::int64_t bytes =
-                d.npts * numComp * static_cast<std::int64_t>(sizeof(Real));
-            const Box srcRegion = d.region.shift(d.shift);
-            parallel::SimComm::Transfer t;
-            t.src = srcRank;
-            t.dst = dstRank;
-            t.bytes = bytes;
-            t.kind = p2p ? parallel::MessageKind::PointToPoint
-                         : parallel::MessageKind::ParallelCopy;
-            t.tag = tag;
-            t.deliver = [&, this] {
-                fabs_[d.dstFab].copyFrom(src.fab(d.srcFab), d.region, srcComp,
-                                         destComp, numComp, d.shift);
-            };
-            t.payloadCrc = [&] {
-                return regionCrc(src.fab(d.srcFab), srcRegion, srcComp, numComp);
-            };
-            t.deliveredCrc = [&, this] {
-                return regionCrc(fabs_[d.dstFab], d.region, destComp, numComp);
-            };
-            t.scramble = [&, this](std::uint64_t w) {
-                scrambleRegionBit(fabs_[d.dstFab], d.region, destComp, numComp, w);
-            };
-            comm_->sendVerified(t);
-            continue;
-        }
-        fabs_[d.dstFab].copyFrom(src.fab(d.srcFab), d.region, srcComp, destComp,
-                                 numComp, d.shift);
-        if (!comm_) continue;
-        const std::int64_t bytes =
-            d.npts * numComp * static_cast<std::int64_t>(sizeof(Real));
-        if (p2p) {
-            comm_->recordP2P(srcRank, dstRank, bytes, tag);
-        } else if (srcRank != dstRank) {
-            comm_->recordMessage(srcRank, dstRank, bytes,
-                                 parallel::MessageKind::ParallelCopy, tag);
-        }
+        if (srcRank == dstRank) continue; // on-rank copies never hit the network
+        comm_->recordMessage(srcRank, dstRank,
+                             d.npts * numComp *
+                                 static_cast<std::int64_t>(sizeof(Real)),
+                             kind, tag);
     }
 }
 
@@ -219,6 +252,7 @@ CommPattern MultiFab::buildFillBoundaryPattern(
             }
         }
     }
+    pattern.indexByDst();
     return pattern;
 }
 
@@ -248,6 +282,8 @@ void MultiFab::parallelCopy(const MultiFab& src, int srcComp, int destComp,
                             int numComp, int dstNGrow, int srcNGrow,
                             const std::string& tag,
                             const Geometry* geomForPeriodicity) {
+    // The replay's tasks read src while writing this MultiFab's fabs.
+    assert(&src != this);
     assert(dstNGrow <= ngrow_ && srcNGrow <= src.nGrow());
     assert(srcComp + numComp <= src.nComp() && destComp + numComp <= ncomp_);
     std::vector<IntVect> shifts{IntVect::zero()};
@@ -300,6 +336,7 @@ CommPattern MultiFab::buildParallelCopyPattern(
             }
         }
     }
+    pattern.indexByDst();
     return pattern;
 }
 

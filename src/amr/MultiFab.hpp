@@ -122,7 +122,12 @@ public:
 private:
     /// Execute a cached/built communication pattern: perform the data copies
     /// and record the SimComm messages (point-to-point for fillBoundary,
-    /// ParallelCopy messages otherwise) in build order.
+    /// ParallelCopy messages otherwise) in build order. The copies run as
+    /// one pool task per destination fab (that fab's descriptors in build
+    /// order); the messages are then recorded in one serial pass in build
+    /// order, so the record does not depend on the thread count. With a
+    /// CommFaults injector attached the whole replay is the serial,
+    /// CRC-verified exchange instead.
     void replay(const CommPattern& pattern, const MultiFab& src, int srcComp,
                 int destComp, int numComp, const std::string& tag, bool p2p);
 
@@ -142,5 +147,13 @@ private:
     std::vector<FArrayBox> fabs_;
     parallel::SimComm* comm_ = nullptr;
 };
+
+/// CRC32 of one fab rectangle, the payload of a single copy descriptor:
+/// cells in forEachCell (Fortran) order, components outermost — the value
+/// of chaining resilience::crc32 over each Real in that order. Sender and
+/// receiver of the verified exchange checksum the same region shape in the
+/// same order, so equal data gives equal checksums.
+std::uint32_t regionCrc(const FArrayBox& f, const Box& region, int comp,
+                        int ncomp);
 
 } // namespace crocco::amr

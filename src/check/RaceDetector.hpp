@@ -24,7 +24,10 @@ namespace crocco::check {
 /// plus a component bitmask (components >= 63 share the top bit) — so the
 /// scan is conservative-exact for the codebase's rectangular access
 /// patterns: disjoint fabs, disjoint k-slabs, and disjoint components are
-/// all recognized as race-free.
+/// all recognized as race-free. FArrayBox::copyFrom seals the task's log
+/// before and after each copy, so every copy region is its own exact
+/// rectangle: a pooled exchange task that writes its fab's ghost slabs is
+/// not merged into one box that covers the valid cells another task reads.
 struct AccessRecord {
     std::uint64_t fabId = 0;
     amr::Box allocBox;        ///< copied from the shadow at first touch
@@ -35,6 +38,7 @@ struct AccessRecord {
 
 struct TaskLog {
     std::vector<AccessRecord> records;
+    std::size_t sealed = 0; ///< records[0, sealed) take no more accesses
 
     void record(const FabShadow* sh, int i, int j, int k, int n, bool write) {
         const std::uint64_t id = sh->id();
@@ -42,15 +46,19 @@ struct TaskLog {
         const amr::Box cell({i, j, k}, {i, j, k});
         // Recent-first: kernels touch one fab in long runs, so the match is
         // almost always the last record.
-        for (auto it = records.rbegin(); it != records.rend(); ++it) {
-            if (it->fabId == id && it->write == write) {
-                it->bbox = amr::Box::bboxUnion(it->bbox, cell);
-                it->compMask |= bit;
+        for (std::size_t r = records.size(); r > sealed; --r) {
+            AccessRecord& rec = records[r - 1];
+            if (rec.fabId == id && rec.write == write) {
+                rec.bbox = amr::Box::bboxUnion(rec.bbox, cell);
+                rec.compMask |= bit;
                 return;
             }
         }
         records.push_back({id, sh->allocBox(), cell, bit, write});
     }
+
+    /// Close every open record: later accesses start new ones.
+    void seal() { sealed = records.size(); }
 };
 
 class RaceDetector {
@@ -90,6 +98,11 @@ private:
 /// Worker-local log of the task currently executing (nullptr outside a
 /// tracked parallel launch).
 extern thread_local TaskLog* tlTaskLog;
+
+/// Seal the running task's log (no-op outside a tracked parallel launch).
+inline void sealTaskLog() {
+    if (TaskLog* log = tlTaskLog) log->seal();
+}
 
 /// Hot-path hook used by the Array4 accessors.
 inline void recordAccess(const FabShadow* sh, int i, int j, int k, int n,

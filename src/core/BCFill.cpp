@@ -1,5 +1,7 @@
 #include "core/BCFill.hpp"
 
+#include "gpu/Gpu.hpp"
+
 #include <algorithm>
 #include <cassert>
 
@@ -82,10 +84,14 @@ void fillFace(amr::FArrayBox& fab, const Box& region, const Box& domain, int dim
 
 } // namespace
 
+void forEachFab(MultiFab& mf, const std::function<void(int)>& fill) {
+    gpu::ParallelForIndex(mf.numFabs(), fill);
+}
+
 void applyBCs(MultiFab& mf, const Geometry& geom, const BCSpec& spec) {
     assert(mf.nComp() == NCONS);
     const Box& domain = geom.domain();
-    for (int i = 0; i < mf.numFabs(); ++i) {
+    forEachFab(mf, [&](int i) {
         const Box grown = mf.grownBox(i);
         for (int d = 0; d < amr::SpaceDim; ++d) {
             if (geom.isPeriodic(d)) continue;
@@ -94,7 +100,7 @@ void applyBCs(MultiFab& mf, const Geometry& geom, const BCSpec& spec) {
                          domain, d, side, spec.face[d][side]);
             }
         }
-    }
+    });
 }
 
 amr::PhysBCFunct makeBCFunct(const BCSpec& spec) {

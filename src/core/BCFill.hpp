@@ -4,6 +4,7 @@
 #include "core/State.hpp"
 
 #include <array>
+#include <functional>
 
 namespace crocco::core {
 
@@ -39,6 +40,13 @@ void applyBCs(MultiFab& mf, const Geometry& geom, const BCSpec& spec);
 
 /// Convenience adapter to the amr::PhysBCFunct signature.
 amr::PhysBCFunct makeBCFunct(const BCSpec& spec);
+
+/// Run `fill(f)` for every fab f of `mf` as one thread-pool task per fab —
+/// the launch shape of BC_Fill. A physical BC reads and writes only the
+/// cells of the fab it fills, so `fill` must touch fab f alone. Problem
+/// functors loop through this instead of over fabs themselves (src/problems
+/// does not depend on gpu/).
+void forEachFab(MultiFab& mf, const std::function<void(int)>& fill);
 
 /// Ghost regions of `fab` beyond face (dim, side) of the domain, where
 /// side 0 is the low face. Exposed for custom BC functors.

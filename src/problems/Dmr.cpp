@@ -91,7 +91,7 @@ amr::PhysBCFunct Dmr::boundaryConditions() const {
             zeta -= std::floor(zeta); // spanwise periodic wrap
             return mapping->toPhysical(xi, eta, zeta)[0];
         };
-        for (int f = 0; f < mf.numFabs(); ++f) {
+        core::forEachFab(mf, [&](int f) {
             auto a = mf.array(f);
             // Mirror/edge sources read through a const view; the sweep
             // regions (core::bcSweepRegion) clamp each x sweep away from the
@@ -138,7 +138,7 @@ amr::PhysBCFunct Dmr::boundaryConditions() const {
                         a(i, j, k, n) = s[static_cast<std::size_t>(n)];
                 });
             // z: periodic, handled by FillBoundary.
-        }
+        });
     };
 }
 

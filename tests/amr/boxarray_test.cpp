@@ -1,5 +1,6 @@
 #include "amr/BoxArray.hpp"
 #include "amr/Morton.hpp"
+#include "gpu/Gpu.hpp"
 
 #include <gtest/gtest.h>
 
@@ -94,6 +95,37 @@ TEST(BoxArray, CoarsenRefine) {
     EXPECT_EQ(ba.coarsen(2).numPts(), ba.numPts() / 8);
     EXPECT_EQ(ba.refine(2).numPts(), ba.numPts() * 8);
     EXPECT_EQ(ba.coarsen(2).refine(2), ba);
+}
+
+TEST(BoxArray, ConcurrentFirstQueriesMatchSerial) {
+    // Pool tasks make the first intersections() queries of a fresh array
+    // (and of a copy sharing its hash) at once: the lazily built hash must
+    // be published once, and every result must equal the serial query's.
+    struct Restore {
+        int saved = gpu::numThreads();
+        ~Restore() { gpu::setNumThreads(saved); }
+    } restore;
+    gpu::setNumThreads(4);
+    const std::vector<Box> boxes = tiledBoxes(4, 8);
+    std::vector<Box> queries;
+    for (int q = 0; q < 64; ++q) {
+        const IntVect lo{(q * 5) % 29 - 3, (q * 11) % 31 - 3, (q * 7) % 27 - 3};
+        queries.emplace_back(lo, lo + IntVect{q % 9, (q + 3) % 9, (q + 6) % 9});
+    }
+    const BoxArray reference(boxes);
+    std::vector<std::vector<std::pair<int, Box>>> expected;
+    for (const Box& q : queries) expected.push_back(reference.intersections(q));
+    for (int trial = 0; trial < 20; ++trial) {
+        const BoxArray fresh(boxes);
+        const BoxArray copy = fresh; // shares the not-yet-built hash
+        std::vector<std::vector<std::pair<int, Box>>> got(queries.size());
+        gpu::ParallelForIndex(static_cast<int>(queries.size()), [&](int q) {
+            const BoxArray& ba = q % 2 == 0 ? fresh : copy;
+            got[static_cast<std::size_t>(q)] =
+                ba.intersections(queries[static_cast<std::size_t>(q)]);
+        });
+        EXPECT_EQ(got, expected) << "trial " << trial;
+    }
 }
 
 TEST(BoxArray, EmptyQueries) {

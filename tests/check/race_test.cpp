@@ -1,9 +1,12 @@
 #include "check/Check.hpp"
 #include "check/RaceDetector.hpp"
+#include "amr/MultiFab.hpp"
 #include "gpu/Gpu.hpp"
 #include "problems/Dmr.hpp"
 
 #include <gtest/gtest.h>
+
+#include <mutex>
 
 // ThreadPool race detector: deliberately conflicting launches must be
 // flagged, the codebase's legitimate decompositions (disjoint slabs,
@@ -120,6 +123,54 @@ TEST(RaceDetector, NestedLaunchesChargeTheEnclosingTask) {
         });
         EXPECT_GE(cap.count(check::Kind::Race), 1u);
     }
+}
+
+TEST(RaceDetector, OverlappingPooledCopiesFlagged) {
+    // Two tasks copy into overlapping regions of one fab. Each copy is its
+    // own record, and the two records overlap, so the launch is flagged.
+    // The mutex orders the copies (the test itself stays free of a real
+    // data race); the detector still treats the two tasks as concurrent.
+    ThreadGuard guard;
+    setNumThreads(4);
+    const FArrayBox src(Box(IntVect(0), IntVect(7)), 1);
+    FArrayBox dst(Box(IntVect(0), IntVect(7)), 1);
+    std::mutex m;
+    check::ScopedFailureCapture cap;
+    ParallelForIndex(2, [&](int t) {
+        const Box region(IntVect{2 * t, 0, 0}, IntVect{2 * t + 3, 7, 7});
+        std::lock_guard<std::mutex> lk(m);
+        dst.copyFrom(src, region, 0, 0, 1);
+    });
+    ASSERT_GE(cap.count(check::Kind::Race), 1u);
+    EXPECT_NE(cap.violations()[0].message.find("write-write"), std::string::npos)
+        << cap.violations()[0].message;
+}
+
+TEST(RaceDetector, PooledFillBoundaryOnPeriodicLayoutClean) {
+    // A pooled fillBoundary: task i writes fab i's ghost slabs while other
+    // tasks read fab i's valid cells. One record per copy region keeps the
+    // two apart; merged into one bounding box per fab, each task's writes
+    // would cover the valid cells the others read, and this would report.
+    ThreadGuard guard;
+    setNumThreads(4);
+    const Box domain(IntVect(0), IntVect(15));
+    const amr::Geometry geom(domain, {0, 0, 0}, {1, 1, 1},
+                             amr::Periodicity::all());
+    std::vector<Box> boxes;
+    amr::forEachCell(Box(IntVect(0), IntVect(1)), [&](int i, int j, int k) {
+        const IntVect lo = IntVect{i, j, k} * 8;
+        boxes.emplace_back(lo, lo + IntVect(7));
+    });
+    const amr::BoxArray ba(boxes);
+    amr::MultiFab mf(ba, amr::DistributionMapping(ba, 4), 2, 3);
+    mf.setVal(1.0);
+    auto& det = check::RaceDetector::instance();
+    const auto before = det.launches();
+    check::ScopedFailureCapture cap;
+    mf.fillBoundary(geom);
+    EXPECT_EQ(cap.count(), 0u) << (cap.count() ? cap.violations()[0].message
+                                               : std::string());
+    EXPECT_GT(det.launches(), before) << "the replay was a pooled launch";
 }
 
 TEST(RaceDetector, SerialExecutionIsUnrecorded) {

@@ -139,6 +139,40 @@ struct Wire {
     bool intact() const { return dst == src; }
 };
 
+TEST(HardenedExchange, RegionCrcEqualsThePerRealChain) {
+    // regionCrc checksums whole i-runs (in buffer-sized pieces) where the
+    // definition chains crc32 over each Real: the values must agree on
+    // odd-shaped regions, runs longer than the buffer included.
+    using amr::Box;
+    using amr::IntVect;
+    amr::FArrayBox fab(Box(IntVect{-3, -2, -1}, IntVect{137, 4, 3}), 3);
+    auto a = fab.array();
+    for (int n = 0; n < 3; ++n)
+        amr::forEachCell(fab.box(), [&](int i, int j, int k) {
+            a(i, j, k, n) = std::sin(0.37 * i + 1.3 * j - 0.71 * k + 2.1 * n);
+        });
+    const std::vector<Box> regions = {
+        fab.box(),
+        Box(IntVect{0, 0, 0}, IntVect{0, 0, 0}),
+        Box(IntVect{5, -1, 0}, IntVect{69, 3, 2}),   // 65-cell runs
+        Box(IntVect{-3, 1, -1}, IntVect{124, 1, 3}), // 128-cell runs
+        Box(IntVect{7, -2, 2}, IntVect{9, 4, 2}),
+    };
+    for (const Box& r : regions) {
+        for (const auto& [comp, ncomp] :
+             std::vector<std::pair<int, int>>{{0, 3}, {1, 1}, {1, 2}}) {
+            std::uint32_t chain = 0;
+            for (int n = comp; n < comp + ncomp; ++n)
+                amr::forEachCell(r, [&](int i, int j, int k) {
+                    const amr::Real v = a(i, j, k, n);
+                    chain = resilience::crc32(&v, sizeof(amr::Real), chain);
+                });
+            EXPECT_EQ(amr::regionCrc(fab, r, comp, ncomp), chain)
+                << "region " << r << " comps " << comp << "+" << ncomp;
+        }
+    }
+}
+
 TEST(HardenedExchange, CleanTransferRecordsCrcStampedMessage) {
     SimComm comm(2);
     CommFaults faults;

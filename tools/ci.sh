@@ -2,11 +2,11 @@
 # Full CI sweep: the crocco-analyze lane (static analysis + deck-key
 # registry drift), the Release tier-1 suite, the benchmark self-test, the
 # fault-campaign seed matrix, the CROCCO_CHECK instrumentation suite, and the
-# sanitizer suite — each in its own build tree so configurations never
-# contaminate each other.
+# sanitizer suites (ASan + UBSan, ThreadSanitizer) — each in its own build
+# tree so configurations never contaminate each other.
 #
 #   tools/ci.sh            # run everything
-#   SKIP_SANITIZE=1 tools/ci.sh   # skip the (slow) sanitizer lane
+#   SKIP_SANITIZE=1 tools/ci.sh   # skip the (slow) sanitizer lanes
 #
 # Every artifact (the SARIF log) is written under build-ci/, and the last
 # gate checks that the checkout is left as CI found it. The tier-1, check
@@ -81,6 +81,22 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
           -DCROCCO_BUILD_BENCH=OFF -DCROCCO_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build build-ci-asan -j "$JOBS" >/dev/null
     (cd build-ci-asan && ctest -j "$JOBS" -L check --output-on-failure)
+
+    echo "== ThreadSanitizer (pooled suites) =="
+    # The Array4 race detector of the check lane sees fab accesses only; a
+    # race on other shared state (a lazily built BoxArray hash, a cache)
+    # needs ThreadSanitizer. It runs the suites that drive the thread pool:
+    # the _mt variants, the data-movement thread-count and concurrent
+    # BoxArray query tests, FillPatch, and the checkpoint and rank-recovery
+    # soaks. About 2.5 min to build and 5 min to run at -j4.
+    cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
+          -DCMAKE_CXX_FLAGS_DEBUG="-g -O1 -fsanitize=thread" \
+          -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
+          -DCROCCO_BUILD_BENCH=OFF -DCROCCO_BUILD_EXAMPLES=OFF >/dev/null
+    cmake --build build-ci-tsan -j "$JOBS" >/dev/null
+    (cd build-ci-tsan && TSAN_OPTIONS="halt_on_error=1" ctest -j "$JOBS" \
+        -R '_mt$|^(boxarray|datamove_threads|fillpatch|sgs_checkpoint|comm_recovery)_test$' \
+        --output-on-failure)
 fi
 
 echo "== clean checkout (git status unchanged) =="
