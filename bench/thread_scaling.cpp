@@ -1,4 +1,4 @@
-// PR2 bench: tiled multithreaded kernel execution on the DMR step.
+// Fab-parallel host threading on the DMR step.
 //
 // Reports the full RK3 step cost at 1/2/4/8 worker threads two ways:
 //
@@ -9,16 +9,20 @@
 //  * modeled_ns_per_step — the critical-path time of the deterministic
 //    stripe schedule gpu::ThreadPool executes (task t -> thread t % T).
 //    One step is run with ThreadPool schedule tracing on, which records the
-//    serial duration of every task of every pooled launch (WENO/viscous
-//    drivers, MultiFab setVal/mult/saxpy/copy/reductions, and FillPatch's
-//    data movement: the fillBoundary/parallelCopy replay copies, the
-//    coarse-fine interpolation, the BC fills, AverageDown); the model then
-//    replaces each launch's serial total with its slowest stripe at T
-//    threads. Everything not pooled (the exchanges' message recording,
-//    pattern builds on a cache miss, regrid, health checks) stays serial
-//    in the model. This is the repo's standard methodology: execute the
-//    real structure, model the time (gpu::DeviceModel, parallel::SimComm).
-//    docs/performance.md §12 records the numbers.
+//    serial duration of every task of every pooled launch. The pool runs
+//    only gpu::ParallelForIndex launches, one task per fab: the WENO/viscous
+//    drivers, MultiFab setVal/mult/saxpy/copy/reductions, ComputeDt and the
+//    health prescreen, and FillPatch's data movement (the fillBoundary/
+//    parallelCopy replay copies, the coarse-fine interpolation, the BC
+//    fills, AverageDown). Cell launches (ParallelFor, ReduceMin/Max) are
+//    plain loops inside those tasks, so the traced tasks are everything
+//    that runs in parallel. The model replaces each launch's serial total
+//    with its slowest stripe at T threads. Everything not pooled (the
+//    exchanges' message recording, pattern builds on a cache miss, regrid,
+//    the health report pass) stays serial in the model. This is the repo's
+//    standard methodology: execute the real structure, model the time
+//    (gpu::DeviceModel, parallel::SimComm). docs/performance.md §13
+//    records the numbers.
 //
 // modeled(T) = wall(1) - sum_L serial(L) + sum_L criticalPath(L, T) over
 // all pooled launches L of one step.

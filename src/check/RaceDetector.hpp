@@ -8,7 +8,9 @@
 
 namespace crocco::check {
 
-/// Launch-level race detector for the gpu::ThreadPool fan-out.
+/// Launch-level race detector for the gpu::ThreadPool fan-out, i.e. for
+/// every pool-parallel gpu::ParallelForIndex launch (cell launches are
+/// plain loops on the calling thread and never reach the pool).
 ///
 /// Model: a pool launch runs `ntasks` tasks whose order is unspecified
 /// across workers, so any two *different* tasks of the same launch are
@@ -23,8 +25,8 @@ namespace crocco::check {
 /// Accesses are merged into per-(fab, read/write) records — a bounding box
 /// plus a component bitmask (components >= 63 share the top bit) — so the
 /// scan is conservative-exact for the codebase's rectangular access
-/// patterns: disjoint fabs, disjoint k-slabs, and disjoint components are
-/// all recognized as race-free. FArrayBox::copyFrom seals the task's log
+/// patterns: disjoint fabs, disjoint regions of one fab, and disjoint
+/// components are all recognized as race-free. FArrayBox::copyFrom seals the task's log
 /// before and after each copy, so every copy region is its own exact
 /// rectangle: a pooled exchange task that writes its fab's ghost slabs is
 /// not merged into one box that covers the valid cells another task reads.

@@ -3,7 +3,10 @@
 #include "gpu/Gpu.hpp"
 #include "mesh/GridMetrics.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 namespace crocco::core {
 
@@ -29,15 +32,22 @@ Real computeDtFab(const Array4<const Real>& S, const Array4<const Real>& metrics
 
 Real computeDt(const amr::MultiFab& U, const amr::MultiFab& metrics,
                const amr::Geometry& geom, const GasModel& gas, Real cfl) {
+    // One fab-parallel launch computes each fab's dt; the partials are
+    // combined into the per-rank minima in fab order, so dt and the
+    // ComputeDt reduction are bitwise independent of the thread count.
+    std::vector<Real> partial(static_cast<std::size_t>(U.numFabs()));
+    gpu::ParallelForIndex(U.numFabs(), [&](int f) {
+        partial[static_cast<std::size_t>(f)] =
+            computeDtFab(U.const_array(f), metrics.const_array(f), U.validBox(f),
+                         geom.cellSizeArray(), gas, cfl);
+    });
     auto* comm = U.comm();
     const int nranks = comm ? comm->size() : 1;
     std::vector<double> perRank(static_cast<std::size_t>(nranks),
                                 std::numeric_limits<double>::infinity());
-    for (int i = 0; i < U.numFabs(); ++i) {
-        const Real dt = computeDtFab(U.const_array(i), metrics.const_array(i),
-                                     U.validBox(i), geom.cellSizeArray(), gas, cfl);
-        auto& slot = perRank[static_cast<std::size_t>(U.distributionMap()[i])];
-        slot = std::min(slot, static_cast<double>(dt));
+    for (int f = 0; f < U.numFabs(); ++f) {
+        auto& slot = perRank[static_cast<std::size_t>(U.distributionMap()[f])];
+        slot = std::min(slot, static_cast<double>(partial[static_cast<std::size_t>(f)]));
     }
     if (comm) return comm->reduceRealMin(perRank, "ComputeDt");
     return *std::min_element(perRank.begin(), perRank.end());

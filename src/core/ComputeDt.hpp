@@ -16,9 +16,9 @@ Real computeDtFab(const Array4<const Real>& S, const Array4<const Real>& metrics
                   const amr::Box& validBox, const std::array<Real, 3>& dxi,
                   const GasModel& gas, Real cfl);
 
-/// Level-wide ComputeDt: per-rank minima followed by the global
-/// ReduceRealMin the paper describes (§III-B) — every patch advances with
-/// the same dt.
+/// Level-wide ComputeDt: one fab-parallel launch of per-fab reductions,
+/// per-rank minima combined in fab order, then the global ReduceRealMin the
+/// paper describes (§III-B) — every patch advances with the same dt.
 Real computeDt(const amr::MultiFab& U, const amr::MultiFab& metrics,
                const amr::Geometry& geom, const GasModel& gas, Real cfl);
 

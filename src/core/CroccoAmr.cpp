@@ -28,6 +28,14 @@ using amr::DistributionMapping;
 using amr::IntVect;
 using amr::MultiFab;
 
+namespace {
+/// Ghost layers of the stored coordinates: the metric stencil's need
+/// (metrics carry NGHOST, mesh::computeMetrics reads 2 more). FillPatch's
+/// coarse-coordinate gather reads less, only the interpolation halo (3
+/// cells for the curvilinear interpolator).
+constexpr int kCoordGhost = NGHOST + 2;
+} // namespace
+
 CroccoAmr::Config CroccoAmr::Config::forVersion(CodeVersion v) {
     Config c;
     switch (v) {
@@ -57,15 +65,8 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
                      parallel::SimComm* comm)
     : amr::AmrCore(geom0, cfg.amrInfo, cfg.nranks, comm), cfg_(cfg),
       mapping_(std::move(mapping)) {
-    // Coordinates carry 3 extra ghost layers beyond the state. The metric
-    // stencil needs only 2 of them (see mesh::computeMetrics), and
-    // FillPatch and InterpFromCoarseLevel gather coarse coordinates only
-    // as deep as the interpolation halo (3 cells for the curvilinear
-    // interpolator), so nothing reads the outermost layer. It stays
-    // because dropping it changes what every level stores, and with it the
-    // pinned geometry digest.
     coordStore_ = std::make_unique<mesh::CoordStore>(
-        mapping_, geom0, cfg.amrInfo.refRatio, cfg.amrInfo.maxLevel, NGHOST + 3);
+        mapping_, geom0, cfg.amrInfo.refRatio, cfg.amrInfo.maxLevel, kCoordGhost);
     const int nlev = cfg.amrInfo.maxLevel + 1;
     U_.resize(nlev);
     G_.resize(nlev);
@@ -106,7 +107,7 @@ void CroccoAmr::defineLevelData(int lev, const BoxArray& ba,
     U_[lev].define(ba, dm, NCONS, NGHOST, comm());
     G_[lev].define(ba, dm, NCONS, 0, comm());
     G_[lev].setVal(0.0);
-    coords_[lev].define(ba, dm, 3, NGHOST + 3, comm());
+    coords_[lev].define(ba, dm, 3, kCoordGhost, comm());
     metrics_[lev].define(ba, dm, mesh::MetricComps, NGHOST, comm());
     fillGeometry(lev, coords_[lev], metrics_[lev],
                  std::vector<int>(static_cast<std::size_t>(ba.size()), -1));
@@ -188,7 +189,7 @@ void CroccoAmr::remakeLevel(int lev, Real time, const BoxArray& ba,
     std::vector<bool> allocate(keep.size());
     for (std::size_t f = 0; f < keep.size(); ++f) allocate[f] = keep[f] < 0;
     MultiFab newCoords, newMetrics;
-    newCoords.define(ba, dm, 3, NGHOST + 3, comm(), allocate);
+    newCoords.define(ba, dm, 3, kCoordGhost, comm(), allocate);
     newMetrics.define(ba, dm, mesh::MetricComps, NGHOST, comm(), allocate);
     fillGeometry(lev, newCoords, newMetrics, keep);
     // coords_[lev] and metrics_[lev] have lost the fabs fillGeometry took.
@@ -213,7 +214,7 @@ void CroccoAmr::remakeLevel(int lev, Real time, const BoxArray& ba,
         const BoxArray uba(std::move(boxes));
         const DistributionMapping udm(std::move(owners), dm.numRanks());
         MultiFab interpU(uba, udm, NCONS, NGHOST, comm());
-        MultiFab interpCoords(uba, udm, 3, NGHOST + 3, comm());
+        MultiFab interpCoords(uba, udm, 3, kCoordGhost, comm());
         for (int s = 0; s < uba.size(); ++s)
             interpCoords.fab(s) = newCoords.fab(uncovered[static_cast<std::size_t>(s)]);
         amr::InterpFromCoarseLevel(interpU, U_[lev - 1], geom(lev),
@@ -267,7 +268,7 @@ Real CroccoAmr::computeDtAllLevels() {
 }
 
 void CroccoAmr::computeRhs(int lev, const MultiFab& Sborder, MultiFab& dU) {
-    // Fab-level tiled parallelism: each worker owns whole fabs (disjoint dU
+    // Fab-level parallelism: each worker owns whole fabs (disjoint dU
     // writes, read-only Sborder/metrics, per-call kernel scratch), so every
     // thread count produces bitwise-identical dU. The profiler scopes stay
     // outside the parallel region — TinyProfiler is not thread-safe.

@@ -76,10 +76,11 @@ public:
         InterpChoice interp = InterpChoice::Curvilinear;
         TaggingSpec tagging;
         int nranks = 1;
-        /// Host worker threads for tiled kernel execution (ParmParse key
+        /// Host worker threads for fab-parallel execution (ParmParse key
         /// `gpu.num_threads`, env override GPU_NUM_THREADS). 0 = auto
         /// (env var, else hardware_concurrency); 1 = serial execution
-        /// identical to the pre-threading code path.
+        /// identical to the pre-threading code path; at most
+        /// gpu::ThreadPool::kMaxThreads.
         int gpuNumThreads = 0;
         /// Health-check + rollback/retry policy applied by step().
         resilience::GuardConfig guard;

@@ -10,10 +10,12 @@ namespace crocco::gpu {
 /// => per-launch cost dominates) is told against.
 ///
 /// Counting semantics:
-///  * Every gpu::ParallelFor / reduction call models exactly one device
-///    kernel launch (the k-slab tiling is an execution detail of one
-///    launch, not extra launches), and each per-fab MultiFab arithmetic
-///    sweep (setVal / mult / saxpy) models one launch per fab.
+///  * Every gpu::ParallelFor / ReduceMin / ReduceMax call models exactly
+///    one device kernel launch, and each per-fab MultiFab arithmetic sweep
+///    (setVal / mult / saxpy) models one launch per fab. A
+///    gpu::ParallelForIndex launch is host scheduling over fabs, not a
+///    device launch: it counts nothing itself, only the kernels its tasks
+///    launch.
 ///
 /// This counter is the one account of launches: readers take count()
 /// before and after what they measure (dmrbench's per-step

@@ -4,6 +4,7 @@
 #include "check/RaceDetector.hpp"
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -118,16 +119,14 @@ ThreadPool& ThreadPool::instance() {
 int ThreadPool::defaultNumThreads() {
     if (const char* env = std::getenv("GPU_NUM_THREADS")) {
         const int n = std::atoi(env);
-        if (n >= 1) return n;
+        if (n >= 1) return std::min(n, kMaxThreads);
     }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? static_cast<int>(hw) : 1;
+    return std::clamp(static_cast<int>(hw), 1, kMaxThreads);
 }
 
-bool ThreadPool::inParallelRegion() { return tlInTask; }
-
 void ThreadPool::setNumThreads(int n) {
-    if (n < 1) n = 1;
+    n = std::clamp(n, 1, kMaxThreads);
     if (n == nthreads_) return;
     impl_->joinAll();
     nthreads_ = n;

@@ -11,42 +11,45 @@ struct TracedLaunch {
     std::vector<double> taskNs;
 };
 
-/// Deterministic host thread pool behind the tiled gpu::ParallelFor /
-/// reduction launches (the host-backend analog of Parthenon-style tiled
-/// kernel execution).
+/// Deterministic host thread pool behind gpu::ParallelForIndex, the one
+/// host-parallel launch: one task per fab (AMReX's CPU model, where each
+/// box's ParallelFor is a plain loop and parallelism is over boxes).
 ///
 /// Design constraints, in order:
 ///  1. *Determinism.* There is no work stealing: task t always runs on
-///     thread t % numThreads(), so the tile→thread assignment is a pure
+///     thread t % numThreads(), so the task→thread assignment is a pure
 ///     function of (ntasks, numThreads) and never of timing. Combined with
-///     fixed-order combination of reduction partials (see MultiFab norms),
-///     every result is bitwise independent of the thread count.
-///  2. *Safety under nesting.* A task that itself calls ParallelFor (fab-
-///     level parallelism over kernels that launch per-cell loops) must not
-///     deadlock: nested launches detect they are inside a pool task and run
-///     serially, exactly as nested device launches serialize on one stream.
-///  3. *1 thread == today's behavior.* With numThreads() == 1 nothing is
+///     fixed-order combination of per-fab partials (see MultiFab norms,
+///     core::computeDt), every result is bitwise independent of the thread
+///     count.
+///  2. *Safety under nesting.* A task that itself calls run() must not
+///     deadlock: a nested run() detects it is inside a pool task and runs
+///     serially on the calling worker, exactly as nested device launches
+///     serialize on one stream.
+///  3. *1 thread == the serial code.* With numThreads() == 1 nothing is
 ///     dispatched and callers' serial Fortran-order loops are preserved.
 ///
 /// Configured via the ParmParse key `gpu.num_threads`; the environment
 /// variable GPU_NUM_THREADS overrides the deck, and with neither set the
-/// default is std::thread::hardware_concurrency().
+/// default is std::thread::hardware_concurrency(). Every thread count is
+/// clamped to [1, kMaxThreads].
 class ThreadPool {
 public:
+    /// Ceiling on the thread count: a deck or environment typo must not
+    /// spawn thousands of OS threads.
+    static constexpr int kMaxThreads = 256;
+
     static ThreadPool& instance();
 
     int numThreads() const { return nthreads_; }
 
-    /// Resize the pool (clamped to >= 1). Joins and respawns workers; must
-    /// not be called from inside a pool task.
+    /// Resize the pool (clamped to [1, kMaxThreads]). Joins and respawns
+    /// workers; must not be called from inside a pool task.
     void setNumThreads(int n);
 
-    /// GPU_NUM_THREADS env var if set, else hardware_concurrency().
+    /// GPU_NUM_THREADS env var if set, else hardware_concurrency(); clamped
+    /// to kMaxThreads.
     static int defaultNumThreads();
-
-    /// True while the calling thread is executing a pool task (used to
-    /// serialize nested launches).
-    static bool inParallelRegion();
 
     /// Run f(t) for every t in [0, ntasks). f must write disjoint data for
     /// distinct t (the per-cell kernel contract). Runs serially in task

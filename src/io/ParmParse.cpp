@@ -1,5 +1,7 @@
 #include "io/ParmParse.hpp"
 
+#include "gpu/ThreadPool.hpp"
+
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -207,15 +209,22 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     // The GPU_NUM_THREADS environment variable overrides the deck so a
     // test/bench sweep can rerun the same inputs at different thread counts
     // without editing them (ctest's *_mt instances rely on this).
+    std::string threadsKey = "gpu.num_threads";
     if (const char* env = std::getenv("GPU_NUM_THREADS")) {
+        threadsKey = "GPU_NUM_THREADS";
+        std::size_t used = 0;
         try {
-            cfg.gpuNumThreads = std::stoi(env);
+            cfg.gpuNumThreads = std::stoi(env, &used);
         } catch (const std::exception&) {
-            throw std::runtime_error("GPU_NUM_THREADS: not an integer");
+            used = 0;
         }
+        if (used == 0 || env[used] != '\0')
+            throw std::runtime_error("GPU_NUM_THREADS: not an integer");
     }
-    if (cfg.gpuNumThreads < 0)
-        throw std::runtime_error("gpu.num_threads: must be >= 0 (0 = auto)");
+    if (cfg.gpuNumThreads < 0 || cfg.gpuNumThreads > gpu::ThreadPool::kMaxThreads)
+        throw std::runtime_error(threadsKey + ": must be in [0, " +
+                                 std::to_string(gpu::ThreadPool::kMaxThreads) +
+                                 "] (0 = auto)");
 
     query("resilience.max_retries", cfg.guard.maxRetries);
     query("resilience.dt_backoff", cfg.guard.dtBackoff);

@@ -4,6 +4,7 @@
 #include "gpu/Gpu.hpp"
 
 #include <cmath>
+#include <vector>
 
 namespace crocco::resilience {
 
@@ -25,35 +26,40 @@ HealthReport validateState(const amr::MultiFab& U, const core::GasModel& gas,
             rep.faults.push_back(
                 {level, fab, IntVect{i, j, k}, comp, kind, value});
     };
+    // Phase 1 — fab-parallel prescreen: one launch, one task per fab, each
+    // a pure per-cell predicate through the reduction (no captured mutable
+    // state, so tasks cannot race on the report): 1.0 the moment any
+    // component is non-finite or the decoded state is unphysical. Healthy
+    // fabs — the common case — finish here, in one fused sweep through
+    // memory.
+    std::vector<double> bad(static_cast<std::size_t>(U.numFabs()));
+    gpu::ParallelForIndex(U.numFabs(), [&](int f) {
+        auto a = U.const_array(f);
+        bad[static_cast<std::size_t>(f)] =
+            gpu::ReduceMax(U.validBox(f), [&](int i, int j, int k) {
+                for (int n = 0; n < NCONS; ++n) {
+                    const double v = a(i, j, k, n);
+                    if (std::isnan(v) || std::isinf(v)) return 1.0;
+                }
+                const double rho = a(i, j, k, URHO);
+                if (rho <= 0.0) return 1.0;
+                const double rinv = 1.0 / rho;
+                const double p = gas.pressure(rho, a(i, j, k, UMX) * rinv,
+                                              a(i, j, k, UMY) * rinv,
+                                              a(i, j, k, UMZ) * rinv,
+                                              a(i, j, k, UEDEN));
+                return p <= 0.0 ? 1.0 : 0.0;
+            });
+    });
     for (int f = 0; f < U.numFabs(); ++f) {
         auto a = U.const_array(f);
         const amr::Box& b = U.validBox(f);
         rep.cellsScanned += b.numPts();
-        // Phase 1 — parallel prescreen. Pure per-cell predicate through the
-        // reduction (no captured mutable state, so threads cannot race on
-        // the report): 1.0 the moment any component is non-finite or the
-        // decoded state is unphysical. Healthy fabs — the common case —
-        // finish here, in one fused sweep through memory.
-        const double bad = gpu::ReduceMax(b, [&](int i, int j, int k) {
-            for (int n = 0; n < NCONS; ++n) {
-                const double v = a(i, j, k, n);
-                if (std::isnan(v) || std::isinf(v)) return 1.0;
-            }
-            const double rho = a(i, j, k, URHO);
-            if (rho <= 0.0) return 1.0;
-            const double rinv = 1.0 / rho;
-            const double p = gas.pressure(rho, a(i, j, k, UMX) * rinv,
-                                          a(i, j, k, UMY) * rinv,
-                                          a(i, j, k, UMZ) * rinv,
-                                          a(i, j, k, UEDEN));
-            return p <= 0.0 ? 1.0 : 0.0;
-        });
-        if (bad <= 0.0) continue;
+        if (bad[static_cast<std::size_t>(f)] <= 0.0) continue;
         // Phase 2 — serial report pass, only over fabs the prescreen
-        // flagged. Runs in deterministic cell order, so faultCount and the
+        // flagged, in fab order and then cell order, so faultCount and the
         // first-maxReported fault list are reproducible across thread
-        // counts (the old single-pass version mutated the report from
-        // inside the launch and raced under GPU_NUM_THREADS > 1).
+        // counts.
         amr::forEachCell(b, [&](int i, int j, int k) {
             bool finite = true;
             for (int n = 0; n < NCONS; ++n) {

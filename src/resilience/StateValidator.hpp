@@ -8,11 +8,12 @@
 
 namespace crocco::resilience {
 
-/// Cheap fused scan over one level's conserved state: a parallel
-/// gpu::ReduceMax prescreen per fab (a pure per-cell predicate — NaN/Inf in
-/// any component, or negative decoded density/pressure) followed by a
-/// serial report pass only over fabs the prescreen flagged, so faultCount
-/// and the fault list are deterministic at any thread count. This is the
+/// Cheap fused scan over one level's conserved state: one fab-parallel
+/// launch of per-fab gpu::ReduceMax prescreens (a pure per-cell predicate —
+/// NaN/Inf in any component, or negative decoded density/pressure)
+/// followed by a serial report pass, in fab order, only over fabs the
+/// prescreen flagged, so faultCount and the fault list are deterministic at
+/// any thread count. This is the
 /// shock-capturing failure signature of WENO near strong discontinuities
 /// (the paper's DMR regime): blow-ups first appear as negative density or
 /// pressure, then as NaN everywhere.

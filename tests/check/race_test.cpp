@@ -9,7 +9,7 @@
 #include <mutex>
 
 // ThreadPool race detector: deliberately conflicting launches must be
-// flagged, the codebase's legitimate decompositions (disjoint slabs,
+// flagged, the codebase's legitimate decompositions (disjoint regions,
 // disjoint components, nested serialized launches) must stay clean, and a
 // stock RK3 advance at 8 threads must produce zero reports.
 //
@@ -79,7 +79,7 @@ TEST(RaceDetector, ReadWriteOverlapBetweenTasksFlagged) {
         << cap.violations()[0].message;
 }
 
-TEST(RaceDetector, DisjointSlabsAndComponentsClean) {
+TEST(RaceDetector, DisjointComponentsClean) {
     ThreadGuard guard;
     setNumThreads(4);
     const Box box(IntVect(0), IntVect(7));
@@ -88,12 +88,13 @@ TEST(RaceDetector, DisjointSlabsAndComponentsClean) {
     auto& det = check::RaceDetector::instance();
     const auto before = det.launches();
     check::ScopedFailureCapture cap;
-    // Standard per-cell kernel: tasks own disjoint k-slabs.
-    ParallelFor(box, [&](int i, int j, int k) { a(i, j, k, 0) = i + j + k; });
-    // Same cells, disjoint components per task: compMask keeps it clean.
-    ParallelFor(box, 2, [&](int i, int j, int k, int n) { a(i, j, k, n) = n; });
+    // One launch, one task per component: every task covers the same cells
+    // but writes its own component, so compMask keeps it clean.
+    ParallelForIndex(2, [&](int n) {
+        ParallelFor(box, [&](int i, int j, int k) { a(i, j, k, n) = n; });
+    });
     EXPECT_EQ(cap.count(), 0u);
-    EXPECT_GE(det.launches(), before + 2) << "launches were pool-parallel";
+    EXPECT_EQ(det.launches(), before + 1) << "the launch was pool-parallel";
 }
 
 TEST(RaceDetector, NestedLaunchesChargeTheEnclosingTask) {

@@ -22,17 +22,6 @@ TEST(ParallelFor, VisitsEveryCellOnce) {
     for (int v : visits) EXPECT_EQ(v, 1);
 }
 
-TEST(ParallelFor, ComponentVariant) {
-    const Box b(IntVect::zero(), IntVect(2));
-    const int ncomp = 4;
-    std::vector<int> visits(static_cast<std::size_t>(b.numPts() * ncomp), 0);
-    ParallelFor(b, ncomp, [&](int i, int j, int k, int n) {
-        ++visits[static_cast<std::size_t>(n * b.numPts() + b.index({i, j, k}))];
-    });
-    EXPECT_EQ(visits.size(), 27u * 4u);
-    for (int v : visits) EXPECT_EQ(v, 1);
-}
-
 TEST(Reduce, MinAndMax) {
     const Box b(IntVect::zero(), IntVect(4));
     const double mn =

@@ -38,9 +38,10 @@ struct ThreadGuard {
 };
 
 // The determinism contract (docs/performance.md): reductions combine
-// fixed-decomposition partials in a fixed order, so results are bitwise
-// identical — EXPECT_EQ on doubles, not EXPECT_NEAR — for every thread
-// count.
+// per-fab partials in fab order, so results are bitwise identical —
+// EXPECT_EQ on doubles, not EXPECT_NEAR — for every thread count. The
+// solver's own fab-parallel reductions (ComputeDt, the health scan) are
+// checked the same way in resilience_test.
 TEST(ThreadPool, MultiFabReductionsBitwiseIdenticalAcrossThreadCounts) {
     ThreadGuard guard;
     const Box domain(IntVect::zero(), IntVect(31));
@@ -70,22 +71,6 @@ TEST(ThreadPool, MultiFabReductionsBitwiseIdenticalAcrossThreadCounts) {
     }
 }
 
-TEST(ThreadPool, ReduceMinBitwiseIdenticalAcrossThreadCounts) {
-    ThreadGuard guard;
-    const Box b(IntVect{-3, 0, 2}, IntVect{12, 9, 17});
-    auto f = [](int i, int j, int k) {
-        return std::cos(0.31 * i) * std::sin(0.17 * j) + 0.05 * k;
-    };
-    setNumThreads(1);
-    const double mn1 = ReduceMin(b, f);
-    const double mx1 = ReduceMax(b, f);
-    for (int nt : {2, 5, 8}) {
-        setNumThreads(nt);
-        EXPECT_EQ(ReduceMin(b, f), mn1) << "threads=" << nt;
-        EXPECT_EQ(ReduceMax(b, f), mx1) << "threads=" << nt;
-    }
-}
-
 TEST(ThreadPool, TaskToThreadAssignmentIsDeterministic) {
     ThreadGuard guard;
     setNumThreads(2);
@@ -105,18 +90,36 @@ TEST(ThreadPool, TaskToThreadAssignmentIsDeterministic) {
 TEST(ThreadPool, NestedLaunchesSerializeInsteadOfDeadlocking) {
     ThreadGuard guard;
     setNumThreads(4);
-    const Box inner(IntVect::zero(), IntVect(3));
-    std::vector<std::int64_t> counts(8, 0);
-    ParallelForIndex(8, [&](int t) {
-        EXPECT_TRUE(ThreadPool::inParallelRegion());
-        // The nested launch must run serially on this worker (no pool
-        // re-entry), so a plain counter is race-free here.
+    const int outer = 8;
+    const int inner = 5;
+    const Box cells(IntVect::zero(), IntVect(3));
+    std::vector<std::thread::id> outerOwner(outer);
+    std::vector<std::thread::id> innerOwner(outer * inner);
+    std::vector<std::vector<int>> innerOrder(outer);
+    std::vector<std::int64_t> counts(outer, 0);
+    ParallelForIndex(outer, [&](int t) {
+        const auto ts = static_cast<std::size_t>(t);
+        outerOwner[ts] = std::this_thread::get_id();
+        // A nested launch runs serially on this worker, in task order (no
+        // pool re-entry), so plain per-task containers are race-free here.
+        ParallelForIndex(inner, [&](int u) {
+            innerOwner[ts * inner + static_cast<std::size_t>(u)] =
+                std::this_thread::get_id();
+            innerOrder[ts].push_back(u);
+        });
         std::int64_t c = 0;
-        ParallelFor(inner, [&](int, int, int) { ++c; });
-        counts[static_cast<std::size_t>(t)] = c;
+        ParallelFor(cells, [&](int, int, int) { ++c; });
+        counts[ts] = c;
     });
-    EXPECT_FALSE(ThreadPool::inParallelRegion());
-    for (std::int64_t c : counts) EXPECT_EQ(c, inner.numPts());
+    for (int t = 0; t < outer; ++t) {
+        const auto ts = static_cast<std::size_t>(t);
+        for (int u = 0; u < inner; ++u)
+            EXPECT_EQ(innerOwner[ts * inner + static_cast<std::size_t>(u)],
+                      outerOwner[ts])
+                << "task " << t << " nested task " << u;
+        EXPECT_EQ(innerOrder[ts], (std::vector<int>{0, 1, 2, 3, 4}));
+        EXPECT_EQ(counts[ts], cells.numPts());
+    }
 }
 
 TEST(ThreadPool, ExceptionInTaskPropagatesToCaller) {
@@ -153,6 +156,10 @@ TEST(ThreadPool, DefaultHonorsEnvironmentOverride) {
     const std::string saved = old ? old : "";
     ::setenv("GPU_NUM_THREADS", "7", 1);
     EXPECT_EQ(ThreadPool::defaultNumThreads(), 7);
+    // A typo cannot ask for thousands of workers: the default is clamped
+    // (nothing is spawned here — defaultNumThreads only reads the value).
+    ::setenv("GPU_NUM_THREADS", "40000", 1);
+    EXPECT_EQ(ThreadPool::defaultNumThreads(), ThreadPool::kMaxThreads);
     if (old) ::setenv("GPU_NUM_THREADS", saved.c_str(), 1);
     else ::unsetenv("GPU_NUM_THREADS");
     EXPECT_GE(ThreadPool::defaultNumThreads(), 1);

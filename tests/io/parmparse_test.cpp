@@ -1,10 +1,14 @@
 #include "io/ParmParse.hpp"
 
+#include "gpu/ThreadPool.hpp"
+
 #include "TempDir.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -163,6 +167,53 @@ TEST(ParmParse, MakeConfigRejectsZeroRefRatio) {
 TEST(ParmParse, MakeConfigRejectsNonPositiveCfl) {
     expectRejected("crocco.cfl = 0", "crocco.cfl");
     expectRejected("crocco.cfl = -0.5", "crocco.cfl");
+}
+
+/// Sets (or, with nullptr, unsets) GPU_NUM_THREADS for one scope.
+class ScopedThreadsEnv {
+public:
+    explicit ScopedThreadsEnv(const char* value) {
+        if (const char* old = std::getenv("GPU_NUM_THREADS")) saved_ = old;
+        if (value) ::setenv("GPU_NUM_THREADS", value, 1);
+        else ::unsetenv("GPU_NUM_THREADS");
+    }
+    ~ScopedThreadsEnv() {
+        if (saved_) ::setenv("GPU_NUM_THREADS", saved_->c_str(), 1);
+        else ::unsetenv("GPU_NUM_THREADS");
+    }
+
+private:
+    std::optional<std::string> saved_;
+};
+
+TEST(ParmParse, MakeConfigRejectsThreadCountAboveCeiling) {
+    ScopedThreadsEnv env(nullptr);
+    expectRejected("gpu.num_threads = -1", "gpu.num_threads");
+    expectRejected("gpu.num_threads = 257", "gpu.num_threads");
+    expectRejected("gpu.num_threads = 40000", "gpu.num_threads");
+    ParmParse pp;
+    pp.parseText("gpu.num_threads = 256\n");
+    EXPECT_EQ(pp.makeConfig().gpuNumThreads, gpu::ThreadPool::kMaxThreads);
+}
+
+TEST(ParmParse, EnvironmentThreadCountOverridesDeckWithinCeiling) {
+    ParmParse pp;
+    pp.parseText("gpu.num_threads = 2\n");
+    {
+        ScopedThreadsEnv env("3");
+        EXPECT_EQ(pp.makeConfig().gpuNumThreads, 3);
+    }
+    for (const char* bad : {"40000", "257", "-2", "four", "3x", "2.9", ""}) {
+        ScopedThreadsEnv env(bad);
+        try {
+            (void)pp.makeConfig();
+            FAIL() << "accepted GPU_NUM_THREADS=" << bad;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("GPU_NUM_THREADS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 } // namespace

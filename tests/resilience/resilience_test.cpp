@@ -3,13 +3,18 @@
 #include "resilience/StateValidator.hpp"
 
 #include "core/CroccoAmr.hpp"
+#include "gpu/LaunchStats.hpp"
+#include "gpu/ThreadPool.hpp"
 #include "problems/Dmr.hpp"
 
 #include "RecoveryTrace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 namespace crocco::resilience {
@@ -151,6 +156,118 @@ TEST(StateValidator, HierarchyMergesLevels) {
     EXPECT_EQ(rep.cellsScanned, 1024);
     ASSERT_EQ(rep.faultCount, 1);
     EXPECT_EQ(rep.faults[0].level, 1);
+}
+
+// ------------------------------------------------ fab-parallel reductions
+
+/// Bits of a double, so a NaN fault value compares equal to itself.
+std::uint64_t bitsOf(double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof v);
+    return b;
+}
+
+TEST(FabParallelReductions, DtAndHealthIdenticalAtOneTwoFourEightThreads) {
+    // core::computeDt and validateState each run one ParallelForIndex launch
+    // per level and combine the per-fab partials in fab order, so dt, the
+    // ComputeDt reduction records and the HealthReport cannot depend on the
+    // thread count. The dmr_regrid shape: three levels of 8-cell boxes on
+    // eight ranks.
+    struct RestoreThreads {
+        int saved = gpu::numThreads();
+        ~RestoreThreads() { gpu::setNumThreads(saved); }
+    } restore;
+    problems::Dmr::Options o;
+    o.nx = 32;
+    o.ny = 8;
+    o.nz = 8;
+    o.maxLevel = 2;
+    problems::Dmr dmr(o);
+    auto cfg = dmr.solverConfig(core::CodeVersion::V20);
+    cfg.amrInfo.maxGridSize = 8;
+    cfg.nranks = 8;
+    parallel::SimComm comm(8);
+    core::CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping(), &comm);
+    solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+    ASSERT_EQ(solver.finestLevel(), 2);
+
+    // Faults in three fabs of every level, two per fab: 18 in all, more
+    // than the report keeps, spread over fabs the stripe schedule hands to
+    // different threads.
+    std::vector<MultiFab> U;
+    int nfabs = 0;
+    for (int lev = 0; lev <= solver.finestLevel(); ++lev) {
+        U.push_back(solver.state(lev));
+        MultiFab& mf = U.back();
+        nfabs += mf.numFabs();
+        ASSERT_GE(mf.numFabs(), 3) << "level " << lev;
+        for (int f : {0, mf.numFabs() / 2, mf.numFabs() - 1}) {
+            const IntVect lo = mf.validBox(f).smallEnd();
+            const IntVect hi = mf.validBox(f).bigEnd();
+            auto a = mf.array(f);
+            a(lo[0], lo[1], lo[2], core::UMX) =
+                std::numeric_limits<double>::quiet_NaN();
+            a(hi[0], hi[1], hi[2], core::URHO) = -0.5;
+        }
+    }
+    const int maxReported = 8;
+
+    struct Result {
+        double dt = 0.0;
+        std::vector<parallel::Message> dtRecords;
+        std::uint64_t launches = 0;
+        HealthReport health;
+    };
+    auto run = [&](int nthreads) {
+        gpu::setNumThreads(nthreads);
+        Result r;
+        r.dt = std::numeric_limits<double>::infinity();
+        const std::size_t mark = comm.log().count();
+        const std::uint64_t l0 = gpu::LaunchStats::count();
+        for (int lev = 0; lev <= solver.finestLevel(); ++lev)
+            r.dt = std::min(r.dt, core::computeDt(solver.state(lev),
+                                                  solver.metrics(lev),
+                                                  solver.geom(lev), cfg.gas,
+                                                  cfg.cfl));
+        r.health = validateHierarchy(U, solver.finestLevel(), cfg.gas, maxReported);
+        r.launches = gpu::LaunchStats::count() - l0;
+        const auto& log = comm.log().messages();
+        r.dtRecords.assign(log.begin() + static_cast<std::ptrdiff_t>(mark), log.end());
+        return r;
+    };
+
+    const Result ref = run(1);
+    ASSERT_TRUE(std::isfinite(ref.dt));
+    ASSERT_GT(ref.dt, 0.0);
+    // One modeled launch per fab for each of the two reductions.
+    EXPECT_EQ(ref.launches, static_cast<std::uint64_t>(2 * nfabs));
+    ASSERT_FALSE(ref.dtRecords.empty());
+    for (const auto& m : ref.dtRecords) EXPECT_EQ(m.tag, "ComputeDt");
+    EXPECT_EQ(ref.health.faultCount, 18);
+    ASSERT_EQ(ref.health.faults.size(), static_cast<std::size_t>(maxReported));
+
+    for (int nt : {2, 4, 8}) {
+        const Result r = run(nt);
+        EXPECT_EQ(bitsOf(r.dt), bitsOf(ref.dt)) << "threads=" << nt;
+        EXPECT_EQ(r.launches, ref.launches) << "threads=" << nt;
+        ASSERT_EQ(r.dtRecords.size(), ref.dtRecords.size()) << "threads=" << nt;
+        for (std::size_t i = 0; i < r.dtRecords.size(); ++i) {
+            const auto &a = r.dtRecords[i], &b = ref.dtRecords[i];
+            EXPECT_TRUE(a.src == b.src && a.dst == b.dst && a.bytes == b.bytes &&
+                        a.kind == b.kind && a.tag == b.tag && a.crc == b.crc)
+                << "threads=" << nt << " record " << i;
+        }
+        EXPECT_EQ(r.health.faultCount, ref.health.faultCount) << "threads=" << nt;
+        EXPECT_EQ(r.health.cellsScanned, ref.health.cellsScanned) << "threads=" << nt;
+        ASSERT_EQ(r.health.faults.size(), ref.health.faults.size()) << "threads=" << nt;
+        for (std::size_t i = 0; i < r.health.faults.size(); ++i) {
+            const CellFault &a = r.health.faults[i], &b = ref.health.faults[i];
+            EXPECT_TRUE(a.level == b.level && a.fabIndex == b.fabIndex &&
+                        a.cell == b.cell && a.comp == b.comp && a.kind == b.kind &&
+                        bitsOf(a.value) == bitsOf(b.value))
+                << "threads=" << nt << " fault " << i;
+        }
+    }
 }
 
 // ----------------------------------------------------------- FaultInjector

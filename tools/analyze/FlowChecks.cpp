@@ -553,7 +553,7 @@ const std::map<std::string, std::set<std::string>> kAllowedEdges = {
     {"chem", {}},
     {"core", {"amr", "gpu", "mesh", "perf", "resilience"}},
     {"gpu", {}},
-    {"io", {"core"}},
+    {"io", {"core", "gpu"}},
     {"machine", {"amr", "core", "gpu"}},
     {"mesh", {"amr"}},
     {"parallel", {}},

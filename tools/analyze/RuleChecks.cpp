@@ -119,8 +119,8 @@ void checkR3(const Project& project, std::vector<Finding>& out) {
 }
 
 // R4 — serial amr::forEachCell in the flux/transport kernel files. Kernels
-// iterate through gpu::ParallelFor so thread scaling and the race detector
-// cover them.
+// iterate through gpu::ParallelFor so A1 checks them against the
+// one-thread-per-cell contract and each counts its modeled launch.
 void checkR4(const Project& project, std::vector<Finding>& out) {
     static const char* kKernelFiles[] = {
         "src/core/Weno.cpp",  "src/core/Viscous.cpp",
@@ -138,8 +138,8 @@ void checkR4(const Project& project, std::vector<Finding>& out) {
             if (t.kind == TokKind::Identifier && t.text == "forEachCell")
                 add(out, "R4", sf.lexed.path, t.line,
                     "forEachCell in a kernel file — iterate through "
-                    "gpu::ParallelFor so thread scaling and the race "
-                    "detector cover the loop");
+                    "gpu::ParallelFor so the loop keeps the one-thread-"
+                    "per-cell contract (A1) and counts its modeled launch");
         }
     }
 }
