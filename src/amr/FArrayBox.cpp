@@ -21,8 +21,8 @@ FArrayBox::FArrayBox(const Box& b, int ncomp, Real initial)
     // past the box land on it instead of the next allocation.
     gpu::Arena::stampCanary(&data_.back());
 #ifdef CROCCO_CHECK
-    // A bare fab's storage is value-initialized above, so the whole
-    // allocation is genuinely Valid until markUninitialized() says otherwise.
+    // Every element was filled above, so the whole allocation is genuinely
+    // Valid until markUninitialized() says otherwise.
     shadow_.define(box_, box_, ncomp_, check::FabShadow::Valid);
 #endif
 }

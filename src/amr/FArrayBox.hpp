@@ -9,6 +9,9 @@
 #include "check/FabShadow.hpp"
 #endif
 
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace crocco::amr {
@@ -17,14 +20,20 @@ namespace crocco::amr {
 /// region — the box here is the *allocated* region). Mirrors
 /// amrex::FArrayBox: Fortran-order storage, components outermost.
 ///
-/// Check builds attach a check::FabShadow validity map: a bare fab starts
-/// fully Valid (its storage is value-initialized), while MultiFab::define
-/// calls markUninitialized() to poison the data and reset the map, so the
-/// first read of any never-filled cell is caught. The views returned by
+/// Fresh storage is allocated the way a device arena allocates it: resize()
+/// leaves new elements uninitialized, and only the (box, ncomp, initial)
+/// constructor fills. MultiFab::define, kernel scratch (viscousFlux,
+/// gpu::ScratchPool) allocate through resize().
+///
+/// Check builds attach a check::FabShadow validity map: a filled fab starts
+/// fully Valid, while the resize() callers follow up with
+/// markUninitialized() to poison the data and reset the map, so the first
+/// read of any never-written cell is caught. The views returned by
 /// array()/const_array() carry the shadow into kernels.
 class FArrayBox {
 public:
     FArrayBox() = default;
+    /// Every element set to `initial`: the one filling constructor.
     FArrayBox(const Box& b, int ncomp, Real initial = 0.0);
 
     const Box& box() const { return box_; }
@@ -78,15 +87,16 @@ public:
     bool ok() const { return !data_.empty(); }
 
     /// Rebind to a new box / component count, reusing the existing storage
-    /// when the element count matches (gpu::ScratchPool recycling).
-    /// Contents are unspecified afterwards; check builds reset the shadow
-    /// to fully Valid — callers wanting poison + Uninit tracking follow up
-    /// with markUninitialized().
+    /// when the element count matches (gpu::ScratchPool recycling). Nothing
+    /// is filled: kept elements hold what they held, new ones are
+    /// uninitialized. Only the trailing canary is re-stamped. Check builds
+    /// reset the shadow to fully Valid — callers wanting poison + Uninit
+    /// tracking follow up with markUninitialized().
     void resize(const Box& b, int ncomp);
 
     /// Check builds: poison the storage with signaling NaNs and reset the
     /// shadow map to Uninit with `validBox` as the non-ghost region (called
-    /// by MultiFab::define, where fabs model fresh device allocations).
+    /// after resize() wherever a fab models a fresh device allocation).
     /// No-op without CROCCO_CHECK.
     void markUninitialized(const Box& validBox);
 
@@ -100,9 +110,27 @@ public:
 #endif
 
 private:
+    /// std::allocator whose value-initialization default-initializes, so
+    /// vector::resize leaves new Reals unfilled.
+    template <typename T>
+    struct DefaultInitAllocator : std::allocator<T> {
+        template <typename U>
+        struct rebind {
+            using other = DefaultInitAllocator<U>;
+        };
+        template <typename U>
+        void construct(U* p) noexcept {
+            ::new (static_cast<void*>(p)) U;
+        }
+        template <typename U, typename... Args>
+        void construct(U* p, Args&&... args) {
+            ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+        }
+    };
+
     Box box_;
     int ncomp_ = 0;
-    std::vector<Real> data_;
+    std::vector<Real, DefaultInitAllocator<Real>> data_;
 #ifdef CROCCO_CHECK
     check::FabShadow shadow_;
 #endif

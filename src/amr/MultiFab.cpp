@@ -135,10 +135,10 @@ void MultiFab::define(const BoxArray& ba, const DistributionMapping& dm, int nco
     for (int i = 0; i < ba.size(); ++i) {
         if (!allocate[static_cast<std::size_t>(i)]) continue;
         FArrayBox& f = fabs_[static_cast<std::size_t>(i)];
-        f = FArrayBox(ba[i].grow(ngrow), ncomp);
-        // MultiFab storage models fresh device allocations: poison it and
-        // start the shadow map at Uninit so never-filled reads are caught
-        // (bare FArrayBoxes — kernel scratch — stay value-initialized).
+        // MultiFab storage models fresh device allocations: nothing fills
+        // it, and check builds poison it and start the shadow map at Uninit
+        // so never-written reads are caught.
+        f.resize(ba[i].grow(ngrow), ncomp);
         if constexpr (check::enabled) f.markUninitialized(ba[i]);
     }
 }

@@ -69,8 +69,12 @@ void viscousFlux(const Array4<const Real>& S, const Array4<const Real>& metrics,
     assert(gas.viscous() || sgs.active());
 
     // Kernel 1: primitive fields over the widest region (pass 2 reads +-2).
+    // Both scratch fabs are unfilled, as fresh device allocations are;
+    // check builds poison them so any read before the write is caught.
     const Box primBox = validBox.grow(4);
-    FArrayBox primFab(primBox, NPRIM);
+    FArrayBox primFab;
+    primFab.resize(primBox, NPRIM);
+    primFab.markUninitialized(primBox);
     auto q = primFab.array();
     // toPrim's expressions without its sound speed, which nothing reads.
     gpu::ParallelFor(primBox, [&](int i, int j, int k) {
@@ -99,7 +103,9 @@ void viscousFlux(const Array4<const Real>& S, const Array4<const Real>& metrics,
     // Kernel 2: stress tensor, heat flux, and the contravariant viscous
     // fluxes Theta^d at every cell the divergence stencil reads.
     const Box fluxBox = validBox.grow(2);
-    FArrayBox thetaFab(fluxBox, 12);
+    FArrayBox thetaFab;
+    thetaFab.resize(fluxBox, 12);
+    thetaFab.markUninitialized(fluxBox);
     auto th = thetaFab.array();
     auto qc = primFab.const_array();
     gpu::ParallelFor(fluxBox, [&](int i, int j, int k) {

@@ -51,11 +51,10 @@ ScratchPool::Lease ScratchPool::acquire(const amr::Box& box, int ncomp) {
             ++misses_;
         }
     }
-    if (fab) {
-        fab->resize(box, ncomp); // same element count: rebind, no realloc
-    } else {
-        fab = std::make_unique<amr::FArrayBox>(box, ncomp);
-    }
+    // A hit has the same element count: resize rebinds it, no realloc. A
+    // miss allocates unfilled storage, as a device allocation does.
+    if (!fab) fab = std::make_unique<amr::FArrayBox>();
+    fab->resize(box, ncomp);
 #ifdef CROCCO_CHECK
     // Hit or miss, scratch behaves like a fresh device allocation: poisoned
     // storage, Uninit shadow, fresh fab id.

@@ -24,9 +24,10 @@ using amr::Box;
 /// As AMReX does on CPUs, a cell launch (ParallelFor, ReduceMin, ReduceMax)
 /// is a plain loop over its box on the calling thread, and host parallelism
 /// is taken over fabs: ParallelForIndex runs one task per fab on the
-/// deterministic ThreadPool. Each task writes its own fab, so results are
-/// bitwise identical for every thread count; reductions over a MultiFab
-/// combine per-fab partials in fab order for the same guarantee.
+/// ThreadPool, whichever thread is free claiming the next fab. Each task
+/// writes its own fab, so results are bitwise identical for every thread
+/// count; reductions over a MultiFab combine per-fab partials in fab order
+/// for the same guarantee.
 ///
 /// Under -DCROCCO_CHECK every pool-parallel ParallelForIndex launch is
 /// watched by the check::RaceDetector: overlapping same-fab writes (or

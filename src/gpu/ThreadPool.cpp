@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -24,16 +26,18 @@ thread_local bool tlInTask = false;
 struct ThreadPool::Impl {
     std::mutex m;
     std::condition_variable wake;  // workers wait here for a new epoch
-    std::condition_variable done;  // caller waits here for stripe completion
+    std::condition_variable done;  // caller waits here for every check-in
     std::vector<std::thread> workers;
 
     // Job state, guarded by m (read by workers only between wake/done).
     const std::function<void(int)>* job = nullptr;
     int ntasks = 0;
-    int nthreads = 1;
     std::uint64_t epoch = 0; // bumped per run(); workers run once per epoch
     int remaining = 0;       // workers still executing the current epoch
     bool stop = false;
+    // Next unclaimed task of the current launch. Reset under m before the
+    // epoch is bumped, so every claimer sees the reset.
+    std::atomic<int> next{0};
 
     std::exception_ptr firstError;
     std::mutex errM;
@@ -42,12 +46,17 @@ struct ThreadPool::Impl {
     bool tracing = false;
     std::vector<TracedLaunch> trace;
 
-    void runStripe(int tid) {
+    /// Claim and run tasks until the launch has none left: whichever thread
+    /// is free takes the next fab, as a GPU hands each block to whichever
+    /// multiprocessor is free.
+    void claimTasks() {
         tlInTask = true;
         try {
-            for (int t = tid; t < ntasks; t += nthreads) {
+            for (;;) {
+                const int t = next.fetch_add(1);
+                if (t >= ntasks) break;
 #ifdef CROCCO_CHECK
-                // Bind this worker's Array4 accesses to task t; nested
+                // Bind this thread's Array4 accesses to task t; nested
                 // launches run inline here, so their accesses are charged to
                 // the enclosing task — exactly the serialization rule.
                 check::RaceDetector::TaskScope scope(t);
@@ -61,7 +70,7 @@ struct ThreadPool::Impl {
         tlInTask = false;
     }
 
-    void workerLoop(int tid) {
+    void workerLoop() {
         std::uint64_t seen = 0;
         for (;;) {
             {
@@ -70,7 +79,7 @@ struct ThreadPool::Impl {
                 if (stop) return;
                 seen = epoch;
             }
-            runStripe(tid);
+            claimTasks();
             {
                 std::lock_guard<std::mutex> lk(m);
                 if (--remaining == 0) done.notify_one();
@@ -79,9 +88,7 @@ struct ThreadPool::Impl {
     }
 
     void spawn(int n) {
-        nthreads = n;
-        for (int t = 1; t < n; ++t)
-            workers.emplace_back([this, t] { workerLoop(t); });
+        for (int t = 1; t < n; ++t) workers.emplace_back([this] { workerLoop(); });
     }
 
     void joinAll() {
@@ -116,10 +123,18 @@ ThreadPool& ThreadPool::instance() {
     return pool;
 }
 
+std::optional<int> ThreadPool::parseThreadCount(const char* text) {
+    const char* end = text + std::strlen(text);
+    int n = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, n);
+    if (ec != std::errc() || ptr != end) return std::nullopt;
+    return n;
+}
+
 int ThreadPool::defaultNumThreads() {
     if (const char* env = std::getenv("GPU_NUM_THREADS")) {
-        const int n = std::atoi(env);
-        if (n >= 1) return std::min(n, kMaxThreads);
+        const std::optional<int> n = parseThreadCount(env);
+        if (n && *n >= 1) return std::min(*n, kMaxThreads);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return std::clamp(static_cast<int>(hw), 1, kMaxThreads);
@@ -172,11 +187,12 @@ void ThreadPool::run(int ntasks, const std::function<void(int)>& f) {
         std::lock_guard<std::mutex> lk(impl_->m);
         impl_->job = &f;
         impl_->ntasks = ntasks;
+        impl_->next = 0;
         impl_->remaining = nthreads_ - 1;
         ++impl_->epoch;
     }
     impl_->wake.notify_all();
-    impl_->runStripe(0); // the caller is thread 0
+    impl_->claimTasks(); // the caller claims tasks too
     {
         std::unique_lock<std::mutex> lk(impl_->m);
         impl_->done.wait(lk, [&] { return impl_->remaining == 0; });

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 namespace crocco::gpu {
@@ -11,17 +12,18 @@ struct TracedLaunch {
     std::vector<double> taskNs;
 };
 
-/// Deterministic host thread pool behind gpu::ParallelForIndex, the one
-/// host-parallel launch: one task per fab (AMReX's CPU model, where each
-/// box's ParallelFor is a plain loop and parallelism is over boxes).
+/// Host thread pool behind gpu::ParallelForIndex, the one host-parallel
+/// launch: one task per fab (AMReX's CPU model, where each box's
+/// ParallelFor is a plain loop and parallelism is over boxes).
 ///
 /// Design constraints, in order:
-///  1. *Determinism.* There is no work stealing: task t always runs on
-///     thread t % numThreads(), so the task→thread assignment is a pure
-///     function of (ntasks, numThreads) and never of timing. Combined with
-///     fixed-order combination of per-fab partials (see MultiFab norms,
-///     core::computeDt), every result is bitwise independent of the thread
-///     count.
+///  1. *Deterministic results.* Tasks are claimed from one counter per
+///     launch, so whichever thread is free runs the next task, as a GPU
+///     hands each block to whichever multiprocessor is free. Which thread
+///     runs a task depends on timing; no result does: each task writes only
+///     its own data, and callers combine per-fab partials in fab order after
+///     the launch (see MultiFab norms, core::computeDt). Every result is
+///     therefore bitwise independent of the thread count.
 ///  2. *Safety under nesting.* A task that itself calls run() must not
 ///     deadlock: a nested run() detects it is inside a pool task and runs
 ///     serially on the calling worker, exactly as nested device launches
@@ -47,9 +49,15 @@ public:
     /// workers; must not be called from inside a pool task.
     void setNumThreads(int n);
 
-    /// GPU_NUM_THREADS env var if set, else hardware_concurrency(); clamped
-    /// to kMaxThreads.
+    /// GPU_NUM_THREADS env var if it is a positive integer, else
+    /// hardware_concurrency(); clamped to kMaxThreads. A malformed value
+    /// ('3x', '2.9') counts as unset.
     static int defaultNumThreads();
+
+    /// The whole of `text` as a decimal integer, or nullopt if any of it is
+    /// not ('', '3x', '2.9', out of int range). The one parse of
+    /// GPU_NUM_THREADS, shared with ParmParse::makeConfig.
+    static std::optional<int> parseThreadCount(const char* text);
 
     /// Run f(t) for every t in [0, ntasks). f must write disjoint data for
     /// distinct t (the per-cell kernel contract). Runs serially in task
@@ -61,8 +69,8 @@ public:
     /// Schedule tracing (bench/thread_scaling support). While active — it
     /// requires numThreads() == 1 — every top-level run() records its
     /// tasks' serial durations (ns), one TracedLaunch per launch, so a
-    /// bench can compute the critical path of the deterministic stripe
-    /// schedule (task t on thread t % T) at any hypothetical thread count
+    /// bench can compute the makespan of in-order claiming (each task to
+    /// the thread that becomes free first) at any hypothetical thread count
     /// without executing it. Nested launches are serial by contract and
     /// charge their parent task.
     void beginScheduleTrace();

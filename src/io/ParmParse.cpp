@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -212,14 +213,9 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     std::string threadsKey = "gpu.num_threads";
     if (const char* env = std::getenv("GPU_NUM_THREADS")) {
         threadsKey = "GPU_NUM_THREADS";
-        std::size_t used = 0;
-        try {
-            cfg.gpuNumThreads = std::stoi(env, &used);
-        } catch (const std::exception&) {
-            used = 0;
-        }
-        if (used == 0 || env[used] != '\0')
-            throw std::runtime_error("GPU_NUM_THREADS: not an integer");
+        const std::optional<int> n = gpu::ThreadPool::parseThreadCount(env);
+        if (!n) throw std::runtime_error("GPU_NUM_THREADS: not an integer");
+        cfg.gpuNumThreads = *n;
     }
     if (cfg.gpuNumThreads < 0 || cfg.gpuNumThreads > gpu::ThreadPool::kMaxThreads)
         throw std::runtime_error(threadsKey + ": must be in [0, " +

@@ -62,5 +62,52 @@ TEST(FArrayBox, L2Diff) {
     EXPECT_DOUBLE_EQ(FArrayBox::l2Diff(x, y, b, 0), 3.0);
 }
 
+// The storage contract: the (box, ncomp[, v]) constructor is the one that
+// fills; resize() leaves new storage unfilled, as a device allocation is,
+// and re-stamps only the trailing allocation canary.
+TEST(FArrayBox, ConstructorsFillEveryElement) {
+    const Box b(IntVect{-2, -1, 0}, IntVect{5, 6, 7});
+    {
+        // Leave a non-zero pattern on the heap where the next fabs of this
+        // size are likely to land.
+        FArrayBox dirty, dirty2;
+        dirty.resize(b, 3);
+        dirty2.resize(b, 3);
+        dirty.setVal(-7.25);
+        dirty2.setVal(-7.25);
+    }
+    const FArrayBox zero(b, 3);
+    const FArrayBox filled(b, 3, 2.5);
+    for (int n = 0; n < 3; ++n) {
+        EXPECT_EQ(zero.min(b, n), 0.0) << "comp " << n;
+        EXPECT_EQ(zero.max(b, n), 0.0) << "comp " << n;
+        EXPECT_EQ(filled.min(b, n), 2.5) << "comp " << n;
+        EXPECT_EQ(filled.max(b, n), 2.5) << "comp " << n;
+    }
+    EXPECT_TRUE(zero.canaryIntact());
+    EXPECT_TRUE(filled.canaryIntact());
+}
+
+TEST(FArrayBox, ResizeKeepsTheCanaryOnGrowthAndShrink) {
+    const Box small(IntVect::zero(), IntVect(3));
+    const Box large(IntVect{-1, -1, -1}, IntVect(9));
+    FArrayBox fab;
+    fab.resize(small, 2);
+    EXPECT_TRUE(fab.canaryIntact());
+    EXPECT_EQ(fab.size(), small.numPts() * 2);
+    fab.setVal(1.0);
+    fab.resize(large, 2); // growth: new storage, the canary moves to its end
+    EXPECT_TRUE(fab.canaryIntact());
+    EXPECT_EQ(fab.size(), large.numPts() * 2);
+    fab.setVal(1.0);
+    fab.resize(small, 1); // shrink: the old canary slot lies past the end
+    EXPECT_TRUE(fab.canaryIntact());
+    EXPECT_EQ(fab.size(), small.numPts());
+    fab.setVal(-1.0); // payload writes never touch the guard slot
+    EXPECT_TRUE(fab.canaryIntact());
+    EXPECT_EQ(fab.box(), small);
+    EXPECT_EQ(fab.nComp(), 1);
+}
+
 } // namespace
 } // namespace crocco::amr

@@ -203,10 +203,19 @@ TEST(CheckValidity, ScratchPoolRepoisonsRecycledLeases) {
     // launches and RK3 stages. A consumer reading a cell the current lease
     // has not yet written must abort in check builds — i.e. the pool
     // re-poisons recycled storage on every acquire, so a stale value from
-    // the previous holder can never be read silently.
+    // the previous holder can never be read silently. Every acquire is
+    // FArrayBox::resize + markUninitialized, the pair viscousFlux's
+    // unfilled scratch uses too, so a fresh lease trips on such a read as
+    // well.
     const Box box(IntVect(0, 0, 0), IntVect(7, 7, 7));
     {
         auto lease = gpu::ScratchPool::instance().acquire(box, 8);
+        {
+            check::ScopedFailureCapture cap;
+            (void)lease.fab().const_array()(3, 3, 3, 4);
+            EXPECT_EQ(cap.count(check::Kind::Uninit), 1u)
+                << "fresh scratch storage must start poisoned";
+        }
         auto a = lease.fab().array();
         a(3, 3, 3, 4) = 1.0; // the previous holder writes...
         EXPECT_EQ(lease.fab().const_array()(3, 3, 3, 4), 1.0);

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
@@ -71,20 +74,48 @@ TEST(ThreadPool, MultiFabReductionsBitwiseIdenticalAcrossThreadCounts) {
     }
 }
 
-TEST(ThreadPool, TaskToThreadAssignmentIsDeterministic) {
+TEST(ThreadPool, EveryTaskRunsExactlyOnce) {
+    ThreadGuard guard;
+    for (int nt : {1, 2, 4, 8}) {
+        setNumThreads(nt);
+        // Back-to-back launches of different sizes: each starts its claims
+        // from task 0 again, and none leaks into the next.
+        for (int ntasks : {1, 2, 7, 64, 1000}) {
+            std::vector<std::atomic<int>> runs(static_cast<std::size_t>(ntasks));
+            ThreadPool::instance().run(ntasks, [&](int t) {
+                runs[static_cast<std::size_t>(t)].fetch_add(1);
+            });
+            for (int t = 0; t < ntasks; ++t)
+                ASSERT_EQ(runs[static_cast<std::size_t>(t)].load(), 1)
+                    << "threads=" << nt << " ntasks=" << ntasks << " task " << t;
+        }
+    }
+}
+
+TEST(ThreadPool, StalledTaskDoesNotHoldUpTheRest) {
+    // Tasks go to whichever thread is free: while one thread is stuck in
+    // task 0, the other claims and finishes every other task. A fixed
+    // task-to-thread map would leave some of them queued behind task 0.
     ThreadGuard guard;
     setNumThreads(2);
     const int ntasks = 8;
-    std::vector<std::thread::id> owner(ntasks);
+    std::mutex m;
+    std::condition_variable cv;
+    int finished = 0;
+    int finishedWhileStalled = -1;
     ThreadPool::instance().run(ntasks, [&](int t) {
-        owner[static_cast<std::size_t>(t)] = std::this_thread::get_id();
+        std::unique_lock<std::mutex> lk(m);
+        if (t != 0) {
+            ++finished;
+            cv.notify_all();
+            return;
+        }
+        cv.wait_for(lk, std::chrono::seconds(5),
+                    [&] { return finished == ntasks - 1; });
+        finishedWhileStalled = finished;
     });
-    // No work stealing: task t runs on thread t % numThreads, so tasks with
-    // equal parity share a thread and opposite parity never mix.
-    for (int t = 2; t < ntasks; ++t)
-        EXPECT_EQ(owner[static_cast<std::size_t>(t)],
-                  owner[static_cast<std::size_t>(t - 2)]);
-    EXPECT_NE(owner[0], owner[1]);
+    EXPECT_EQ(finishedWhileStalled, ntasks - 1)
+        << "other tasks finished while task 0 waited";
 }
 
 TEST(ThreadPool, NestedLaunchesSerializeInsteadOfDeadlocking) {
@@ -160,6 +191,14 @@ TEST(ThreadPool, DefaultHonorsEnvironmentOverride) {
     // (nothing is spawned here — defaultNumThreads only reads the value).
     ::setenv("GPU_NUM_THREADS", "40000", 1);
     EXPECT_EQ(ThreadPool::defaultNumThreads(), ThreadPool::kMaxThreads);
+    // A malformed value counts as unset (ParmParse rejects it with the same
+    // parse): the default is hardware_concurrency(), not a prefix of the text.
+    ::unsetenv("GPU_NUM_THREADS");
+    const int unset = ThreadPool::defaultNumThreads();
+    for (const char* bad : {"3x", "2.9", "", "four"}) {
+        ::setenv("GPU_NUM_THREADS", bad, 1);
+        EXPECT_EQ(ThreadPool::defaultNumThreads(), unset) << "'" << bad << "'";
+    }
     if (old) ::setenv("GPU_NUM_THREADS", saved.c_str(), 1);
     else ::unsetenv("GPU_NUM_THREADS");
     EXPECT_GE(ThreadPool::defaultNumThreads(), 1);

@@ -192,8 +192,8 @@ TEST(FabParallelReductions, DtAndHealthIdenticalAtOneTwoFourEightThreads) {
     ASSERT_EQ(solver.finestLevel(), 2);
 
     // Faults in three fabs of every level, two per fab: 18 in all, more
-    // than the report keeps, spread over fabs the stripe schedule hands to
-    // different threads.
+    // than the report keeps, spread over first, middle and last fabs, which
+    // different threads claim at more than one thread.
     std::vector<MultiFab> U;
     int nfabs = 0;
     for (int lev = 0; lev <= solver.finestLevel(); ++lev) {

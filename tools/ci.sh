@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full CI sweep: the crocco-analyze lane (static analysis + deck-key
-# registry drift), the Release tier-1 suite, the benchmark self-test, the
-# fault-campaign seed matrix, the CROCCO_CHECK instrumentation suite, and the
-# sanitizer suites (ASan + UBSan, ThreadSanitizer) — each in its own build
-# tree so configurations never contaminate each other.
+# registry drift), the Release tier-1 suite (plain and on a perturbed
+# heap), the benchmark self-test, the fault-campaign seed matrix, the
+# CROCCO_CHECK instrumentation suite, and the sanitizer suites (ASan +
+# UBSan, ThreadSanitizer) — each in its own build tree so configurations
+# never contaminate each other.
 #
 #   tools/ci.sh            # run everything
 #   SKIP_SANITIZE=1 tools/ci.sh   # skip the (slow) sanitizer lanes
@@ -45,6 +46,14 @@ echo "== tier-1 (Release) =="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "$JOBS" >/dev/null
 (cd build-ci && ctest -j "$JOBS" --output-on-failure)
+
+echo "== tier-1 (Release) on a perturbed heap (MALLOC_PERTURB_=165) =="
+# Fab storage is not zero-filled (FArrayBox::resize), so a read of a
+# never-written cell would see whatever the heap held. glibc fills every
+# fresh allocation with a fixed non-zero byte pattern under this setting,
+# so such a read cannot hide behind zeros or a recycled buffer's values,
+# and any digest, CSV or bitwise comparison it reaches changes.
+(cd build-ci && MALLOC_PERTURB_=165 ctest -j "$JOBS" --output-on-failure)
 
 echo "== benchmark self-test (dmrbench/selftest.py, tiny sizes) =="
 # Every BENCHMARK.json workload at a tiny size: each metric printed with its
