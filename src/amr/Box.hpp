@@ -24,7 +24,6 @@ public:
     constexpr int bigEnd(int d) const { return hi_[d]; }
 
     constexpr bool ok() const { return lo_.allLE(hi_); }
-    constexpr bool isEmpty() const { return !ok(); }
 
     /// Number of cells along dimension d (0 if empty).
     constexpr int length(int d) const {

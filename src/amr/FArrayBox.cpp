@@ -8,6 +8,7 @@
 #include "check/RaceDetector.hpp"
 #endif
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -25,6 +26,22 @@ FArrayBox::FArrayBox(const Box& b, int ncomp, Real initial)
     // Valid until markUninitialized() says otherwise.
     shadow_.define(box_, box_, ncomp_, check::FabShadow::Valid);
 #endif
+}
+
+FArrayBox::FArrayBox(const FArrayBox& other) { *this = other; }
+
+FArrayBox& FArrayBox::operator=(const FArrayBox& other) {
+    if (this == &other) return *this;
+    box_ = other.box_;
+    ncomp_ = other.ncomp_;
+    // clear() first, so a reallocating resize has nothing to carry over.
+    data_.clear();
+    data_.resize(other.data_.size());
+    std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+#ifdef CROCCO_CHECK
+    shadow_ = other.shadow_;
+#endif
+    return *this;
 }
 
 void FArrayBox::resize(const Box& b, int ncomp) {

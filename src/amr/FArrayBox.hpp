@@ -36,6 +36,15 @@ public:
     /// Every element set to `initial`: the one filling constructor.
     FArrayBox(const Box& b, int ncomp, Real initial = 0.0);
 
+    /// Copies allocate unfilled storage and then copy the payload and the
+    /// canary in one std::copy (a memmove; the vector's own copy would
+    /// construct element by element through the allocator). Check builds
+    /// copy the shadow map too.
+    FArrayBox(const FArrayBox& other);
+    FArrayBox& operator=(const FArrayBox& other);
+    FArrayBox(FArrayBox&&) noexcept = default;
+    FArrayBox& operator=(FArrayBox&&) noexcept = default;
+
     const Box& box() const { return box_; }
     int nComp() const { return ncomp_; }
     /// Payload element count (box cells x components). The storage itself

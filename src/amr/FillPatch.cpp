@@ -41,25 +41,53 @@ Box interpDomain(const Geometry& fineGeom, int ng) {
     return d;
 }
 
-/// Interpolate every fab of `dst` from its coarse scratch fab over the
-/// boxes `pieces(i)` returns, one pool task per fab: a task writes dst fab
-/// i alone and reads only fab i of the const coarse and coordinate fabs.
-template <typename Pieces>
-void interpolateFabs(MultiFab& dst, const MultiFab& ctmp,
-                     const MultiFab& ctmpCoords, const MultiFab* fineCoords,
-                     const Interpolater& interp, const IntVect& ratio,
-                     Pieces&& pieces) {
+/// The one coarse-fill body, after InterpFromCoarseLevel and steps 3-5 of
+/// FillPatchTwoLevels: gather the coarse data needed under every fab of
+/// `dst` into a scratch MultiFab on dst's coarsened layout (the ParallelCopy
+/// FillPatch always performs, Fig. 7), apply the coarse BC, gather the
+/// coarse coordinates when the interpolator needs them, interpolate, and
+/// apply the fine BC. Each fab is filled over its in-domain cells, or with
+/// `uncoveredOnly` over the pieces of them no fine patch covers. One pool
+/// task per fab: a task writes dst fab i alone and reads only fab i of the
+/// const scratch and coordinate fabs.
+void fillFromCoarse(MultiFab& dst, const MultiFab& crseSrc,
+                    const Geometry& fineGeom, const Geometry& crseGeom,
+                    const IntVect& ratio, const Interpolater& interp,
+                    const PhysBCFunct& fineBC, const PhysBCFunct& crseBC,
+                    Real time, const MultiFab* fineCoords,
+                    const MultiFab* crseCoords, bool uncoveredOnly) {
+    const int ng = dst.nGrow();
+    const int ncomp = dst.nComp();
+    const int ngc = ceilDiv(ng, ratio.min()) + interp.nGrowCoarse();
+    const BoxArray cba = dst.boxArray().coarsen(ratio);
+    MultiFab ctmp(cba, dst.distributionMap(), ncomp, ngc, dst.comm());
+    ctmp.parallelCopy(crseSrc, 0, 0, ncomp, ngc, 0, "ParallelCopy", &crseGeom);
+    if (crseBC) crseBC(ctmp, crseGeom, time);
+
+    // Curvilinear interpolation additionally needs coarse physical
+    // coordinates under the same regions — the paper's *extra* global
+    // ParallelCopy that throttles CRoCCo 2.0's weak scaling (§VI-B).
+    const MultiFab ctmpCoords =
+        gatherCoarseCoords(interp, cba, dst, ngc, fineCoords, crseCoords);
+
+    const Box domain = interpDomain(fineGeom, ng);
     gpu::ParallelForIndex(dst.numFabs(), [&](int i) {
         InterpContext ctx;
         if (interp.needsCoordinates()) {
             ctx.crseCoords = &ctmpCoords.fab(i);
             ctx.fineCoords = &fineCoords->fab(i);
         }
-        for (const Box& piece : pieces(i))
-            interp.interp(ctmp.fab(i), dst.fab(i), piece, 0, 0, dst.nComp(),
-                          ratio, ctx);
+        const Box region = dst.grownBox(i) & domain;
+        const std::vector<Box> pieces =
+            uncoveredOnly ? uncoveredBy(region, dst.boxArray(), fineGeom)
+                          : std::vector<Box>{region};
+        for (const Box& piece : pieces)
+            interp.interp(ctmp.fab(i), dst.fab(i), piece, 0, 0, ncomp, ratio,
+                          ctx);
     });
+    if (fineBC) fineBC(dst, fineGeom, time);
 }
+
 } // namespace
 
 std::vector<Box> uncoveredBy(const Box& region, const BoxArray& ba,
@@ -92,33 +120,10 @@ void FillPatchTwoLevels(MultiFab& dst, const MultiFab& fineSrc,
     // covered by sibling fine patches (incl. periodic images).
     MultiFab::copy(dst, fineSrc, 0, 0, dst.nComp(), 0);
     dst.fillBoundary(fineGeom);
-
-    const int ng = dst.nGrow();
-    const int ncomp = dst.nComp();
-
-    // 3. Gather the coarse data needed under every fine ghost region into a
-    // scratch MultiFab aligned with dst's (coarsened) layout. This is the
-    // ParallelCopy communication FillPatch always performs (Fig. 7).
-    const int ngc = ceilDiv(ng, ratio.min()) + interp.nGrowCoarse();
-    const BoxArray cba = dst.boxArray().coarsen(ratio);
-    MultiFab ctmp(cba, dst.distributionMap(), ncomp, ngc, dst.comm());
-    ctmp.parallelCopy(crseSrc, 0, 0, ncomp, ngc, 0, "ParallelCopy", &crseGeom);
-    if (crseBC) crseBC(ctmp, crseGeom, time);
-
-    // Curvilinear interpolation additionally needs coarse physical
-    // coordinates under the same regions — the paper's *extra* global
-    // ParallelCopy that throttles CRoCCo 2.0's weak scaling (§VI-B).
-    MultiFab ctmpCoords = gatherCoarseCoords(interp, cba, dst, ngc, fineCoords,
-                                             crseCoords);
-
-    // 4. Interpolate coarse data into ghost cells no fine patch covers.
-    const Box domain = interpDomain(fineGeom, ng);
-    interpolateFabs(dst, ctmp, ctmpCoords, fineCoords, interp, ratio, [&](int i) {
-        return uncoveredBy(dst.grownBox(i) & domain, dst.boxArray(), fineGeom);
-    });
-
-    // 5. Physical boundary conditions.
-    if (fineBC) fineBC(dst, fineGeom, time);
+    // 3-5. Coarse data interpolated into the ghost cells no fine patch
+    // covers, then the physical BCs.
+    fillFromCoarse(dst, crseSrc, fineGeom, crseGeom, ratio, interp, fineBC,
+                   crseBC, time, fineCoords, crseCoords, /*uncoveredOnly=*/true);
 }
 
 void InterpFromCoarseLevel(MultiFab& dst, const MultiFab& crseSrc,
@@ -127,22 +132,8 @@ void InterpFromCoarseLevel(MultiFab& dst, const MultiFab& crseSrc,
                            const PhysBCFunct& fineBC, const PhysBCFunct& crseBC,
                            Real time, const MultiFab* fineCoords,
                            const MultiFab* crseCoords) {
-    const int ng = dst.nGrow();
-    const int ncomp = dst.nComp();
-    const int ngc = ceilDiv(ng, ratio.min()) + interp.nGrowCoarse();
-    const BoxArray cba = dst.boxArray().coarsen(ratio);
-    MultiFab ctmp(cba, dst.distributionMap(), ncomp, ngc, dst.comm());
-    ctmp.parallelCopy(crseSrc, 0, 0, ncomp, ngc, 0, "ParallelCopy", &crseGeom);
-    if (crseBC) crseBC(ctmp, crseGeom, time);
-
-    MultiFab ctmpCoords = gatherCoarseCoords(interp, cba, dst, ngc, fineCoords,
-                                             crseCoords);
-
-    const Box domain = interpDomain(fineGeom, ng);
-    interpolateFabs(dst, ctmp, ctmpCoords, fineCoords, interp, ratio, [&](int i) {
-        return std::vector<Box>{dst.grownBox(i) & domain};
-    });
-    if (fineBC) fineBC(dst, fineGeom, time);
+    fillFromCoarse(dst, crseSrc, fineGeom, crseGeom, ratio, interp, fineBC,
+                   crseBC, time, fineCoords, crseCoords, /*uncoveredOnly=*/false);
 }
 
 void linearExtrapolateGhost(FArrayBox& fab, const Box& interior, int srcComp,
@@ -190,42 +181,27 @@ void linearExtrapolateGhost(FArrayBox& fab, const Box& interior, int srcComp,
 void AverageDown(const MultiFab& fine, MultiFab& crse, const IntVect& ratio,
                  int srcComp, int destComp, int numComp) {
     const double volRatio = 1.0 / static_cast<double>(ratio.product());
-    // One pool task per coarse fab: it writes only that fab's valid cells
-    // and reads only the const fine level.
-    gpu::ParallelForIndex(crse.numFabs(), [&](int ci) {
-        auto c = crse.array(ci);
-        for (int fj = 0; fj < fine.numFabs(); ++fj) {
-            const Box overlap = crse.validBox(ci) & fine.validBox(fj).coarsen(ratio);
-            if (!overlap.ok()) continue;
-            auto f = fine.const_array(fj);
-            for (int n = 0; n < numComp; ++n) {
-                forEachCell(overlap, [&](int i, int j, int k) {
-                    double s = 0.0;
-                    for (int dk = 0; dk < ratio[2]; ++dk)
-                        for (int dj = 0; dj < ratio[1]; ++dj)
-                            for (int di = 0; di < ratio[0]; ++di)
-                                s += f(i * ratio[0] + di, j * ratio[1] + dj,
-                                       k * ratio[2] + dk, srcComp + n);
-                    c(i, j, k, destComp + n) = s * volRatio;
-                });
-            }
+    // Restrict on the fine ranks, onto the coarsened fine layout: one pool
+    // task per fine fab writes only its own coarsened fab.
+    MultiFab crseFine(fine.boxArray().coarsen(ratio), fine.distributionMap(),
+                      numComp, 0, crse.comm());
+    gpu::ParallelForIndex(fine.numFabs(), [&](int fj) {
+        auto c = crseFine.array(fj);
+        auto f = fine.const_array(fj);
+        for (int n = 0; n < numComp; ++n) {
+            forEachCell(crseFine.validBox(fj), [&](int i, int j, int k) {
+                double s = 0.0;
+                for (int dk = 0; dk < ratio[2]; ++dk)
+                    for (int dj = 0; dj < ratio[1]; ++dj)
+                        for (int di = 0; di < ratio[0]; ++di)
+                            s += f(i * ratio[0] + di, j * ratio[1] + dj,
+                                   k * ratio[2] + dk, srcComp + n);
+                c(i, j, k, n) = s * volRatio;
+            });
         }
     });
-    // The messages, recorded serially in (coarse, fine) order.
-    if (auto* comm = crse.comm()) {
-        for (int ci = 0; ci < crse.numFabs(); ++ci) {
-            for (int fj = 0; fj < fine.numFabs(); ++fj) {
-                const Box overlap =
-                    crse.validBox(ci) & fine.validBox(fj).coarsen(ratio);
-                if (!overlap.ok()) continue;
-                comm->recordP2P(fine.distributionMap()[fj],
-                                crse.distributionMap()[ci],
-                                overlap.numPts() * numComp *
-                                    static_cast<std::int64_t>(sizeof(Real)),
-                                "AverageDown");
-            }
-        }
-    }
+    // Then ship the result to the coarse owners through the one exchange.
+    crse.parallelCopy(crseFine, 0, destComp, numComp, 0, 0, "AverageDown");
     // Restriction rewrote coarse valid cells under the fine level, so any
     // coarse ghost data is out of date until the next exchange (check-build
     // shadow bookkeeping; no-op otherwise).

@@ -62,7 +62,10 @@ void InterpFromCoarseLevel(MultiFab& dst, const MultiFab& crseSrc,
                            const MultiFab* crseCoords = nullptr);
 
 /// Replace each coarse cell covered by fine patches with the average of the
-/// covering fine cells (Algorithm 2's AverageDown, restriction).
+/// covering fine cells (Algorithm 2's AverageDown, restriction). As
+/// amrex::average_down does, it restricts on the fine ranks onto the
+/// coarsened fine layout and ships the result with crse.parallelCopy
+/// (tag "AverageDown"), the one exchange every fab transfer uses.
 void AverageDown(const MultiFab& fine, MultiFab& crse, const IntVect& ratio,
                  int srcComp, int destComp, int numComp);
 

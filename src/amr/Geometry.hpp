@@ -13,7 +13,6 @@ struct Periodicity {
     std::array<bool, 3> periodic{false, false, false};
 
     bool isPeriodic(int d) const { return periodic[d]; }
-    bool anyPeriodic() const { return periodic[0] || periodic[1] || periodic[2]; }
 
     static Periodicity none() { return {}; }
     static Periodicity all() { return {{true, true, true}}; }

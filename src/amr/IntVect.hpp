@@ -58,7 +58,6 @@ public:
     constexpr bool allLE(const IntVect& o) const {
         return v_[0] <= o.v_[0] && v_[1] <= o.v_[1] && v_[2] <= o.v_[2];
     }
-    constexpr bool allGE(const IntVect& o) const { return o.allLE(*this); }
     constexpr bool allLT(const IntVect& o) const {
         return v_[0] < o.v_[0] && v_[1] < o.v_[1] && v_[2] < o.v_[2];
     }

@@ -65,47 +65,6 @@ void scrambleRegionBit(FArrayBox& f, const Box& region, int comp, int ncomp,
     }
 }
 
-/// The CRC-verified replay: descriptor by descriptor in build order, each
-/// off-rank payload delivered through SimComm::sendVerified (CRC stamp,
-/// fault injector, NACK + retransmit). The recorded stream matches the
-/// plain path (one message per off-rank descriptor, in build order), with
-/// fault traffic (retransmits, NACKs) appended where faults strike.
-void replayVerified(MultiFab& dst, const CommPattern& pattern,
-                    const MultiFab& src, int srcComp, int destComp,
-                    int numComp, const std::string& tag, bool p2p) {
-    for (const CopyDescriptor& d : pattern.copies) {
-        FArrayBox& to = dst.fab(d.dstFab);
-        const FArrayBox& from = src.fab(d.srcFab);
-        const int srcRank = src.distributionMap()[d.srcFab];
-        const int dstRank = dst.distributionMap()[d.dstFab];
-        if (srcRank == dstRank) {
-            to.copyFrom(from, d.region, srcComp, destComp, numComp, d.shift);
-            continue;
-        }
-        const Box srcRegion = d.region.shift(d.shift);
-        parallel::SimComm::Transfer t;
-        t.src = srcRank;
-        t.dst = dstRank;
-        t.bytes = d.npts * numComp * static_cast<std::int64_t>(sizeof(Real));
-        t.kind = p2p ? parallel::MessageKind::PointToPoint
-                     : parallel::MessageKind::ParallelCopy;
-        t.tag = tag;
-        t.deliver = [&] {
-            to.copyFrom(from, d.region, srcComp, destComp, numComp, d.shift);
-        };
-        t.payloadCrc = [&] {
-            return regionCrc(from, srcRegion, srcComp, numComp);
-        };
-        t.deliveredCrc = [&] {
-            return regionCrc(to, d.region, destComp, numComp);
-        };
-        t.scramble = [&](std::uint64_t w) {
-            scrambleRegionBit(to, d.region, destComp, numComp, w);
-        };
-        dst.comm()->sendVerified(t);
-    }
-}
-
 } // namespace
 
 MultiFab::MultiFab(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
@@ -168,43 +127,72 @@ void MultiFab::setVal(Real v, int comp, int ncomp) {
 void MultiFab::replay(const CommPattern& pattern, const MultiFab& src,
                       int srcComp, int destComp, int numComp,
                       const std::string& tag, bool p2p) {
-    // An attached fault injector is the one switch for the verified path.
-    // It stays serial: the injector draws its decisions in message order.
-    if (comm_ && comm_->faults()) {
-        replayVerified(*this, pattern, src, srcComp, destComp, numComp, tag,
-                       p2p);
-        return;
-    }
+    assert(pattern.dstSize == numFabs() &&
+           static_cast<int>(pattern.dstStart.size()) == numFabs() + 1);
+    // An attached fault injector is the one switch for the verified path:
+    // off-rank payloads then cross the hardened wire in the serial pass
+    // below instead of being copied here.
+    const bool verified = comm_ && comm_->faults();
+    const auto offRank = [&](const CopyDescriptor& d) {
+        return src.distributionMap()[d.srcFab] != dm_[d.dstFab];
+    };
     // One pool task per dst fab runs that fab's descriptors in build order.
     // A task writes only its own fab, and reads only src cells no task
     // writes (valid cells of siblings for fillBoundary, a different const
     // MultiFab for parallelCopy), so the copies are thread-count
     // independent; where grown sources overlap (the coordinate gather)
     // the later descriptor still lands last.
-    assert(pattern.dstSize == numFabs() &&
-           static_cast<int>(pattern.dstStart.size()) == numFabs() + 1);
     gpu::ParallelForIndex(numFabs(), [&](int f) {
         const auto fi = static_cast<std::size_t>(f);
         for (int c = pattern.dstStart[fi]; c < pattern.dstStart[fi + 1]; ++c) {
             const CopyDescriptor& d = pattern.copies[static_cast<std::size_t>(c)];
+            if (verified && offRank(d)) continue;
             fabs_[fi].copyFrom(src.fab(d.srcFab), d.region, srcComp, destComp,
                                numComp, d.shift);
         }
     });
     if (!comm_) return;
-    // The record is written in one serial pass in build order, so SimComm
-    // sees the message stream a serial replay would send, byte for byte
-    // (a dead rank raises RankFailure at the same message).
+    // The off-rank messages, in one serial pass in build order, so SimComm
+    // sees the message stream a serial replay would send, byte for byte (a
+    // dead rank raises RankFailure at the same message), and the injector
+    // draws its decisions in message order. Verified, each payload lands
+    // here through SimComm::sendVerified (CRC stamp, injected fault, NACK +
+    // retransmit), after every on-rank copy of the call. That order shows
+    // only where descriptors overlap, in the coordinate gather, whose
+    // sources agree on every cell they share.
     const auto kind = p2p ? parallel::MessageKind::PointToPoint
                           : parallel::MessageKind::ParallelCopy;
     for (const CopyDescriptor& d : pattern.copies) {
+        if (!offRank(d)) continue; // on-rank copies never hit the network
         const int srcRank = src.distributionMap()[d.srcFab];
         const int dstRank = dm_[d.dstFab];
-        if (srcRank == dstRank) continue; // on-rank copies never hit the network
-        comm_->recordMessage(srcRank, dstRank,
-                             d.npts * numComp *
-                                 static_cast<std::int64_t>(sizeof(Real)),
-                             kind, tag);
+        const std::int64_t bytes =
+            d.npts * numComp * static_cast<std::int64_t>(sizeof(Real));
+        if (!verified) {
+            comm_->recordMessage(srcRank, dstRank, bytes, kind, tag);
+            continue;
+        }
+        FArrayBox& to = fabs_[static_cast<std::size_t>(d.dstFab)];
+        const FArrayBox& from = src.fab(d.srcFab);
+        parallel::SimComm::Transfer t;
+        t.src = srcRank;
+        t.dst = dstRank;
+        t.bytes = bytes;
+        t.kind = kind;
+        t.tag = tag;
+        t.deliver = [&] {
+            to.copyFrom(from, d.region, srcComp, destComp, numComp, d.shift);
+        };
+        t.payloadCrc = [&] {
+            return regionCrc(from, d.region.shift(d.shift), srcComp, numComp);
+        };
+        t.deliveredCrc = [&] {
+            return regionCrc(to, d.region, destComp, numComp);
+        };
+        t.scramble = [&](std::uint64_t w) {
+            scrambleRegionBit(to, d.region, destComp, numComp, w);
+        };
+        comm_->sendVerified(t);
     }
 }
 

@@ -37,7 +37,6 @@ public:
                 int ngrow, parallel::SimComm* comm,
                 const std::vector<bool>& allocate);
 
-    bool isDefined() const { return !fabs_.empty(); }
     const BoxArray& boxArray() const { return ba_; }
     const DistributionMapping& distributionMap() const { return dm_; }
     int nComp() const { return ncomp_; }
@@ -120,14 +119,15 @@ public:
     void invalidateGhosts();
 
 private:
-    /// Execute a cached/built communication pattern: perform the data copies
-    /// and record the SimComm messages (point-to-point for fillBoundary,
-    /// ParallelCopy messages otherwise) in build order. The copies run as
-    /// one pool task per destination fab (that fab's descriptors in build
-    /// order); the messages are then recorded in one serial pass in build
-    /// order, so the record does not depend on the thread count. With a
-    /// CommFaults injector attached the whole replay is the serial,
-    /// CRC-verified exchange instead.
+    /// Execute a cached/built communication pattern: the one exchange body
+    /// of every inter-rank fab copy. The copies run as one pool task per
+    /// destination fab (that fab's descriptors in build order); the
+    /// off-rank messages (point-to-point for fillBoundary, ParallelCopy
+    /// otherwise) are then taken in one serial pass in build order, so the
+    /// record does not depend on the thread count. With a CommFaults
+    /// injector attached, the pool copies only the on-rank descriptors and
+    /// the serial pass delivers each off-rank payload through the
+    /// CRC-verified SimComm::sendVerified.
     void replay(const CommPattern& pattern, const MultiFab& src, int srcComp,
                 int destComp, int numComp, const std::string& tag, bool p2p);
 

@@ -414,8 +414,7 @@ void CroccoAmr::step() {
         if (!sdc) {
             if (faultInjector_) faultInjector_->corruptState(step_, U_, finestLevel());
             perf::TinyProfiler::Scope scope(prof_, "HealthCheck");
-            rep = resilience::validateHierarchy(U_, finestLevel(), cfg_.gas,
-                                                cfg_.guard.maxFaultsReported);
+            rep = resilience::validateHierarchy(U_, finestLevel(), cfg_.gas);
         }
         if (!sdc && rep.healthy()) {
             lastHealth_ = std::move(rep);
@@ -433,7 +432,7 @@ void CroccoAmr::step() {
             if (sdc) throw *sdc;
             throw resilience::SolverDivergence(step_, dt_, std::move(rep));
         }
-        if (!sdc) dt_ *= cfg_.guard.dtBackoff;
+        if (!sdc) dt_ *= resilience::kDtBackoff;
     }
     time_ += dt_;
     ++step_;

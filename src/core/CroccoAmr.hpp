@@ -106,7 +106,7 @@ public:
     /// The advanced state is health-checked, and a failed scan or an
     /// SdcFault from the dual execution rolls the step back and retries
     /// it, up to guard.maxRetries times; only a health fault retries with
-    /// dt * guard.dtBackoff. Exhaustion restores the pre-step state and
+    /// dt * resilience::kDtBackoff. Exhaustion restores the pre-step state and
     /// throws resilience::SolverDivergence (or rethrows the SdcFault).
     void step();
     /// Advance `nsteps` steps, writing the recovery sources `opts` names.

@@ -123,7 +123,7 @@ ThreadPool& ThreadPool::instance() {
     return pool;
 }
 
-std::optional<int> ThreadPool::parseThreadCount(const char* text) {
+std::optional<int> ThreadPool::parseInt(const char* text) {
     const char* end = text + std::strlen(text);
     int n = 0;
     const auto [ptr, ec] = std::from_chars(text, end, n);
@@ -133,7 +133,7 @@ std::optional<int> ThreadPool::parseThreadCount(const char* text) {
 
 int ThreadPool::defaultNumThreads() {
     if (const char* env = std::getenv("GPU_NUM_THREADS")) {
-        const std::optional<int> n = parseThreadCount(env);
+        const std::optional<int> n = parseInt(env);
         if (n && *n >= 1) return std::min(*n, kMaxThreads);
     }
     const unsigned hw = std::thread::hardware_concurrency();

@@ -55,9 +55,9 @@ public:
     static int defaultNumThreads();
 
     /// The whole of `text` as a decimal integer, or nullopt if any of it is
-    /// not ('', '3x', '2.9', out of int range). The one parse of
-    /// GPU_NUM_THREADS, shared with ParmParse::makeConfig.
-    static std::optional<int> parseThreadCount(const char* text);
+    /// not ('', '3x', '2.9', out of int range). The one integer parse of
+    /// GPU_NUM_THREADS and of every integer deck key (ParmParse::query).
+    static std::optional<int> parseInt(const char* text);
 
     /// Run f(t) for every t in [0, ntasks). f must write disjoint data for
     /// distinct t (the per-cell kernel contract). Runs serially in task

@@ -19,6 +19,18 @@ std::string trim(const std::string& s) {
     return s.substr(a, b - a + 1);
 }
 
+/// The whole of `text` as a double; anything left over (`0.5abc`), or no
+/// number at all, throws naming `key`.
+double parseDouble(const std::string& key, const std::string& text) {
+    try {
+        std::size_t used = 0;
+        const double v = std::stod(text, &used);
+        if (used == text.size()) return v;
+    } catch (const std::logic_error&) { // invalid_argument, out_of_range
+    }
+    throw std::runtime_error(key + ": not a number: '" + text + "'");
+}
+
 } // namespace
 
 void ParmParse::parseText(const std::string& text) {
@@ -79,7 +91,10 @@ bool ParmParse::contains(const std::string& key) const {
 
 bool ParmParse::query(const std::string& key, int& out) const {
     if (const auto* v = find(key)) {
-        out = std::stoi(v->front());
+        const std::optional<int> n = gpu::ThreadPool::parseInt(v->front().c_str());
+        if (!n)
+            throw std::runtime_error(key + ": not an integer: '" + v->front() + "'");
+        out = *n;
         return true;
     }
     return false;
@@ -87,7 +102,7 @@ bool ParmParse::query(const std::string& key, int& out) const {
 
 bool ParmParse::query(const std::string& key, double& out) const {
     if (const auto* v = find(key)) {
-        out = std::stod(v->front());
+        out = parseDouble(key, v->front());
         return true;
     }
     return false;
@@ -96,7 +111,9 @@ bool ParmParse::query(const std::string& key, double& out) const {
 bool ParmParse::query(const std::string& key, bool& out) const {
     if (const auto* v = find(key)) {
         const std::string& s = v->front();
-        out = (s == "1" || s == "true" || s == "yes" || s == "on");
+        if (s == "1" || s == "true" || s == "yes" || s == "on") out = true;
+        else if (s == "0" || s == "false" || s == "no" || s == "off") out = false;
+        else throw std::runtime_error(key + ": not a boolean: '" + s + "'");
         return true;
     }
     return false;
@@ -113,7 +130,7 @@ bool ParmParse::query(const std::string& key, std::string& out) const {
 bool ParmParse::queryArr(const std::string& key, std::vector<double>& out) const {
     if (const auto* v = find(key)) {
         out.clear();
-        for (const auto& s : *v) out.push_back(std::stod(s));
+        for (const auto& s : *v) out.push_back(parseDouble(key, s));
         return true;
     }
     return false;
@@ -213,7 +230,7 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     std::string threadsKey = "gpu.num_threads";
     if (const char* env = std::getenv("GPU_NUM_THREADS")) {
         threadsKey = "GPU_NUM_THREADS";
-        const std::optional<int> n = gpu::ThreadPool::parseThreadCount(env);
+        const std::optional<int> n = gpu::ThreadPool::parseInt(env);
         if (!n) throw std::runtime_error("GPU_NUM_THREADS: not an integer");
         cfg.gpuNumThreads = *n;
     }
@@ -223,12 +240,8 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
                                  "] (0 = auto)");
 
     query("resilience.max_retries", cfg.guard.maxRetries);
-    query("resilience.dt_backoff", cfg.guard.dtBackoff);
-    query("resilience.max_faults_reported", cfg.guard.maxFaultsReported);
     if (cfg.guard.maxRetries < 0)
         throw std::runtime_error("resilience.max_retries: must be >= 0");
-    if (cfg.guard.dtBackoff <= 0.0 || cfg.guard.dtBackoff >= 1.0)
-        throw std::runtime_error("resilience.dt_backoff: must be in (0, 1)");
     query("resilience.sdc_guard", cfg.sdc.guard);
     query("resilience.sdc_interval", cfg.sdc.interval);
     query("resilience.sdc_sample", cfg.sdc.sample);

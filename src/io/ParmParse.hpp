@@ -30,7 +30,9 @@ public:
     bool contains(const std::string& key) const;
 
     /// Typed lookups; the `query` forms leave `out` untouched when the key
-    /// is absent, the `get` forms throw.
+    /// is absent, the `get` forms throw. A value is read whole: an integer
+    /// or a number with trailing text (`3x`, `0.5abc`), or a boolean other
+    /// than 1/0, true/false, yes/no, on/off, throws naming the key.
     bool query(const std::string& key, int& out) const;
     bool query(const std::string& key, double& out) const;
     bool query(const std::string& key, bool& out) const;
@@ -57,7 +59,6 @@ public:
     ///   crocco.les_cs, gas.gamma, gas.r, gas.mu_ref, gas.prandtl,
     ///   gpu.num_threads (0 = auto; the GPU_NUM_THREADS environment
     ///   variable overrides the deck), resilience.max_retries (>= 0),
-    ///   resilience.dt_backoff (in (0,1)), resilience.max_faults_reported,
     ///   resilience.sdc_guard, resilience.sdc_interval (>= 1),
     ///   resilience.sdc_sample (>= 0).
     /// Unset keys keep the passed-in defaults; docs/deck-keys.md lists every

@@ -21,8 +21,6 @@ public:
     explicit FaultRng(std::uint64_t masterSeed = 0xC40CC0DEull)
         : master_(masterSeed) {}
 
-    std::uint64_t masterSeed() const { return master_; }
-
     /// Seed for the named substream: deterministic in (master, name) only.
     std::uint64_t seedFor(std::string_view name) const {
         return substreamSeed(master_, name);

@@ -14,11 +14,11 @@ const char* toString(FaultKind k) {
     return "unknown";
 }
 
-void HealthReport::merge(const HealthReport& other, int maxReported) {
+void HealthReport::merge(const HealthReport& other) {
     cellsScanned += other.cellsScanned;
     faultCount += other.faultCount;
     for (const CellFault& f : other.faults) {
-        if (static_cast<int>(faults.size()) >= maxReported) break;
+        if (static_cast<int>(faults.size()) >= kMaxFaultsReported) break;
         faults.push_back(f);
     }
 }

@@ -12,12 +12,15 @@ namespace crocco::resilience {
 /// Per-step guard policy of the solver driver (see docs/resilience.md):
 /// after every RK3 step the conserved state is scanned for corruption and,
 /// on failure, the step is rolled back and retried with a smaller dt. The
-/// guard is always on; these are its budgets.
+/// guard is always on; its retry budget is its one setting.
 struct GuardConfig {
-    int maxRetries = 3;        ///< rollback/retry attempts before giving up
-    double dtBackoff = 0.5;    ///< dt multiplier applied on each retry
-    int maxFaultsReported = 8; ///< offending cells kept in a HealthReport
+    int maxRetries = 3; ///< rollback/retry attempts before giving up
 };
+
+/// dt multiplier applied on each retry after a health fault.
+inline constexpr double kDtBackoff = 0.5;
+/// Offending cells kept in a HealthReport.
+inline constexpr int kMaxFaultsReported = 8;
 
 /// What a state scan found wrong with one cell.
 enum class FaultKind {
@@ -42,8 +45,8 @@ struct CellFault {
 
 /// Result of a StateValidator scan over one level or a whole hierarchy.
 /// `faultCount` counts every fault seen; `faults` keeps only the first
-/// `GuardConfig::maxFaultsReported` so a fully corrupted field cannot blow
-/// up the report itself.
+/// kMaxFaultsReported so a fully corrupted field cannot blow up the report
+/// itself.
 struct HealthReport {
     std::int64_t cellsScanned = 0;
     std::int64_t faultCount = 0;
@@ -52,7 +55,7 @@ struct HealthReport {
     bool healthy() const { return faultCount == 0; }
 
     /// Merge another level's report into this one (keeps the fault cap).
-    void merge(const HealthReport& other, int maxReported);
+    void merge(const HealthReport& other);
 
     /// Human-readable one-or-few-line summary for logs and error messages.
     std::string describe() const;

@@ -31,12 +31,6 @@ void SdcInjector::setColdRate(double rate) {
     coldRate_ = rate;
 }
 
-void SdcInjector::schedule(int firstStep, int period) {
-    assert(period > 0);
-    schedFirst_ = firstStep;
-    schedPeriod_ = period;
-}
-
 void SdcInjector::armColdFlip(int step, int level, int fab) {
     coldArms_.push_back({step, level, fab, /*ghost=*/false, /*spent=*/false});
 }
@@ -93,13 +87,6 @@ bool SdcInjector::corruptCold(int step, std::vector<amr::MultiFab>& U,
             flipValidBit(mf, arm.fab);
             ++stats_.coldFlips;
         }
-        fired = true;
-    }
-    if (schedPeriod_ > 0 && step >= schedFirst_ &&
-        (step - schedFirst_) % schedPeriod_ == 0) {
-        amr::MultiFab& mf = U[0];
-        flipValidBit(mf, draw(rng_, 0, mf.numFabs() - 1));
-        ++stats_.coldFlips;
         fired = true;
     }
     if (coldRate_ > 0.0) {

@@ -12,10 +12,10 @@ namespace crocco::resilience {
 /// Seeded silent-data-corruption injector: flips single bits in MultiFab
 /// payloads (cold state at rest between steps) and in RK3 stage kernel
 /// outputs, the way DRAM/register upsets hit a long GPU campaign. Follows
-/// the CommFaults conventions: faults are armed one-shots, a per-step
-/// schedule, or rate-driven (per-fab Bernoulli), and a disabled injector
-/// consumes no randomness, so enabling it never shifts the decision
-/// streams of the other injectors (see FaultRng).
+/// the CommFaults conventions: faults are armed one-shots or rate-driven
+/// (per-fab Bernoulli), and a disabled injector consumes no randomness, so
+/// enabling it never shifts the decision streams of the other injectors
+/// (see FaultRng).
 ///
 /// The injector only flips; detection and repair are FabGuard's and the
 /// solver's recovery path's business. Cold flips land in the *valid*
@@ -39,11 +39,6 @@ public:
     /// at the start of a step (one uniform draw per fab per step while
     /// enabled and the rate is > 0).
     void setColdRate(double rate);
-    double coldRate() const { return coldRate_; }
-
-    /// Per-step schedule: starting at `firstStep`, every `period` steps one
-    /// cold flip hits a pseudo-randomly chosen fab of level 0.
-    void schedule(int firstStep, int period);
 
     /// Arm a one-shot cold flip into fab `fab` of `level` at the start of
     /// step `step` (valid region — guarded state).
@@ -98,8 +93,6 @@ private:
 
     std::mt19937_64 rng_;
     double coldRate_ = 0.0;
-    int schedFirst_ = -1;
-    int schedPeriod_ = 0;
     bool enabled_ = false;
     std::vector<ColdArm> coldArms_;
     std::vector<StageArm> stageArms_;

@@ -17,12 +17,12 @@ using core::UMZ;
 using core::URHO;
 
 HealthReport validateState(const amr::MultiFab& U, const core::GasModel& gas,
-                           int level, int maxReported) {
+                           int level) {
     HealthReport rep;
     auto note = [&](int fab, int i, int j, int k, int comp, FaultKind kind,
                     double value) {
         ++rep.faultCount;
-        if (static_cast<int>(rep.faults.size()) < maxReported)
+        if (static_cast<int>(rep.faults.size()) < kMaxFaultsReported)
             rep.faults.push_back(
                 {level, fab, IntVect{i, j, k}, comp, kind, value});
     };
@@ -58,8 +58,8 @@ HealthReport validateState(const amr::MultiFab& U, const core::GasModel& gas,
         if (bad[static_cast<std::size_t>(f)] <= 0.0) continue;
         // Phase 2 — serial report pass, only over fabs the prescreen
         // flagged, in fab order and then cell order, so faultCount and the
-        // first-maxReported fault list are reproducible across thread
-        // counts.
+        // first-kMaxFaultsReported fault list are reproducible across
+        // thread counts.
         amr::forEachCell(b, [&](int i, int j, int k) {
             bool finite = true;
             for (int n = 0; n < NCONS; ++n) {
@@ -91,13 +91,10 @@ HealthReport validateState(const amr::MultiFab& U, const core::GasModel& gas,
 }
 
 HealthReport validateHierarchy(const std::vector<amr::MultiFab>& U,
-                               int finestLevel, const core::GasModel& gas,
-                               int maxReported) {
+                               int finestLevel, const core::GasModel& gas) {
     HealthReport rep;
     for (int lev = 0; lev <= finestLevel; ++lev)
-        rep.merge(validateState(U[static_cast<std::size_t>(lev)], gas, lev,
-                                maxReported),
-                  maxReported);
+        rep.merge(validateState(U[static_cast<std::size_t>(lev)], gas, lev));
     return rep;
 }
 

@@ -18,12 +18,11 @@ namespace crocco::resilience {
 /// (the paper's DMR regime): blow-ups first appear as negative density or
 /// pressure, then as NaN everywhere.
 HealthReport validateState(const amr::MultiFab& U, const core::GasModel& gas,
-                           int level, int maxReported = 8);
+                           int level);
 
 /// Scan levels 0..finestLevel of a hierarchy; reports are merged with the
 /// same fault cap.
 HealthReport validateHierarchy(const std::vector<amr::MultiFab>& U,
-                               int finestLevel, const core::GasModel& gas,
-                               int maxReported = 8);
+                               int finestLevel, const core::GasModel& gas);
 
 } // namespace crocco::resilience

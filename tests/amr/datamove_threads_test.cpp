@@ -4,13 +4,17 @@
 // runs in one process at 1 and at 4 threads and must leave bitwise-equal
 // fabs and an identical CommLog message vector; with a dead rank, the
 // RankFailure must be raised at the same message, after the same log
-// prefix.
+// prefix; under a seeded fault injector (the CRC-verified exchange), the
+// fabs must also equal the injector-free run's.
 #include "amr/FillPatch.hpp"
 #include "core/BCFill.hpp"
+#include "parallel/CommFaults.hpp"
 #include "gpu/ThreadPool.hpp"
 #include "mesh/CoordStore.hpp"
 #include "parallel/SimComm.hpp"
 #include "problems/Dmr.hpp"
+
+#include "FaultCampaign.hpp"
 
 #include <gtest/gtest.h>
 
@@ -204,10 +208,13 @@ struct TwoLevels {
 };
 
 /// FillPatchTwoLevels, InterpFromCoarseLevel and AverageDown in sequence
-/// under one physical BC functor.
+/// under one physical BC functor, with `faults` (if any) attached to the
+/// communicator.
 Outcome fillPatchScenario(
-    const std::function<PhysBCFunct(const problems::Dmr&)>& makeBC) {
+    const std::function<PhysBCFunct(const problems::Dmr&)>& makeBC,
+    parallel::CommFaults* faults = nullptr) {
     TwoLevels s;
+    s.comm.attachFaults(faults);
     const PhysBCFunct bc = makeBC(s.dmr);
     const CurvilinearInterp interp;
     MultiFab patched(s.ba1, s.dm1, core::NCONS, 4, &s.comm);
@@ -277,6 +284,34 @@ TEST(DataMovementThreads, FillPatchInterpAndAverageDownWithStandardBCs) {
             [](const problems::Dmr&) { return core::makeBCFunct(mixedSpec()); });
     });
     EXPECT_FALSE(o.log.empty());
+}
+
+TEST(DataMovementThreads, VerifiedExchangeUnderSeededFaults) {
+    // A fresh injector per run, seeded and not persistent: both thread
+    // counts see the same decision stream, every fault is repaired, and
+    // the fabs are the injector-free run's.
+    const auto dmrBC = [](const problems::Dmr& dmr) {
+        return dmr.boundaryConditions();
+    };
+    parallel::CommFaults::Stats injected;
+    const Outcome verified = expectThreadCountInvariant([&] {
+        parallel::CommFaults faults(2026);
+        parallel::CommFaults::Rates r;
+        r.drop = 0.05;
+        r.duplicate = 0.05;
+        r.delay = 0.05;
+        r.corrupt = 0.05;
+        faults.setRates(r);
+        Outcome out = fillPatchScenario(dmrBC, &faults);
+        parallel::CommLog log;
+        for (const parallel::Message& m : out.log) log.record(m);
+        testing::expectWireAccountsForInjectedFaults(log, faults.stats());
+        injected = faults.stats();
+        return out;
+    });
+    EXPECT_GT(injected.drops + injected.delays + injected.corruptions, 0);
+    const Outcome plain = fillPatchScenario(dmrBC);
+    EXPECT_EQ(verified.bits, plain.bits);
 }
 
 TEST(DataMovementThreads, DeadRankFailsAtTheSameMessage) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 namespace crocco::amr {
 namespace {
@@ -107,6 +111,49 @@ TEST(FArrayBox, ResizeKeepsTheCanaryOnGrowthAndShrink) {
     EXPECT_TRUE(fab.canaryIntact());
     EXPECT_EQ(fab.box(), small);
     EXPECT_EQ(fab.nComp(), 1);
+}
+
+/// Every stored element of `f` as bits: the payload, then the canary.
+std::vector<std::uint64_t> storedBits(const FArrayBox& f) {
+    const Real* p = f.const_array().p;
+    std::vector<std::uint64_t> out;
+    for (std::int64_t e = 0; e <= f.size(); ++e)
+        out.push_back(std::bit_cast<std::uint64_t>(p[e]));
+    return out;
+}
+
+TEST(FArrayBox, CopiesAreBitForBitCanaryIncluded) {
+    const Box b(IntVect{-2, -1, 0}, IntVect{5, 6, 7});
+    FArrayBox src;
+    src.resize(b, 3);
+    auto a = src.array();
+    for (int n = 0; n < 3; ++n)
+        forEachCell(b, [&](int i, int j, int k) {
+            a(i, j, k, n) = 0.25 * i - 1.5 * j + k + 100.0 * n;
+        });
+    a(-2, -1, 0, 0) = -0.0;
+    a(5, 6, 7, 2) = std::numeric_limits<Real>::quiet_NaN();
+
+    const FArrayBox copy(src);
+    EXPECT_EQ(copy.box(), b);
+    EXPECT_EQ(copy.nComp(), 3);
+    EXPECT_EQ(storedBits(copy), storedBits(src));
+    EXPECT_TRUE(copy.canaryIntact());
+
+    // A tripped canary is copied as it is, and assignment into fabs of
+    // other sizes, larger and smaller, leaves the same bits.
+    src.array().p[src.size()] = 1.0;
+    ASSERT_FALSE(src.canaryIntact());
+    FArrayBox bigger(b.grow(2), 5, 9.0);
+    FArrayBox smaller(Box(IntVect::zero(), IntVect(1)), 1, 9.0);
+    bigger = src;
+    smaller = src;
+    for (const FArrayBox* f : {&bigger, &smaller}) {
+        EXPECT_EQ(f->box(), b);
+        EXPECT_EQ(f->nComp(), 3);
+        EXPECT_EQ(storedBits(*f), storedBits(src));
+        EXPECT_FALSE(f->canaryIntact());
+    }
 }
 
 } // namespace

@@ -169,6 +169,63 @@ TEST(ParmParse, MakeConfigRejectsNonPositiveCfl) {
     expectRejected("crocco.cfl = -0.5", "crocco.cfl");
 }
 
+/// A query of `key` on a one-line deck must throw a runtime_error naming
+/// the key.
+template <typename T>
+void expectQueryRejects(const std::string& line, const std::string& key) {
+    ParmParse pp;
+    pp.parseText(line + "\n");
+    T out{};
+    try {
+        pp.query(key, out);
+        FAIL() << "accepted '" << line << "'";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ParmParse, IntegerKeysAreReadWhole) {
+    expectQueryRejects<int>("amr.max_level = 3x", "amr.max_level");
+    expectQueryRejects<int>("amr.max_level = 2.9", "amr.max_level");
+    expectQueryRejects<int>("amr.max_level = two", "amr.max_level");
+    expectRejected("gpu.num_threads = 3x", "gpu.num_threads");
+    ParmParse pp;
+    pp.parseText("amr.max_level = -1\namr.regrid_int = 12\n");
+    EXPECT_EQ(pp.getInt("amr.max_level"), -1);
+    EXPECT_EQ(pp.getInt("amr.regrid_int"), 12);
+}
+
+TEST(ParmParse, NumberKeysRejectTrailingText) {
+    expectQueryRejects<double>("crocco.cfl = 0.5abc", "crocco.cfl");
+    expectQueryRejects<double>("crocco.cfl = abc", "crocco.cfl");
+    expectRejected("gas.gamma = 1.4.1", "gas.gamma");
+    ParmParse pp;
+    pp.parseText("crocco.cfl = 5e-1\ngas.gamma = -1.25\n");
+    EXPECT_DOUBLE_EQ(pp.getDouble("crocco.cfl"), 0.5);
+    EXPECT_DOUBLE_EQ(pp.getDouble("gas.gamma"), -1.25);
+}
+
+TEST(ParmParse, BooleanKeysAcceptOnlyTheEightSpellings) {
+    expectQueryRejects<bool>("resilience.sdc_guard = ture", "resilience.sdc_guard");
+    expectQueryRejects<bool>("resilience.sdc_guard = 2", "resilience.sdc_guard");
+    expectRejected("resilience.sdc_guard = ture", "resilience.sdc_guard");
+    for (const char* yes : {"1", "true", "yes", "on"}) {
+        ParmParse pp;
+        pp.parseText(std::string("b = ") + yes + "\n");
+        bool b = false;
+        EXPECT_TRUE(pp.query("b", b));
+        EXPECT_TRUE(b) << yes;
+    }
+    for (const char* no : {"0", "false", "no", "off"}) {
+        ParmParse pp;
+        pp.parseText(std::string("b = ") + no + "\n");
+        bool b = true;
+        EXPECT_TRUE(pp.query("b", b));
+        EXPECT_FALSE(b) << no;
+    }
+}
+
 /// Sets (or, with nullptr, unsets) GPU_NUM_THREADS for one scope.
 class ScopedThreadsEnv {
 public:

@@ -5,6 +5,7 @@
 #include "parallel/CommFaults.hpp"
 #include "parallel/SimComm.hpp"
 
+#include "amr/FillPatch.hpp"
 #include "amr/MultiFab.hpp"
 #include "resilience/Crc32.hpp"
 
@@ -12,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace crocco::parallel {
@@ -470,6 +473,80 @@ TEST(MultiFabFaults, VerificationOffKeepsTheMessageStreamByteIdentical) {
     EXPECT_EQ(zeroRate.stats().decisions,
               static_cast<std::int64_t>(verified.size()));
     EXPECT_EQ(on.log().summarize().retransmits, 0u);
+}
+
+TEST(MultiFabFaults, AverageDownShipsThroughTheVerifiedExchange) {
+    // AverageDown restricts on the fine ranks and ships the result with
+    // parallelCopy, so its payloads cross the CRC-verified exchange: an
+    // armed corruption and drop are repaired, and the coarse data is the
+    // injector-free result bit for bit. Fine boxes start 4 fine cells off
+    // the coarse tiling, so coarsened fine boxes straddle coarse boxes.
+    const amr::IntVect ratio(2);
+    const amr::BoxArray cba(
+        tiledBoxes(amr::Box(amr::IntVect::zero(), amr::IntVect(15)), 8));
+    std::vector<amr::Box> fineBoxes;
+    amr::forEachCell(amr::Box(amr::IntVect::zero(), amr::IntVect(2)),
+                     [&](int i, int j, int k) {
+                         const amr::IntVect lo =
+                             amr::IntVect(4) + amr::IntVect{i, j, k} * 8;
+                         fineBoxes.emplace_back(lo, lo + amr::IntVect(7));
+                     });
+    const amr::BoxArray fba(fineBoxes);
+    const amr::DistributionMapping cdm(cba, 2), fdm(fba, 2);
+
+    SimComm clean(2), faulty(2);
+    CommFaults faults(2026);
+    faults.armMessageFault(MessageFault::Corrupt, 0);
+    faults.armMessageFault(MessageFault::Drop, 1);
+    faulty.attachFaults(&faults);
+    auto averageDown = [&](SimComm& comm) {
+        amr::MultiFab fine(fba, fdm, 3, 1, &comm);
+        amr::MultiFab crse(cba, cdm, 3, 1, &comm);
+        fillField(fine);
+        crse.setVal(-1.0);
+        amr::AverageDown(fine, crse, ratio, 0, 0, 3);
+        return crse;
+    };
+    const amr::MultiFab ref = averageDown(clean);
+    const amr::MultiFab got = averageDown(faulty);
+
+    EXPECT_EQ(faults.stats().corruptions, 1);
+    EXPECT_EQ(faults.stats().drops, 1);
+    testing::expectWireAccountsForInjectedFaults(faulty.log(), faults.stats());
+    for (int f = 0; f < ref.numFabs(); ++f) {
+        auto a = ref.const_array(f);
+        auto b = got.const_array(f);
+        for (int n = 0; n < 3; ++n)
+            amr::forEachCell(ref.validBox(f), [&](int i, int j, int k) {
+                ASSERT_EQ(std::memcmp(&a(i, j, k, n), &b(i, j, k, n),
+                                      sizeof(amr::Real)),
+                          0)
+                    << "fab " << f << " (" << i << "," << j << "," << k << ")";
+            });
+    }
+
+    // Every record is AverageDown's, CRC-stamped and a ParallelCopy; the
+    // originals are one message per off-rank (coarse, fine) overlap.
+    using Shipment = std::tuple<int, int, std::int64_t>;
+    std::vector<Shipment> shipped, overlaps;
+    for (const Message& m : faulty.log().messages()) {
+        EXPECT_EQ(m.tag.rfind("AverageDown", 0), 0u) << m.tag;
+        EXPECT_EQ(m.kind, MessageKind::ParallelCopy) << m.tag;
+        EXPECT_NE(m.crc, 0u) << m.tag;
+        if (m.tag == "AverageDown") shipped.emplace_back(m.src, m.dst, m.bytes);
+    }
+    for (int ci = 0; ci < cba.size(); ++ci)
+        for (int fj = 0; fj < fba.size(); ++fj) {
+            const amr::Box overlap = cba[ci] & fba[fj].coarsen(ratio);
+            if (!overlap.ok() || fdm[fj] == cdm[ci]) continue;
+            overlaps.emplace_back(fdm[fj], cdm[ci],
+                                  overlap.numPts() * 3 *
+                                      static_cast<std::int64_t>(sizeof(amr::Real)));
+        }
+    std::sort(shipped.begin(), shipped.end());
+    std::sort(overlaps.begin(), overlaps.end());
+    EXPECT_GE(overlaps.size(), 2u);
+    EXPECT_EQ(shipped, overlaps);
 }
 
 } // namespace

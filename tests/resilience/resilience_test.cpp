@@ -141,9 +141,9 @@ TEST(StateValidator, DetectsInfNegativeDensityAndNegativePressure) {
 
 TEST(StateValidator, FaultReportIsCappedButCountIsNot) {
     MultiFab mf = makeState(-1.0, 2.5); // every cell has negative density
-    const auto rep = validateState(mf, GasModel{}, 0, /*maxReported=*/4);
+    const auto rep = validateState(mf, GasModel{}, 0);
     EXPECT_EQ(rep.faultCount, 512);
-    EXPECT_EQ(rep.faults.size(), 4u);
+    EXPECT_EQ(rep.faults.size(), static_cast<std::size_t>(kMaxFaultsReported));
     EXPECT_NE(rep.describe().find("more not shown"), std::string::npos);
 }
 
@@ -210,8 +210,6 @@ TEST(FabParallelReductions, DtAndHealthIdenticalAtOneTwoFourEightThreads) {
             a(hi[0], hi[1], hi[2], core::URHO) = -0.5;
         }
     }
-    const int maxReported = 8;
-
     struct Result {
         double dt = 0.0;
         std::vector<parallel::Message> dtRecords;
@@ -229,7 +227,7 @@ TEST(FabParallelReductions, DtAndHealthIdenticalAtOneTwoFourEightThreads) {
                                                   solver.metrics(lev),
                                                   solver.geom(lev), cfg.gas,
                                                   cfg.cfl));
-        r.health = validateHierarchy(U, solver.finestLevel(), cfg.gas, maxReported);
+        r.health = validateHierarchy(U, solver.finestLevel(), cfg.gas);
         r.launches = gpu::LaunchStats::count() - l0;
         const auto& log = comm.log().messages();
         r.dtRecords.assign(log.begin() + static_cast<std::ptrdiff_t>(mark), log.end());
@@ -244,7 +242,7 @@ TEST(FabParallelReductions, DtAndHealthIdenticalAtOneTwoFourEightThreads) {
     ASSERT_FALSE(ref.dtRecords.empty());
     for (const auto& m : ref.dtRecords) EXPECT_EQ(m.tag, "ComputeDt");
     EXPECT_EQ(ref.health.faultCount, 18);
-    ASSERT_EQ(ref.health.faults.size(), static_cast<std::size_t>(maxReported));
+    ASSERT_EQ(ref.health.faults.size(), static_cast<std::size_t>(kMaxFaultsReported));
 
     for (int nt : {2, 4, 8}) {
         const Result r = run(nt);
